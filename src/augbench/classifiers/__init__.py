@@ -1,4 +1,4 @@
-from .base import ScoredPrediction, predict, predict_labels
+from .base import predict_labels
 from .cv import CvError, CvResult, cross_validate, stratified_kfold
 from .dense import DenseNetConfig, DenseNetModel, fit_dense_net
 from .knn import KnnConfig, KnnModel, fit_knn
@@ -13,7 +13,7 @@ from .svm_rbf import RbfSvmConfig, RbfSvmModel, fit_rbf_svm
 from .tree import DecisionTreeModel, TreeConfig, TreeNode, fit_decision_tree, gini
 
 __all__ = [
-    "ScoredPrediction", "predict", "predict_labels",
+    "predict_labels",
     "CvError", "CvResult", "cross_validate", "stratified_kfold",
     "DenseNetConfig", "DenseNetModel", "fit_dense_net",
     "KnnConfig", "KnnModel", "fit_knn",

@@ -1,4 +1,4 @@
-"""Shared prediction interface.
+"""Shared prediction interface and pairwise distances.
 
 Every fitted model exposes `decision_scores(X)` (higher = more
 positive-class) and a fixed `threshold`; the predicted label is 1 iff
@@ -8,23 +8,15 @@ models at 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class ScoredPrediction:
-    label: int
-    score: float
-
-
-def predict(model, features: np.ndarray) -> list[ScoredPrediction]:
-    scores = model.decision_scores(np.asarray(features, dtype=float))
-    thr = model.threshold
-    return [ScoredPrediction(int(s >= thr), float(s)) for s in scores]
 
 
 def predict_labels(model, features: np.ndarray) -> np.ndarray:
     scores = model.decision_scores(np.asarray(features, dtype=float))
     return (scores >= model.threshold).astype(int)
+
+
+def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance between every row of A and every row of B."""
+    d2 = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * A @ B.T
+    return np.maximum(d2, 0.0, out=d2)

@@ -57,7 +57,7 @@ def stratified_kfold(
 
 
 def cross_validate(
-    trainer: Callable[[np.ndarray, np.ndarray, object, RngStream], object],
+    trainer: Callable[[np.ndarray, np.ndarray, object], object],
     features: np.ndarray,
     labels: np.ndarray,
     folds: int,
@@ -69,13 +69,30 @@ def cross_validate(
         raise CvError("empty hyperparameter grid")
     splits = stratified_kfold(labels, folds, rng.derive("folds"))
     table = []
-    for gi, param in enumerate(grid):
+    for param in grid:
         fold_accs = []
-        for fi, (tr, va) in enumerate(splits):
-            model = trainer(
-                features[tr], labels[tr], param, rng.derive(f"fit-g{gi}-f{fi}")
-            )
+        for tr, va in splits:
+            model = trainer(features[tr], labels[tr], param)
             fold_accs.append(accuracy(labels[va], predict_labels(model, features[va])))
         table.append((param, float(np.mean(fold_accs)), fold_accs))
     best_index = int(np.argmax([row[1] for row in table]))  # argmax keeps first tie
     return CvResult(table[best_index][0], best_index, table)
+
+
+def fit_with_cv(
+    fit_fixed: Callable[[np.ndarray, np.ndarray, object], object],
+    X: np.ndarray,
+    y: np.ndarray,
+    param: object,
+    grid: Sequence[object],
+    folds: int,
+    rng: RngStream,
+):
+    """`fit_fixed(X, y, param)`, or with `param == "auto"` pick it from
+    `grid` by stratified CV, refit on all rows and attach `cv_result`."""
+    if param != "auto":
+        return fit_fixed(X, y, param)
+    cv = cross_validate(fit_fixed, X, y, folds, list(grid), rng)
+    model = fit_fixed(X, y, cv.best_param)
+    model.cv_result = cv
+    return model

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..rng import RngStream
-from .cv import CvResult, cross_validate
+from .base import sq_distances
+from .cv import CvResult, fit_with_cv
 
 DEFAULT_K_GRID = (1, 3, 5, 7, 9, 11)
 DIST_EPS = 1e-9
@@ -36,12 +37,7 @@ class KnnModel:
     cv_result: CvResult | None = field(default=None, repr=False)
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        d2 = (
-            np.sum(X**2, axis=1)[:, None]
-            + np.sum(self.train_features**2, axis=1)[None, :]
-            - 2.0 * X @ self.train_features.T
-        )
-        np.maximum(d2, 0.0, out=d2)
+        d2 = sq_distances(X, self.train_features)
         nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         labels = self.train_labels[nearest]
         if self.weighting == "uniform":
@@ -69,17 +65,13 @@ def fit_knn(
     if config.weighting not in ("uniform", "inverse"):
         raise ValueError(f"unknown weighting {config.weighting!r}")
 
-    if config.k != "auto":
-        if not 1 <= config.k <= len(y):
-            raise ValueError(f"k={config.k} outside [1, {len(y)}]")
-        return KnnModel(X.copy(), y.copy(), config.k, config.weighting)
-
-    grid = [k for k in config.k_grid if k <= len(y) - len(y) // config.cv_folds]
-
-    def trainer(Xt, yt, k, _stream):
-        return KnnModel(Xt, yt, min(k, len(yt)), config.weighting)
-
-    cv = cross_validate(trainer, X, y, config.cv_folds, grid, rng)
-    model = KnnModel(X.copy(), y.copy(), cv.best_param, config.weighting)
-    model.cv_result = cv
-    return model
+    grid = config.k_grid
+    if config.k == "auto":
+        grid = [k for k in grid if k <= len(y) - len(y) // config.cv_folds]
+    elif not 1 <= config.k <= len(y):
+        raise ValueError(f"k={config.k} outside [1, {len(y)}]")
+    # A CV training fold can hold fewer rows than the grid filter assumes.
+    return fit_with_cv(
+        lambda Xt, yt, k: KnnModel(Xt.copy(), yt.copy(), min(k, len(yt)), config.weighting),
+        X, y, config.k, grid, config.cv_folds, rng,
+    )

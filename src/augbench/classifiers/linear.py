@@ -17,7 +17,7 @@ import numpy as np
 
 from ..nncore import AdamState, adam_step, sigmoid
 from ..rng import RngStream
-from .cv import CvResult, cross_validate
+from .cv import CvResult, fit_with_cv
 
 LOGISTIC_LAMBDA_GRID = (1.0, 0.1, 0.01, 0.0)
 SVM_LAMBDA_GRID = (1.0, 0.1, 0.01, 0.001)
@@ -106,17 +106,10 @@ def fit_logistic(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     _check_two_classes(y)
-
-    if config.reg_lambda != "auto":
-        return _fit_logistic_fixed(X, y, config.reg_lambda, config)
-
-    def trainer(Xt, yt, lam, _stream):
-        return _fit_logistic_fixed(Xt, yt, lam, config)
-
-    cv = cross_validate(trainer, X, y, config.cv_folds, list(config.lambda_grid), rng)
-    model = _fit_logistic_fixed(X, y, cv.best_param, config)
-    model.cv_result = cv
-    return model
+    return fit_with_cv(
+        lambda Xt, yt, lam: _fit_logistic_fixed(Xt, yt, lam, config),
+        X, y, config.reg_lambda, config.lambda_grid, config.cv_folds, rng,
+    )
 
 
 def _fit_linear_svm_fixed(
@@ -152,14 +145,7 @@ def fit_linear_svm(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     _check_two_classes(y)
-
-    if config.reg_lambda != "auto":
-        return _fit_linear_svm_fixed(X, y, config.reg_lambda, config)
-
-    def trainer(Xt, yt, lam, _stream):
-        return _fit_linear_svm_fixed(Xt, yt, lam, config)
-
-    cv = cross_validate(trainer, X, y, config.cv_folds, list(config.lambda_grid), rng)
-    model = _fit_linear_svm_fixed(X, y, cv.best_param, config)
-    model.cv_result = cv
-    return model
+    return fit_with_cv(
+        lambda Xt, yt, lam: _fit_linear_svm_fixed(Xt, yt, lam, config),
+        X, y, config.reg_lambda, config.lambda_grid, config.cv_folds, rng,
+    )

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..rng import RngStream
-from .cv import CvResult, cross_validate
+from .base import sq_distances
+from .cv import CvResult, fit_with_cv
 
 log = logging.getLogger(__name__)
 
@@ -47,14 +48,7 @@ class RbfSvmModel:
     cv_result: CvResult | None = field(default=None, repr=False)
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        if len(self.support_vectors) == 0:
-            return np.full(len(X), self.bias)
-        d2 = (
-            np.sum(X**2, axis=1)[:, None]
-            + np.sum(self.support_vectors**2, axis=1)[None, :]
-            - 2.0 * X @ self.support_vectors.T
-        )
-        return np.exp(-self.gamma * np.maximum(d2, 0.0)) @ self.dual_coef + self.bias
+        return rbf_kernel(X, self.support_vectors, self.gamma) @ self.dual_coef + self.bias
 
     @property
     def hyperparams(self) -> dict:
@@ -62,12 +56,7 @@ class RbfSvmModel:
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    d2 = (
-        np.sum(A**2, axis=1)[:, None]
-        + np.sum(B**2, axis=1)[None, :]
-        - 2.0 * A @ B.T
-    )
-    return np.exp(-gamma * np.maximum(d2, 0.0))
+    return np.exp(-gamma * sq_distances(A, B))
 
 
 def _kkt_violations(alpha: np.ndarray, yf: np.ndarray, C: float) -> np.ndarray:
@@ -173,14 +162,7 @@ def fit_rbf_svm(
     y = np.asarray(y, dtype=int)
     if len(np.unique(y)) < 2:
         raise ValueError("both classes must be present")
-
-    if config.C != "auto":
-        return _fit_fixed_c(X, y, config.C, config)
-
-    def trainer(Xt, yt, c, _stream):
-        return _fit_fixed_c(Xt, yt, c, config)
-
-    cv = cross_validate(trainer, X, y, config.cv_folds, list(config.c_grid), rng)
-    model = _fit_fixed_c(X, y, cv.best_param, config)
-    model.cv_result = cv
-    return model
+    return fit_with_cv(
+        lambda Xt, yt, c: _fit_fixed_c(Xt, yt, c, config),
+        X, y, config.C, config.c_grid, config.cv_folds, rng,
+    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..rng import RngStream
-from .cv import CvResult, cross_validate
+from .cv import CvResult, fit_with_cv
 
 DEFAULT_DEPTH_GRID: tuple = (2, 3, 4, 5, 6, 8, None)
 
@@ -153,14 +153,8 @@ def fit_decision_tree(
     """Fit with `max_depth` picked by stratified CV unless pinned."""
     config = config or TreeConfig()
     rng = rng or RngStream(0, ("tree",))
-    if config.max_depth != "auto":
-        return fit_tree_fixed_depth(X, y, config.max_depth, config)
-
-    def trainer(Xt, yt, depth, _stream):
-        return fit_tree_fixed_depth(Xt, yt, depth, config)
-
-    cv = cross_validate(trainer, X, np.asarray(y, dtype=int),
-                        config.cv_folds, list(config.depth_grid), rng)
-    model = fit_tree_fixed_depth(X, y, cv.best_param, config)
-    model.cv_result = cv
-    return model
+    return fit_with_cv(
+        lambda Xt, yt, depth: fit_tree_fixed_depth(Xt, yt, depth, config),
+        np.asarray(X, dtype=float), np.asarray(y, dtype=int),
+        config.max_depth, config.depth_grid, config.cv_folds, rng,
+    )

@@ -57,29 +57,12 @@ def _cmd_run(args) -> int:
         if len(seeds) > 1:
             outdir = outdir / f"seed_{s}"
         emit_report(bundle, outdir)
-        if config.export_synthetic:
-            _write_synthetic(cfg, outdir)
         all_bundles.append(bundle)
 
     if len(seeds) > 1:
         _write_aggregate(all_bundles, Path(config.output_dir))
     print(f"wrote {len(all_bundles)} run(s) to {config.output_dir}")
     return 0
-
-
-def _write_synthetic(config: ExperimentConfig, outdir: Path):
-    bundle_rng = RngStream(config.seed)
-    table = load_table(config.dataset, config.schema)
-    plan = fit_preprocess(table)
-    X, y = apply_preprocess(table, plan)
-    sets = build_augmented_sets(config, X, y, bundle_rng.derive("augment"))
-    for aug, (Xa, ya, prov) in sets.items():
-        if prov is None:
-            continue
-        mask = prov.synthetic_mask
-        (outdir / f"synthetic_{aug}.csv").write_text(
-            export_synthetic_csv(Xa[mask], ya[mask], plan)
-        )
 
 
 def _write_aggregate(bundles, outdir: Path):

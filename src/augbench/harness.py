@@ -39,7 +39,7 @@ from .dataio import (
 )
 from .gan import GanConfig, augment_with_gan
 from .gmm import GmmConfig, augment_with_gmm
-from .metrics import RocCurve, accuracy, f1, roc_auc
+from .metrics import RocCurve, accuracy, f1, roc_auc, roc_to_csv
 from .rng import RngStream
 from .vae import VaeConfig, augment_with_vae
 
@@ -202,6 +202,9 @@ class ReportBundle:
     n_test: int
     plan: PreprocessPlan
     provenances: dict[str, SyntheticBatch | None]
+    # (features, labels) of the synthetic rows each generator added to the
+    # training split, in its normalized feature space.
+    synthetic: dict[str, tuple[np.ndarray, np.ndarray]]
     contamination: bool = False
 
     def cell(self, augmenter: str, classifier: str) -> EvalResult:
@@ -244,8 +247,8 @@ def _run_cell(
     start = time.perf_counter()
     try:
         model = _FITTERS[classifier](X_aug, y_aug, clf_config, rng)
-        test_pred = clf.predict_labels(model, X_test)
         test_scores = model.decision_scores(X_test)
+        test_pred = (test_scores >= model.threshold).astype(int)
         curve = roc_auc(y_test, test_scores)
         result.test_acc = accuracy(y_test, test_pred)
         result.test_f1 = f1(y_test, test_pred)
@@ -316,6 +319,10 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
         n_test=len(y_test),
         plan=plan,
         provenances={a: s[2] for a, s in aug_sets.items()},
+        synthetic={
+            a: (Xa[prov.synthetic_mask], ya[prov.synthetic_mask])
+            for a, (Xa, ya, prov) in aug_sets.items() if prov is not None
+        },
         contamination=contamination,
     )
 
@@ -416,7 +423,8 @@ def export_synthetic_csv(
 
 
 def emit_report(bundle: ReportBundle, output_dir: str | Path) -> list[Path]:
-    """Write report.md, results.csv, per-cell ROC files and run_meta.json."""
+    """Write report.md, results.csv, per-cell ROC files, run_meta.json and,
+    with `export_synthetic`, each generator's synthetic training rows."""
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -430,9 +438,10 @@ def emit_report(bundle: ReportBundle, output_dir: str | Path) -> list[Path]:
     put("results.csv", render_results_csv(bundle))
     for r in bundle.results:
         if r.roc is not None:
-            lines = ["fpr,tpr"]
-            lines += [f"{a:.10g},{b:.10g}" for a, b in r.roc.points]
-            put(f"roc_{r.augmenter}_{r.classifier}.csv", "\n".join(lines) + "\n")
+            put(f"roc_{r.augmenter}_{r.classifier}.csv", roc_to_csv(r.roc))
+    if bundle.config.export_synthetic:
+        for aug, (X_syn, y_syn) in bundle.synthetic.items():
+            put(f"synthetic_{aug}.csv", export_synthetic_csv(X_syn, y_syn, bundle.plan))
 
     meta = {
         "seed": bundle.config.seed,

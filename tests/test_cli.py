@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from augbench import cli, harness
 from augbench.cli import main
 from conftest import FIXTURE_CSV, SCHEMA
 
@@ -76,6 +77,34 @@ def test_augment_writes_requested_count(config_path, tmp_path):
     assert code == 0
     rows = list(csv.DictReader((out / "synthetic_gmm.csv").open()))
     assert len(rows) == 40
+
+
+def test_run_exports_the_synthetic_rows_the_grid_trained_on(tmp_path, monkeypatch):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, export_synthetic=True)))
+    bundles, aug_sets = [], []
+    real_run, real_build = cli.run_experiment, harness.build_augmented_sets
+
+    def run_spy(config):
+        bundles.append(real_run(config))
+        return bundles[-1]
+
+    def build_spy(*args, **kwargs):
+        aug_sets.append(real_build(*args, **kwargs))
+        return aug_sets[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", run_spy)
+    monkeypatch.setattr(harness, "build_augmented_sets", build_spy)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+
+    (bundle,), (sets,) = bundles, aug_sets
+    X_aug, y_aug, prov = sets["gmm"]
+    mask = prov.synthetic_mask
+    expected = harness.export_synthetic_csv(X_aug[mask], y_aug[mask], bundle.plan)
+    assert (out / "synthetic_gmm.csv").read_text() == expected
+    assert int(mask.sum()) == 40
+    assert not (out / "synthetic_none.csv").exists()
 
 
 def test_augment_rejects_bad_generator(config_path, capsys):

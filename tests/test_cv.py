@@ -1,8 +1,22 @@
-"""Stratified k-fold construction and grid search tie-breaking."""
+"""Stratified k-fold construction, grid search tie-breaking, and the
+shared pinned-or-CV fit path of the tuned classifiers."""
 
 import numpy as np
 import pytest
 
+from augbench.classifiers import (
+    KnnConfig,
+    LinearSvmConfig,
+    LogisticConfig,
+    RbfSvmConfig,
+    TreeConfig,
+    fit_decision_tree,
+    fit_knn,
+    fit_linear_svm,
+    fit_logistic,
+    fit_rbf_svm,
+)
+from augbench.classifiers import cv as cv_module
 from augbench.classifiers.cv import CvError, cross_validate, stratified_kfold
 from augbench.rng import RngStream
 
@@ -52,7 +66,7 @@ def test_grid_order_and_first_best_tie():
     y = np.array([0] * 20 + [1] * 20)
     X = np.zeros((40, 1))
 
-    def trainer(Xt, yt, param, _stream):
+    def trainer(Xt, yt, param):
         return ConstantModel(param)
 
     # Both constant predictors score 0.5; the tie must go to the first entry.
@@ -67,7 +81,7 @@ def test_grid_picks_the_better_param():
     y = np.array([0] * 30 + [1] * 10)
     X = np.zeros((40, 1))
 
-    def trainer(Xt, yt, param, _stream):
+    def trainer(Xt, yt, param):
         return ConstantModel(param)
 
     cv = cross_validate(trainer, X, y, 5, [1, 0], RngStream(2, ("cv",)))
@@ -79,3 +93,60 @@ def test_empty_grid_rejected():
     with pytest.raises(CvError):
         cross_validate(lambda *a: None, np.zeros((4, 1)),
                        np.array([0, 0, 1, 1]), 2, [], RngStream(0))
+
+
+# ------------------------------------------------------------ fit_with_cv
+
+# name -> (fitter, config class, other config fields, tuned field, grid field, value)
+TUNED = {
+    "tree": (fit_decision_tree, TreeConfig, {}, "max_depth", "depth_grid", 3),
+    "knn": (fit_knn, KnnConfig, {}, "k", "k_grid", 3),
+    "logistic": (fit_logistic, LogisticConfig, {"epochs": 200}, "reg_lambda",
+                 "lambda_grid", 0.1),
+    "svm_linear": (fit_linear_svm, LinearSvmConfig, {"epochs": 200}, "reg_lambda",
+                   "lambda_grid", 0.1),
+    "svm_rbf": (fit_rbf_svm, RbfSvmConfig, {}, "C", "c_grid", 1.0),
+}
+
+
+def _two_blobs():
+    rng = RngStream(7, ("blobs",))
+    X = np.vstack([rng.derive("a").normal(size=(20, 2)),
+                   rng.derive("b").normal(size=(20, 2)) + 1.5])
+    return X, np.array([0] * 20 + [1] * 20)
+
+
+@pytest.mark.parametrize("name", sorted(TUNED))
+def test_pinned_param_skips_cv(name, monkeypatch):
+    fitter, config_cls, extra, field, _, value = TUNED[name]
+
+    def no_cv(*args, **kwargs):
+        raise AssertionError("a pinned hyperparameter must not run CV")
+
+    monkeypatch.setattr(cv_module, "cross_validate", no_cv)
+    X, y = _two_blobs()
+    model = fitter(X, y, config_cls(**extra, **{field: value}), RngStream(0, (name,)))
+    assert model.cv_result is None
+
+
+@pytest.mark.parametrize("name", sorted(TUNED))
+def test_auto_with_one_entry_grid_matches_pinned_fit(name, monkeypatch):
+    fitter, config_cls, extra, field, grid_field, value = TUNED[name]
+    calls = []
+    real = cv_module.cross_validate
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cv_module, "cross_validate", spy)
+    X, y = _two_blobs()
+    rng = RngStream(0, (name,))
+    auto = fitter(X, y, config_cls(**extra, **{field: "auto", grid_field: (value,)}), rng)
+    assert len(calls) == 1
+    pinned = fitter(X, y, config_cls(**extra, **{field: value}), rng)
+    assert len(calls) == 1
+    assert auto.cv_result.best_param == value
+    assert auto.cv_result.best_index == 0
+    assert pinned.cv_result is None
+    np.testing.assert_array_equal(auto.decision_scores(X), pinned.decision_scores(X))

@@ -1,10 +1,10 @@
-"""RBF SVM: kernel values, SMO dual feasibility, XOR, CV over C."""
+"""RBF SVM: kernel values, scoring, SMO dual feasibility, XOR, CV over C."""
 
 import numpy as np
 import pytest
 
 from augbench.classifiers import predict_labels
-from augbench.classifiers.svm_rbf import RbfSvmConfig, fit_rbf_svm, rbf_kernel
+from augbench.classifiers.svm_rbf import RbfSvmConfig, RbfSvmModel, fit_rbf_svm, rbf_kernel
 from augbench.rng import RngStream
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -86,3 +86,41 @@ def test_two_point_symmetry():
     # The kernel midpoint is the equidistant point in input space here.
     assert model.decision_scores(np.array([[0.5]]))[0] == pytest.approx(0.0, abs=1e-6)
     np.testing.assert_array_equal(predict_labels(model, X), y)
+
+
+def _brute_force_scores(model: RbfSvmModel, X: np.ndarray) -> np.ndarray:
+    """sum_i dual_coef_i * exp(-gamma * ||x - sv_i||^2) + bias, one row at a time."""
+    out = []
+    for x in X:
+        total = model.bias
+        for coef, sv in zip(model.dual_coef, model.support_vectors):
+            total += coef * np.exp(-model.gamma * np.sum((x - sv) ** 2))
+        out.append(total)
+    return np.array(out)
+
+
+def test_decision_scores_match_brute_force_sum():
+    rng = RngStream(4, ("oracle",))
+    X = rng.derive("x").normal(size=(30, 3))
+    y = (X[:, 0] * X[:, 1] > 0).astype(int)
+    model = fit_rbf_svm(X, y, RbfSvmConfig(C=1.0, gamma=0.7))
+    assert 0 < len(model.support_vectors) <= len(X)
+    X_new = rng.derive("new").normal(size=(12, 3)) * 2.0
+    for Q in (X, X_new):
+        np.testing.assert_allclose(model.decision_scores(Q), _brute_force_scores(model, Q),
+                                   rtol=1e-10, atol=1e-12)
+
+
+def test_decision_scores_without_support_vectors():
+    # Identical rows with both labels give eta = 0 for every pair, so SMO
+    # cannot move any alpha and the model has no support vectors.
+    X = np.ones((4, 2))
+    y = np.array([0, 1, 0, 1])
+    model = fit_rbf_svm(X, y, RbfSvmConfig(C=1.0))
+    assert len(model.support_vectors) == 0
+    assert model.dual_coef.shape == (0,)
+    Q = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, -2.0]])
+    scores = model.decision_scores(Q)
+    assert scores.shape == (3,)
+    np.testing.assert_array_equal(scores, _brute_force_scores(model, Q))
+    np.testing.assert_array_equal(scores, np.full(3, model.bias))
