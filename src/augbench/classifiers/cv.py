@@ -29,6 +29,10 @@ class CvResult:
     table: list[tuple[object, float, list[float]]]
 
 
+# fit_many(X, y, [(train_rows, param), ...]) -> one model per job
+FitMany = Callable[[np.ndarray, np.ndarray, list[tuple[np.ndarray, object]]], list]
+
+
 def stratified_kfold(
     labels: np.ndarray, folds: int, rng: RngStream, max_attempts: int = 5
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -63,17 +67,29 @@ def cross_validate(
     folds: int,
     grid: Sequence[object],
     rng: RngStream,
+    fit_many: FitMany | None = None,
 ) -> CvResult:
-    """Mean validation accuracy per grid point; first-best wins ties."""
+    """Mean validation accuracy per grid point; first-best wins ties.
+
+    Each (grid entry, fold) model is `trainer(X[train], y[train], param)`,
+    or, when `fit_many` is given, one `fit_many(X, y, jobs)` call trains
+    them all: `jobs` lists `(train_rows, param)` grid-major, then fold,
+    and the hook returns one model per job in that order.
+    """
     if not grid:
         raise CvError("empty hyperparameter grid")
     splits = stratified_kfold(labels, folds, rng.derive("folds"))
+    jobs = [(tr, param) for param in grid for tr, _ in splits]
+    if fit_many is None:
+        models = [trainer(features[tr], labels[tr], param) for tr, param in jobs]
+    else:
+        models = fit_many(features, labels, jobs)
     table = []
-    for param in grid:
-        fold_accs = []
-        for tr, va in splits:
-            model = trainer(features[tr], labels[tr], param)
-            fold_accs.append(accuracy(labels[va], predict_labels(model, features[va])))
+    for gi, param in enumerate(grid):
+        fold_accs = [
+            accuracy(labels[va], predict_labels(models[gi * len(splits) + fi], features[va]))
+            for fi, (_, va) in enumerate(splits)
+        ]
         table.append((param, float(np.mean(fold_accs)), fold_accs))
     best_index = int(np.argmax([row[1] for row in table]))  # argmax keeps first tie
     return CvResult(table[best_index][0], best_index, table)
@@ -87,12 +103,14 @@ def fit_with_cv(
     grid: Sequence[object],
     folds: int,
     rng: RngStream,
+    fit_many: FitMany | None = None,
 ):
     """`fit_fixed(X, y, param)`, or with `param == "auto"` pick it from
-    `grid` by stratified CV, refit on all rows and attach `cv_result`."""
+    `grid` by stratified CV (trained by `fit_many` when given), refit on
+    all rows and attach `cv_result`."""
     if param != "auto":
         return fit_fixed(X, y, param)
-    cv = cross_validate(fit_fixed, X, y, folds, list(grid), rng)
+    cv = cross_validate(fit_fixed, X, y, folds, list(grid), rng, fit_many)
     model = fit_fixed(X, y, cv.best_param)
     model.cv_result = cv
     return model

@@ -7,6 +7,13 @@ lambda*||w||^2/2 plus mean hinge loss by subgradient descent with the
 1/(lambda*t) step schedule; its score is the signed margin, thresholded
 at 0. Regularization strength is chosen by stratified CV with ties to
 the stronger regularizer (grids are listed largest-lambda first).
+
+CV trains all fold x lambda models of a learner as one stacked problem:
+column j of a d x J weight matrix is job j's model, a 0/1 row mask keeps
+each column to its fold's training rows, and every epoch is one pass of
+matrix products over all J columns. The per-model `_fit_*_fixed`
+trainers are the refit, the pinned-lambda path and the reference the
+stacked ones are tested against.
 """
 
 from __future__ import annotations
@@ -81,6 +88,15 @@ def logistic_loss_grad(
     return loss, dw, db
 
 
+def _stack_jobs(n: int, jobs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n x J 0/1 train-row mask, per-column row count, per-column lambda)."""
+    mask = np.zeros((n, len(jobs)))
+    for j, (rows, _) in enumerate(jobs):
+        mask[rows, j] = 1.0
+    lam = np.array([float(param) for _, param in jobs])
+    return mask, mask.sum(axis=0), lam
+
+
 def _fit_logistic_fixed(
     X: np.ndarray, y: np.ndarray, reg_lambda: float, config: LogisticConfig
 ) -> LinearModel:
@@ -96,6 +112,27 @@ def _fit_logistic_fixed(
     return LinearModel(w, b, "logistic", reg_lambda, 0.5, history)
 
 
+def _fit_logistic_many(
+    X: np.ndarray, y: np.ndarray, jobs, config: LogisticConfig
+) -> list[LinearModel]:
+    """`_fit_logistic_fixed(X[rows], y[rows], lam)` for every (rows, lam)
+    job, trained together; models carry no loss history."""
+    mask, count, lam = _stack_jobs(len(y), jobs)
+    y = y[:, None]
+    W = np.zeros((X.shape[1], len(jobs)))
+    B = np.zeros(len(jobs))
+    state = AdamState.for_arrays([W, B], alpha=config.learning_rate)
+    for _ in range(config.epochs):
+        diff = (sigmoid(X @ W + B) - y) * mask
+        dW = X.T @ diff / count + lam * W
+        dB = diff.sum(axis=0) / count
+        (W, B), state = adam_step([W, B], [dW, dB], state)
+    return [
+        LinearModel(W[:, j].copy(), float(B[j]), "logistic", param, 0.5)
+        for j, (_, param) in enumerate(jobs)
+    ]
+
+
 def fit_logistic(
     X: np.ndarray, y: np.ndarray,
     config: LogisticConfig | None = None,
@@ -109,14 +146,19 @@ def fit_logistic(
     return fit_with_cv(
         lambda Xt, yt, lam: _fit_logistic_fixed(Xt, yt, lam, config),
         X, y, config.reg_lambda, config.lambda_grid, config.cv_folds, rng,
+        lambda Xt, yt, jobs: _fit_logistic_many(Xt, yt, jobs, config),
     )
+
+
+def _check_svm_lambda(reg_lambda):
+    if np.any(np.asarray(reg_lambda) <= 0):
+        raise ValueError("linear SVM requires reg_lambda > 0 (step schedule 1/(lambda*t))")
 
 
 def _fit_linear_svm_fixed(
     X: np.ndarray, y01: np.ndarray, reg_lambda: float, config: LinearSvmConfig
 ) -> LinearModel:
-    if reg_lambda <= 0:
-        raise ValueError("linear SVM requires reg_lambda > 0 (step schedule 1/(lambda*t))")
+    _check_svm_lambda(reg_lambda)
     y = 2.0 * y01 - 1.0
     n = len(y)
     w = np.zeros(X.shape[1])
@@ -135,6 +177,29 @@ def _fit_linear_svm_fixed(
     return LinearModel(w, b, "linear-svm", reg_lambda, 0.0, history)
 
 
+def _fit_linear_svm_many(
+    X: np.ndarray, y01: np.ndarray, jobs, config: LinearSvmConfig
+) -> list[LinearModel]:
+    """`_fit_linear_svm_fixed(X[rows], y01[rows], lam)` for every
+    (rows, lam) job, trained together; models carry no loss history."""
+    mask, count, lam = _stack_jobs(len(y01), jobs)
+    _check_svm_lambda(lam)
+    y = (2.0 * y01 - 1.0)[:, None]
+    y_train = y * mask
+    W = np.zeros((X.shape[1], len(jobs)))
+    B = np.zeros(len(jobs))
+    for t in range(1, config.epochs + 1):
+        # y on each column's margin-violating training rows, 0 elsewhere
+        yv = np.where(y * (X @ W + B) < 1.0, y_train, 0.0)
+        eta = 1.0 / (lam * t)
+        W = W - eta * (lam * W - X.T @ yv / count)
+        B = B - eta * (-yv.sum(axis=0) / count)
+    return [
+        LinearModel(W[:, j].copy(), float(B[j]), "linear-svm", param, 0.0)
+        for j, (_, param) in enumerate(jobs)
+    ]
+
+
 def fit_linear_svm(
     X: np.ndarray, y: np.ndarray,
     config: LinearSvmConfig | None = None,
@@ -148,4 +213,5 @@ def fit_linear_svm(
     return fit_with_cv(
         lambda Xt, yt, lam: _fit_linear_svm_fixed(Xt, yt, lam, config),
         X, y, config.reg_lambda, config.lambda_grid, config.cv_folds, rng,
+        lambda Xt, yt, jobs: _fit_linear_svm_many(Xt, yt, jobs, config),
     )

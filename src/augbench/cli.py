@@ -27,9 +27,10 @@ from .harness import (
     build_augmented_sets,
     emit_report,
     export_synthetic_csv,
+    module_configs,
+    prepare,
     run_experiment,
 )
-from .rng import RngStream
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -47,6 +48,8 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     config = _load_config(args)
     seeds = [config.seed + i for i in range(args.seeds)]
     all_bundles = []
@@ -92,21 +95,19 @@ def _cmd_augment(args) -> int:
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    table = load_table(config.dataset, config.schema)
-    plan = fit_preprocess(table)
-    X, y = apply_preprocess(table, plan)
-    rng = RngStream(config.seed)
-    sets = build_augmented_sets(config, X, y, rng.derive("augment"))
+    data = prepare(config)
+    sets = build_augmented_sets(config, data.X_train, data.y_train, module_configs(config))
     Xa, ya, prov = sets[args.generator]
     mask = prov.synthetic_mask
     path = outdir / f"synthetic_{args.generator}.csv"
-    path.write_text(export_synthetic_csv(Xa[mask], ya[mask], plan))
+    path.write_text(export_synthetic_csv(Xa[mask], ya[mask], data.plan))
     print(f"wrote {int(mask.sum())} synthetic rows to {path}")
     return 0
 
 
 def _cmd_validate(args) -> int:
     config = _load_config(args)
+    module_configs(config)
     table = load_table(config.dataset, config.schema)
     plan = fit_preprocess(table)
     X, y = apply_preprocess(table, plan)

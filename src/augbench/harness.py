@@ -135,12 +135,20 @@ class ExperimentConfig:
 
 
 def _build_section_config(defaults, overrides: dict):
-    names = {f.name for f in dataclasses.fields(defaults)}
-    unknown = set(overrides) - names
+    section = type(defaults).__name__
+    current = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(defaults)}
+    unknown = set(overrides) - set(current)
     if unknown:
-        raise ConfigError(
-            f"unknown hyperparameter keys {sorted(unknown)} for {type(defaults).__name__}"
-        )
+        raise ConfigError(f"unknown hyperparameter keys {sorted(unknown)} for {section}")
+    for key, value in overrides.items():
+        # A numeric field rejects strings and bools, except "auto" where
+        # that is the default. None passes: some numeric fields take it.
+        default = current[key]
+        auto = default == "auto"
+        numeric = auto or (isinstance(default, (int, float)) and not isinstance(default, bool))
+        if numeric and isinstance(value, (str, bool)) and not (auto and value == "auto"):
+            expected = 'a number or "auto"' if auto else "a number"
+            raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
     clean = {
         k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()
     }
@@ -214,13 +222,51 @@ class ReportBundle:
         raise KeyError((augmenter, classifier))
 
 
+@dataclass
+class PreparedData:
+    """One seed's stratified split, preprocessed with statistics fitted on
+    its training rows only."""
+
+    plan: PreprocessPlan
+    train_indices: np.ndarray
+    test_indices: np.ndarray
+    X_train: np.ndarray
+    y_train: np.ndarray
+    X_test: np.ndarray
+    y_test: np.ndarray
+
+
+def prepare(config: ExperimentConfig) -> PreparedData:
+    """Load the dataset, split it by `config.seed` and preprocess it."""
+    table = load_table(config.dataset, config.schema)
+
+    label_i = table.label_index
+    y_all = np.array([int(r[label_i]) for r in table.rows])
+    split = stratified_split(
+        np.empty((len(y_all), 0)), y_all, config.test_fraction,
+        RngStream(config.seed).derive("split"),
+    )
+
+    # Preprocessing statistics come from the training rows only.
+    train_table = RawTable(
+        table.column_names, table.column_kinds,
+        [table.rows[i] for i in split.train_indices], 0,
+    )
+    plan = fit_preprocess(train_table)
+    X_all, y_all = apply_preprocess(table, plan)
+    tr, te = split.train_indices, split.test_indices
+    return PreparedData(plan, tr, te, X_all[tr], y_all[tr], X_all[te], y_all[te])
+
+
 def build_augmented_sets(
     config: ExperimentConfig,
     X_train: np.ndarray,
     y_train: np.ndarray,
-    rng: RngStream,
+    cfgs: dict,
 ) -> dict[str, tuple[np.ndarray, np.ndarray, SyntheticBatch | None]]:
-    cfgs = module_configs(config)
+    """One training set per augmenter, each generator drawing from its own
+    stream of `config.seed`; `cfgs` is `module_configs(config)`."""
+    rng = RngStream(config.seed).derive("augment")
     sets = {}
     for aug in config.augmenters:
         if aug == "none":
@@ -264,30 +310,16 @@ def _run_cell(
 
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
     """Execute the full augmenter x classifier grid for one seed."""
-    rng = RngStream(config.seed)
-    table = load_table(config.dataset, config.schema)
+    cfgs = module_configs(config)
+    data = prepare(config)
+    X_train, y_train = data.X_train, data.y_train
+    X_test, y_test = data.X_test, data.y_test
 
-    label_i = table.label_index
-    y_all = np.array([int(r[label_i]) for r in table.rows])
-    split = stratified_split(
-        np.empty((len(y_all), 0)), y_all, config.test_fraction, rng.derive("split")
-    )
-
-    # Preprocessing statistics come from the training rows only.
-    train_table = RawTable(
-        table.column_names, table.column_kinds,
-        [table.rows[i] for i in split.train_indices], 0,
-    )
-    plan = fit_preprocess(train_table)
-    X_all, y_all = apply_preprocess(table, plan)
-    X_train, y_train = X_all[split.train_indices], y_all[split.train_indices]
-    X_test, y_test = X_all[split.test_indices], y_all[split.test_indices]
-
-    aug_sets = build_augmented_sets(config, X_train, y_train, rng.derive("augment"))
+    aug_sets = build_augmented_sets(config, X_train, y_train, cfgs)
 
     # Test purity: the test set comes straight from the original split and
     # no augmented set may mark an original row as synthetic.
-    contamination = bool(np.intersect1d(split.train_indices, split.test_indices).size)
+    contamination = bool(np.intersect1d(data.train_indices, data.test_indices).size)
     for aug, (_, ya, prov) in aug_sets.items():
         if prov is not None:
             if prov.synthetic_mask[: len(y_train)].any():
@@ -295,7 +327,6 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
             if len(ya) != len(y_train) + prov.n_synthetic:
                 contamination = True
 
-    cfgs = module_configs(config)
     cells = [
         (aug, c) for aug in config.augmenters for c in config.classifiers
     ]
@@ -317,7 +348,7 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
         results=results,
         n_train=len(y_train),
         n_test=len(y_test),
-        plan=plan,
+        plan=data.plan,
         provenances={a: s[2] for a, s in aug_sets.items()},
         synthetic={
             a: (Xa[prov.synthetic_mask], ya[prov.synthetic_mask])

@@ -107,6 +107,40 @@ def test_run_exports_the_synthetic_rows_the_grid_trained_on(tmp_path, monkeypatc
     assert not (out / "synthetic_none.csv").exists()
 
 
+def test_augment_writes_the_rows_run_exports(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, export_synthetic=True)))
+    run_out, aug_out = tmp_path / "run", tmp_path / "aug"
+    assert main(["run", "--config", str(p), "--out", str(run_out), "--seed", "3"]) == 0
+    assert main(["augment", "--config", str(p), "--generator", "gmm",
+                 "--out", str(aug_out), "--seed", "3"]) == 0
+    exported = (run_out / "synthetic_gmm.csv").read_bytes()
+    assert (aug_out / "synthetic_gmm.csv").read_bytes() == exported
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_run_rejects_fewer_than_one_seed(config_path, tmp_path, capsys, seeds):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out),
+                 "--seeds", seeds]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--seeds" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_string_for_numeric_hyperparameter_fails_before_training(
+        tmp_path, capsys, command):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, hyperparams={"tree": {"max_depth": "5"}})))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(p)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "max_depth" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_augment_rejects_bad_generator(config_path, capsys):
     assert main(["augment", "--config", str(config_path),
                  "--generator", "none"]) == 1

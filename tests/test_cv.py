@@ -150,3 +150,28 @@ def test_auto_with_one_entry_grid_matches_pinned_fit(name, monkeypatch):
     assert auto.cv_result.best_index == 0
     assert pinned.cv_result is None
     np.testing.assert_array_equal(auto.decision_scores(X), pinned.decision_scores(X))
+
+
+@pytest.mark.parametrize("name", sorted(TUNED))
+def test_stacked_cv_hook_chooses_like_the_per_model_loop(name, monkeypatch):
+    fitter, config_cls, extra, field, _, _ = TUNED[name]
+    calls = []
+    real = cv_module.cross_validate
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cv_module, "cross_validate", spy)
+    X, y = _two_blobs()
+    fitter(X, y, config_cls(**extra, **{field: "auto"}), RngStream(0, (name,)))
+    ((trainer, X_cv, y_cv, folds, grid, rng, fit_many),) = calls
+    # Only the full-batch linear learners train their CV models stacked.
+    assert (fit_many is not None) == (name in ("logistic", "svm_linear"))
+    stacked = real(trainer, X_cv, y_cv, folds, grid, rng, fit_many)
+    loop = real(trainer, X_cv, y_cv, folds, grid, rng)
+    assert stacked.best_index == loop.best_index
+    assert stacked.best_param == loop.best_param
+    assert [(p, len(accs)) for p, _, accs in stacked.table] == [
+        (p, len(accs)) for p, _, accs in loop.table
+    ]

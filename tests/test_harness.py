@@ -9,6 +9,7 @@ import pytest
 
 from augbench.classifiers import fit_decision_tree, predict_labels
 from augbench.dataio import RawTable, apply_preprocess, fit_preprocess, load_table, stratified_split
+from augbench import harness
 from augbench.gan import GanConfig
 from augbench.harness import (
     AUGMENTER_IDS,
@@ -111,6 +112,28 @@ def test_module_configs_rejects_unknown_keys():
         module_configs(fast_config(hyperparams={"tree": {"depth": 3}}))
 
 
+@pytest.mark.parametrize("section", [
+    {"tree": {"max_depth": "5"}},
+    {"tree": {"max_depth": True}},
+    {"knn": {"k": "3"}},
+    {"logistic": {"epochs": "1000"}},
+    {"gmm": {"tol": False}},
+    {"gan": {"vae": {"latent_dim": "4"}}},
+])
+def test_module_configs_rejects_string_or_bool_for_numeric_field(section):
+    with pytest.raises(ConfigError, match="must be a number"):
+        module_configs(fast_config(hyperparams=section))
+
+
+def test_module_configs_auto_field_takes_auto_or_number():
+    mc = module_configs(fast_config(hyperparams={
+        "tree": {"max_depth": "auto"}, "knn": {"k": 5},
+        "svm_rbf": {"C": 0.5, "gamma": None}, "logistic": {"reg_lambda": 0},
+    }))
+    assert (mc["tree"].max_depth, mc["knn"].k) == ("auto", 5)
+    assert (mc["svm_rbf"].C, mc["svm_rbf"].gamma, mc["logistic"].reg_lambda) == (0.5, None, 0)
+
+
 # ---------------------------------------------------------------- run
 
 
@@ -150,6 +173,19 @@ def test_none_cell_equals_direct_training():
     assert cell.test_acc == accuracy(yte, pred)
     assert cell.test_f1 == f1(yte, pred)
     assert cell.test_auc == roc_auc(yte, model.decision_scores(Xte)).auc
+
+
+def test_run_builds_module_configs_once(monkeypatch):
+    calls = []
+    real = harness.module_configs
+
+    def spy(config):
+        calls.append(config)
+        return real(config)
+
+    monkeypatch.setattr(harness, "module_configs", spy)
+    run_experiment(fast_config())
+    assert len(calls) == 1
 
 
 def test_failed_cell_does_not_abort_grid():

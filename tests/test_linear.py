@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from augbench.classifiers import predict_labels
+from augbench.classifiers.cv import stratified_kfold
 from augbench.classifiers.linear import (
     LinearSvmConfig,
     LogisticConfig,
+    _fit_linear_svm_fixed,
+    _fit_linear_svm_many,
+    _fit_logistic_fixed,
+    _fit_logistic_many,
     fit_linear_svm,
     fit_logistic,
     logistic_loss_grad,
@@ -110,3 +115,40 @@ def test_logistic_zero_weights_scores_half():
 
     model = LinearModel(np.zeros(3), 0.0, "logistic", 0.0, 0.5)
     np.testing.assert_allclose(model.decision_scores(np.ones((4, 3))), 0.5)
+
+
+# ------------------------------------------------ stacked fold x lambda CV
+
+def _fold_jobs(y, grid, folds=4):
+    splits = stratified_kfold(y, folds, RngStream(8, ("folds",)))
+    return [(tr, lam) for lam in grid for tr, _ in splits]
+
+
+@pytest.mark.parametrize("learner", ["logistic", "svm_linear"])
+def test_stacked_cv_models_match_per_model_fits(learner):
+    X, y = separable(seed=8, n=80)
+    if learner == "logistic":
+        # lambda = 0 is the unregularized column of the default grid
+        config, grid = LogisticConfig(epochs=300), (1.0, 0.1, 0.0)
+        fixed, many = _fit_logistic_fixed, _fit_logistic_many
+    else:
+        config, grid = LinearSvmConfig(epochs=300), (1.0, 0.01, 0.001)
+        fixed, many = _fit_linear_svm_fixed, _fit_linear_svm_many
+    jobs = _fold_jobs(y, grid)
+    models = many(X, y, jobs, config)
+    assert len(models) == len(jobs)
+    for model, (rows, lam) in zip(models, jobs):
+        ref = fixed(X[rows], y[rows], lam, config)
+        assert (model.kind, model.reg_lambda, model.threshold) == (
+            ref.kind, ref.reg_lambda, ref.threshold)
+        np.testing.assert_allclose(model.weights, ref.weights, rtol=1e-8, atol=0)
+        np.testing.assert_allclose(model.bias, ref.bias, rtol=1e-8, atol=0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1])
+def test_stacked_svm_rejects_nonpositive_lambda(bad):
+    X, y = separable(seed=9)
+    with pytest.raises(ValueError, match="reg_lambda > 0"):
+        _fit_linear_svm_many(X, y, _fold_jobs(y, (1.0, bad)), LinearSvmConfig(epochs=5))
+    with pytest.raises(ValueError, match="reg_lambda > 0"):
+        fit_linear_svm(X, y, LinearSvmConfig(epochs=5, lambda_grid=(1.0, bad)))
