@@ -20,7 +20,6 @@ from .rng import RngStream
 @dataclass
 class SyntheticBatch:
     generator: str  # "gmm" | "vae" | "gan"
-    n_original: int
     n_synthetic: int
     per_class_counts: dict[int, int]
     synthetic_mask: np.ndarray  # bool over the augmented rows
@@ -83,7 +82,6 @@ def augment_per_class(
     mask[n_orig:] = True
     provenance = SyntheticBatch(
         generator=generator_id,
-        n_original=n_orig,
         n_synthetic=n_synthetic,
         per_class_counts=counts,
         synthetic_mask=mask,

@@ -3,7 +3,7 @@
 Subcommands:
   run      — execute the full grid and write the report files
   augment  — fit one generator and write only the synthetic CSV
-  validate — check the config and dataset without training
+  validate — check the config, then load, split and preprocess as run does
 
 Seed precedence: --seed flag > AUGBENCH_SEED env var > config file.
 """
@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import DataError, apply_preprocess, fit_preprocess, load_table
+from .dataio import DataError
 from .harness import (
     AUGMENTER_IDS,
     ConfigError,
@@ -42,8 +41,6 @@ def _load_config(args) -> ExperimentConfig:
         config = dataclasses.replace(config, seed=args.seed)
     if getattr(args, "out", None) is not None:
         config = dataclasses.replace(config, output_dir=args.out)
-    if getattr(args, "jobs", None) is not None:
-        config = dataclasses.replace(config, jobs=args.jobs)
     return config
 
 
@@ -108,15 +105,12 @@ def _cmd_augment(args) -> int:
 def _cmd_validate(args) -> int:
     config = _load_config(args)
     module_configs(config)
-    table = load_table(config.dataset, config.schema)
-    plan = fit_preprocess(table)
-    X, y = apply_preprocess(table, plan)
+    data = prepare(config)
+    y = np.concatenate([data.y_train, data.y_test])
     classes, counts = np.unique(y, return_counts=True)
-    if len(classes) < 2:
-        raise DataError("dataset contains a single class")
     print(
-        f"ok: {len(y)} rows ({table.dropped_row_count} dropped), "
-        f"{X.shape[1]} features, class counts {dict(zip(classes.tolist(), counts.tolist()))}"
+        f"ok: {len(y)} rows ({data.dropped_row_count} dropped), "
+        f"{data.X_train.shape[1]} features, class counts {dict(zip(classes.tolist(), counts.tolist()))}"
     )
     return 0
 
@@ -134,8 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None)
     run.add_argument("--seeds", type=int, default=1,
                      help="number of consecutive seeds to run and aggregate")
-    run.add_argument("--jobs", type=int, default=None,
-                     help="parallel workers for grid cells")
     run.set_defaults(fn=_cmd_run)
 
     aug = sub.add_parser("augment", help="write synthetic rows for one generator")

@@ -10,7 +10,7 @@ loss (cross-entropy of fakes against target 1). Updates alternate 1:1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,13 +89,7 @@ def train_gan(
         raise ValueError("need at least 2 rows to train")
     n, d = data.shape
 
-    vae_cfg = VaeConfig(
-        hidden_size=config.vae.hidden_size,
-        latent_dim=config.vae.latent_dim,
-        epochs=config.pretrain_epochs,
-        learning_rate=config.vae.learning_rate,
-        beta=config.vae.beta,
-    )
+    vae_cfg = replace(config.vae, epochs=config.pretrain_epochs)
     gen = train_vae(data, vae_cfg, rng.derive("pretrain"), class_label)
     disc = init_mlp(
         [d, *config.disc_hidden, 1],

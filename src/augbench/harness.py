@@ -3,8 +3,7 @@
 One dataset load, one stratified split, one augmented training set per
 augmenter (the test set is never augmented), every classifier trained on
 every training set. Each grid cell draws from an RngStream keyed by
-(seed, augmenter, classifier), so execution order and parallelism cannot
-change results.
+(seed, augmenter, classifier), so execution order cannot change results.
 
 Report files: report.md (Acc/F1 and AUC tables), results.csv (one row
 per cell), roc_<augmenter>_<classifier>.csv, synthetic_<generator>.csv
@@ -20,8 +19,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -58,10 +57,24 @@ CLASSIFIER_NAMES = {
 
 _CONFIG_KEYS = {
     "dataset", "schema", "seed", "test_fraction", "augmenters", "n_synthetic",
-    "classifiers", "hyperparams", "output_dir", "jobs", "export_synthetic",
+    "classifiers", "hyperparams", "output_dir", "export_synthetic",
 }
 _HYPERPARAM_SECTIONS = {
     "gmm", "vae", "gan", "tree", "knn", "logistic", "svm_linear", "svm_rbf", "dense",
+}
+# The type each config field must have, and how an error names it. A bool
+# is rejected where a number is expected, although Python counts it as one.
+_FIELD_TYPES = {
+    "dataset": (str, "a string"),
+    "schema": (dict, "an object"),
+    "seed": (numbers.Integral, "an integer"),
+    "test_fraction": (numbers.Real, "a number"),
+    "augmenters": ((list, tuple), "a list"),
+    "n_synthetic": (numbers.Integral, "an integer"),
+    "classifiers": ((list, tuple), "a list"),
+    "hyperparams": (dict, "an object"),
+    "output_dir": (str, "a string"),
+    "export_synthetic": (bool, "true or false"),
 }
 
 
@@ -80,10 +93,15 @@ class ExperimentConfig:
     classifiers: tuple[str, ...] = CLASSIFIER_IDS
     hyperparams: dict = field(default_factory=dict)
     output_dir: str = "out"
-    jobs: int = 1
     export_synthetic: bool = False
 
     def __post_init__(self):
+        for name, (types, expected) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+                raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        self.augmenters = tuple(self.augmenters)
+        self.classifiers = tuple(self.classifiers)
         if not self.augmenters or not self.classifiers:
             raise ConfigError("augmenter and classifier sets must be nonempty")
         for a in self.augmenters:
@@ -110,13 +128,10 @@ class ExperimentConfig:
         for required in ("dataset", "schema"):
             if required not in d:
                 raise ConfigError(f"config missing required key {required!r}")
-        d = dict(d)
-        if base_dir is not None and not Path(d["dataset"]).is_absolute():
-            d["dataset"] = str(base_dir / d["dataset"])
-        for key in ("augmenters", "classifiers"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return cls(**d)
+        config = cls(**d)
+        if base_dir is not None and not Path(config.dataset).is_absolute():
+            config = replace(config, dataset=str(base_dir / config.dataset))
+        return config
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -127,6 +142,8 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid JSON in {path}: {e}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path} must hold a JSON object")
         return cls.from_dict(data, base_dir=path.parent)
 
     def digest(self) -> str:
@@ -159,7 +176,15 @@ def module_configs(config: ExperimentConfig) -> dict:
     hp = config.hyperparams
     vae_cfg = _build_section_config(VaeConfig(), hp.get("vae", {}))
     gan_over = dict(hp.get("gan", {}))
-    gan_vae = _build_section_config(vae_cfg, gan_over.pop("vae", {}))
+    gan_vae_over = gan_over.pop("vae", {})
+    if not isinstance(gan_vae_over, dict):
+        raise ConfigError("hyperparams.gan.vae must be an object")
+    if "epochs" in gan_vae_over:
+        raise ConfigError(
+            "hyperparams.gan.vae.epochs is not used; the GAN pretrains its VAE "
+            "for gan.pretrain_epochs"
+        )
+    gan_vae = _build_section_config(vae_cfg, gan_vae_over)
     gan_cfg = _build_section_config(GanConfig(vae=gan_vae), gan_over)
     return {
         "gmm": _build_section_config(GmmConfig(), hp.get("gmm", {})),
@@ -234,6 +259,7 @@ class PreparedData:
     y_train: np.ndarray
     X_test: np.ndarray
     y_test: np.ndarray
+    dropped_row_count: int
 
 
 def prepare(config: ExperimentConfig) -> PreparedData:
@@ -255,7 +281,9 @@ def prepare(config: ExperimentConfig) -> PreparedData:
     plan = fit_preprocess(train_table)
     X_all, y_all = apply_preprocess(table, plan)
     tr, te = split.train_indices, split.test_indices
-    return PreparedData(plan, tr, te, X_all[tr], y_all[tr], X_all[te], y_all[te])
+    return PreparedData(
+        plan, tr, te, X_all[tr], y_all[tr], X_all[te], y_all[te], table.dropped_row_count
+    )
 
 
 def build_augmented_sets(
@@ -327,21 +355,14 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
             if len(ya) != len(y_train) + prov.n_synthetic:
                 contamination = True
 
-    cells = [
-        (aug, c) for aug in config.augmenters for c in config.classifiers
-    ]
-
-    def work(cell):
-        aug, c = cell
+    results = []
+    for aug in config.augmenters:
         X_aug, y_aug, _ = aug_sets[aug]
-        cell_rng = RngStream(config.seed, ("cell", aug, c))
-        return _run_cell(aug, c, X_aug, y_aug, X_test, y_test, cfgs[c], cell_rng)
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(work, cells))
-    else:
-        results = [work(cell) for cell in cells]
+        for c in config.classifiers:
+            cell_rng = RngStream(config.seed, ("cell", aug, c))
+            results.append(
+                _run_cell(aug, c, X_aug, y_aug, X_test, y_test, cfgs[c], cell_rng)
+            )
 
     return ReportBundle(
         config=config,
@@ -360,6 +381,19 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
 
 def _fmt(v: float | None) -> str:
     return "failed" if v is None else f"{v:.2f}"
+
+
+def _write_metric_table(out: io.StringIO, bundle: ReportBundle, title: str, attr: str):
+    """One row per augmenter, one column per classifier, of `attr`."""
+    cfg = bundle.config
+    headers = [CLASSIFIER_NAMES[c] for c in cfg.classifiers]
+    out.write(f"\n## {title}\n\n")
+    out.write("| Boost Option | " + " | ".join(headers) + " |\n")
+    out.write("|" + "---|" * (1 + len(headers)) + "\n")
+    for aug in cfg.augmenters:
+        row = [AUGMENTER_NAMES[aug]]
+        row.extend(_fmt(getattr(bundle.cell(aug, c), attr)) for c in cfg.classifiers)
+        out.write("| " + " | ".join(row) + " |\n")
 
 
 def render_report_md(bundle: ReportBundle) -> str:
@@ -383,21 +417,8 @@ def render_report_md(bundle: ReportBundle) -> str:
             row.extend([_fmt(r.test_acc), _fmt(r.test_f1)])
         out.write("| " + " | ".join(row) + " |\n")
 
-    out.write("\n## AUC\n\n")
-    out.write("| Boost Option | " + " | ".join(headers) + " |\n")
-    out.write("|" + "---|" * (1 + len(headers)) + "\n")
-    for aug in cfg.augmenters:
-        row = [AUGMENTER_NAMES[aug]]
-        row.extend(_fmt(bundle.cell(aug, c).test_auc) for c in cfg.classifiers)
-        out.write("| " + " | ".join(row) + " |\n")
-
-    out.write("\n## Train accuracy (overfitting check)\n\n")
-    out.write("| Boost Option | " + " | ".join(headers) + " |\n")
-    out.write("|" + "---|" * (1 + len(headers)) + "\n")
-    for aug in cfg.augmenters:
-        row = [AUGMENTER_NAMES[aug]]
-        row.extend(_fmt(bundle.cell(aug, c).train_acc) for c in cfg.classifiers)
-        out.write("| " + " | ".join(row) + " |\n")
+    _write_metric_table(out, bundle, "AUC", "test_auc")
+    _write_metric_table(out, bundle, "Train accuracy (overfitting check)", "train_acc")
 
     failed = [r for r in bundle.results if r.failed]
     if failed:

@@ -82,10 +82,6 @@ class MlpParams:
     def input_size(self) -> int:
         return self.layers[0].weights.shape[0]
 
-    @property
-    def output_size(self) -> int:
-        return self.layers[-1].weights.shape[1]
-
     def arrays(self) -> list[np.ndarray]:
         """Flat parameter list [W0, b0, W1, b1, ...] in a fixed order."""
         out = []
@@ -99,11 +95,6 @@ class MlpParams:
         for i, layer in enumerate(self.layers):
             new_layers.append(Layer(arrays[2 * i], arrays[2 * i + 1], layer.activation))
         return MlpParams(new_layers)
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            [Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers]
-        )
 
 
 def init_mlp(sizes: list[int], activations: list[str], rng: RngStream) -> MlpParams:

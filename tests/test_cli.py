@@ -1,13 +1,18 @@
 """CLI surface: run / augment / validate, seed precedence, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from augbench import cli, harness
 from augbench.cli import main
-from conftest import FIXTURE_CSV, SCHEMA
+from conftest import FIXTURE_CSV, REPO, SCHEMA
 
 FAST = {
     "dataset": str(FIXTURE_CSV),
@@ -164,3 +169,115 @@ def test_unknown_flag_exits_with_usage(config_path, capsys):
         main(["run", "--config", str(config_path), "--frobnicate"])
     assert exc.value.code != 0
     assert "usage" in capsys.readouterr().err
+
+
+def _one_line_error(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_jobs_config_key_is_rejected(tmp_path, capsys, command):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, jobs=2)))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(p)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unknown config keys: ['jobs']\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dataset", [".", "x" * 300])
+def test_validate_dataset_that_is_not_a_file(tmp_path, capsys, dataset):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, dataset=dataset)))
+    assert main(["validate", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and "dataset file not found" in err
+
+
+def test_jobs_flag_exits_with_usage(config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config_path), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
+
+
+def test_validate_rejects_what_run_rejects(tmp_path, capsys):
+    """31 rows with one positive: the split fails, so validate must too."""
+    lines = FIXTURE_CSV.read_text().splitlines()
+    negatives = [l for l in lines[1:] if l.endswith(",0")][:30]
+    positive = next(l for l in lines[1:] if l.endswith(",1"))
+    table = tmp_path / "one_positive.csv"
+    table.write_text("\n".join([lines[0], *negatives, positive]) + "\n")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, dataset=str(table))))
+
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+    run_err = capsys.readouterr().err
+    assert run_err == "error: class 1 has fewer than 2 rows\n"
+    assert main(["validate", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == run_err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_synthetic", "200"),
+    ("n_synthetic", True),
+    ("test_fraction", None),
+    ("schema", ["a"]),
+    ("hyperparams", []),
+    ("augmenters", "gmm"),
+    ("seed", "x"),
+    ("seed", False),
+    ("export_synthetic", "no"),
+])
+def test_validate_rejects_wrong_top_level_type(tmp_path, capsys, key, value):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, **{key: value})))
+    assert main(["validate", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and err.startswith(f"error: {key} must be ")
+
+
+@pytest.mark.parametrize(
+    "config", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.name
+)
+def test_shipped_config_validates(config, capsys):
+    assert main(["validate", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.startswith("ok: ")
+
+
+def test_validate_fixture_ok_line(capsys):
+    assert main(["validate", "--config", str(REPO / "configs" / "fixture.json")]) == 0
+    assert capsys.readouterr().out == (
+        "ok: 400 rows (0 dropped), 4 features, class counts {0: 256, 1: 144}\n"
+    )
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(overrides=st.dictionaries(
+    st.sampled_from(sorted(harness._CONFIG_KEYS)), JSON_VALUES, max_size=3
+))
+def test_validate_ends_in_ok_or_one_error_line(overrides):
+    fixture = REPO / "configs" / "fixture.json"
+    config = json.loads(fixture.read_text())
+    config["dataset"] = str((fixture.parent / config["dataset"]).resolve())
+    config.update(overrides)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "cfg.json"
+        p.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["validate", "--config", str(p)])
+    if code == 0:
+        assert stdout.getvalue().startswith("ok: ") and stderr.getvalue() == ""
+    else:
+        assert code == 1 and _one_line_error(stderr.getvalue())
