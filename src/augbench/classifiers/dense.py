@@ -51,20 +51,19 @@ def fit_dense_net(
         ["relu", "relu", "sigmoid"],
         rng.derive("init"),
     )
-    arrays = params.arrays()
-    state = AdamState.for_arrays(arrays, alpha=config.learning_rate)
+    state = AdamState.for_params(params.flat, alpha=config.learning_rate)
+    grad = np.empty_like(params.flat)
     model = DenseNetModel(params)
     n = len(y)
 
     for epoch in range(config.epochs):
-        acts = mlp_forward(model.params, X)
+        acts = mlp_forward(params, X)
         p = np.clip(acts[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
         loss = float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite loss at epoch {epoch}")
         model.loss_history.append(loss)
         d_out = (p - y) / (n * p * (1.0 - p))  # dBCE/d(sigmoid output)
-        grads, _ = mlp_backward(model.params, acts, d_out)
-        arrays, state = adam_step(arrays, grads, state)
-        model.params = model.params.with_arrays(arrays)
+        mlp_backward(params, acts, d_out, grad)
+        adam_step(params.flat, grad, state)
     return model

@@ -100,16 +100,17 @@ def _stack_jobs(n: int, jobs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _fit_logistic_fixed(
     X: np.ndarray, y: np.ndarray, reg_lambda: float, config: LogisticConfig
 ) -> LinearModel:
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    state = AdamState.for_arrays([w, np.zeros(1)], alpha=config.learning_rate)
+    params = np.zeros(X.shape[1] + 1)  # [w, b]
+    w = params[:-1]
+    grad = np.empty_like(params)
+    state = AdamState.for_params(params, alpha=config.learning_rate)
     history = []
     for _ in range(config.epochs):
-        loss, dw, db = logistic_loss_grad(w, b, X, y, reg_lambda)
+        loss, dw, db = logistic_loss_grad(w, params[-1], X, y, reg_lambda)
+        grad[:-1], grad[-1] = dw, db
         history.append(loss)
-        (w, b_arr), state = adam_step([w, np.array([b])], [dw, np.array([db])], state)
-        b = float(b_arr[0])
-    return LinearModel(w, b, "logistic", reg_lambda, 0.5, history)
+        adam_step(params, grad, state)
+    return LinearModel(w, float(params[-1]), "logistic", reg_lambda, 0.5, history)
 
 
 def _fit_logistic_many(
@@ -119,14 +120,20 @@ def _fit_logistic_many(
     job, trained together; models carry no loss history."""
     mask, count, lam = _stack_jobs(len(y), jobs)
     y = y[:, None]
-    W = np.zeros((X.shape[1], len(jobs)))
-    B = np.zeros(len(jobs))
-    state = AdamState.for_arrays([W, B], alpha=config.learning_rate)
+    d, J = X.shape[1], len(jobs)
+    params = np.zeros(d * J + J)  # [W row-major, B]
+    W, B = params[: d * J].reshape(d, J), params[d * J:]
+    grad = np.empty_like(params)
+    dW, dB = grad[: d * J].reshape(d, J), grad[d * J:]
+    state = AdamState.for_params(params, alpha=config.learning_rate)
     for _ in range(config.epochs):
         diff = (sigmoid(X @ W + B) - y) * mask
-        dW = X.T @ diff / count + lam * W
-        dB = diff.sum(axis=0) / count
-        (W, B), state = adam_step([W, B], [dW, dB], state)
+        np.matmul(X.T, diff, out=dW)
+        dW /= count
+        dW += lam * W
+        np.add.reduce(diff, axis=0, out=dB)
+        dB /= count
+        adam_step(params, grad, state)
     return [
         LinearModel(W[:, j].copy(), float(B[j]), "logistic", param, 0.5)
         for j, (_, param) in enumerate(jobs)

@@ -62,12 +62,10 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
 def _kkt_violations(alpha: np.ndarray, yf: np.ndarray, C: float) -> np.ndarray:
     """Per-sample violation of the KKT conditions (0 when satisfied)."""
     r = yf - 1.0
-    viol = np.zeros_like(alpha)
-    lower = alpha < C - 1e-12  # requires y*f >= 1
-    upper = alpha > 1e-12  # requires y*f <= 1
-    viol[lower] = np.maximum(viol[lower], -r[lower])
-    viol[upper] = np.maximum(viol[upper], r[upper])
-    return np.maximum(viol, 0.0)
+    # alpha < C requires y*f >= 1; alpha > 0 requires y*f <= 1.
+    below = np.where(alpha < C - 1e-12, -r, 0.0)
+    above = np.where(alpha > 1e-12, r, 0.0)
+    return np.maximum(below, above)
 
 
 def _smo(
@@ -86,17 +84,17 @@ def _smo(
         if viol.max() <= tol:
             return alpha, b, True
         i = int(np.argmax(viol))
+        Ki = K[i]
+        ai, yi, Ei = float(alpha[i]), float(y[i]), float(E[i])
 
         # Vectorized second-index choice: among all j whose clipped
         # analytic update actually moves alpha, take max |E_i - E_j|.
-        same = y == y[i]
-        lo = np.where(same, np.maximum(0.0, alpha[i] + alpha - C),
-                      np.maximum(0.0, alpha - alpha[i]))
-        hi = np.where(same, np.minimum(C, alpha[i] + alpha),
-                      np.minimum(C, C + alpha - alpha[i]))
-        eta = diag[i] + diag - 2.0 * K[i]
+        same = y == yi
+        lo = np.maximum(0.0, np.where(same, ai + alpha - C, alpha - ai))
+        hi = np.minimum(C, np.where(same, ai + alpha, (C + alpha) - ai))
+        eta = diag[i] + diag - 2.0 * Ki
         safe_eta = np.where(eta > 1e-12, eta, 1.0)
-        aj_all = np.clip(alpha + y * (E[i] - E) / safe_eta, lo, hi)
+        aj_all = np.clip(alpha + y * (Ei - E) / safe_eta, lo, hi)
         movable = (
             (hi - lo > 1e-12)
             & (eta > 1e-12)
@@ -105,15 +103,17 @@ def _smo(
         movable[i] = False
         if not movable.any():
             break  # no pair makes progress; treat as stalled
-        gap = np.where(movable, np.abs(E - E[i]), -np.inf)
+        gap = np.where(movable, np.abs(E - Ei), -np.inf)
         j = int(np.argmax(gap))
 
+        aj, yj, Ej = float(alpha[j]), float(y[j]), float(E[j])
+        Kii, Kij, Kjj = float(Ki[i]), float(Ki[j]), float(K[j, j])
         aj_new = float(aj_all[j])
-        ai_new = alpha[i] + y[i] * y[j] * (alpha[j] - aj_new)
-        d_ai, d_aj = ai_new - alpha[i], aj_new - alpha[j]
+        ai_new = ai + yi * yj * (aj - aj_new)
+        d_ai, d_aj = ai_new - ai, aj_new - aj
 
-        b1 = b - E[i] - y[i] * d_ai * K[i, i] - y[j] * d_aj * K[i, j]
-        b2 = b - E[j] - y[i] * d_ai * K[i, j] - y[j] * d_aj * K[j, j]
+        b1 = b - Ei - yi * d_ai * Kii - yj * d_aj * Kij
+        b2 = b - Ej - yi * d_ai * Kij - yj * d_aj * Kjj
         if 1e-12 < ai_new < C - 1e-12:
             b_new = b1
         elif 1e-12 < aj_new < C - 1e-12:
@@ -121,7 +121,9 @@ def _smo(
         else:
             b_new = (b1 + b2) / 2.0
 
-        f = f + y[i] * d_ai * K[i] + y[j] * d_aj * K[j] + (b_new - b)
+        f += yi * d_ai * Ki
+        f += yj * d_aj * K[j]
+        f += b_new - b
         alpha[i], alpha[j] = ai_new, aj_new
         b = b_new
 

@@ -45,9 +45,13 @@ def _clamp(p: np.ndarray) -> np.ndarray:
 
 
 def discriminator_loss(
-    disc: MlpParams, real: np.ndarray, fake: np.ndarray
+    disc: MlpParams, real: np.ndarray, fake: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[float, list[np.ndarray]]:
-    """BCE with real->1, fake->0; returns (loss, gradients w.r.t. disc params)."""
+    """BCE with real->1, fake->0; returns (loss, gradients w.r.t. disc params).
+
+    The gradient is written into `out`, laid out like `disc.flat` (a new
+    vector when None), and returned as `arrays()`-order views into it.
+    """
     if len(real) == 0 or len(fake) == 0:
         raise ValueError("real and fake batches must be nonempty")
     acts_r = mlp_forward(disc, real)
@@ -58,9 +62,12 @@ def discriminator_loss(
 
     d_out_r = -0.5 / (p_r * len(p_r))
     d_out_f = 0.5 / ((1.0 - p_f) * len(p_f))
-    grads_r, _ = mlp_backward(disc, acts_r, d_out_r)
-    grads_f, _ = mlp_backward(disc, acts_f, d_out_f)
-    return loss, [gr + gf for gr, gf in zip(grads_r, grads_f)]
+    grad = np.empty(disc.flat.size) if out is None else out
+    grad_f = np.empty_like(grad)
+    grads, _ = mlp_backward(disc, acts_r, d_out_r, grad)
+    mlp_backward(disc, acts_f, d_out_f, grad_f)
+    grad += grad_f
+    return loss, grads
 
 
 def _generator_loss(
@@ -98,29 +105,28 @@ def train_gan(
     )
     model = GanModel(gen, disc, class_label, [])
 
-    dec_arrays = gen.decoder.arrays()
-    disc_arrays = disc.arrays()
+    dec = gen.decoder  # its `flat` is a view into the pretrained VAE's vector
     disc_lr = config.disc_learning_rate or config.learning_rate
-    gen_state = AdamState.for_arrays(dec_arrays, alpha=config.learning_rate)
-    disc_state = AdamState.for_arrays(disc_arrays, alpha=disc_lr)
+    gen_state = AdamState.for_params(dec.flat, alpha=config.learning_rate)
+    disc_state = AdamState.for_params(disc.flat, alpha=disc_lr)
+    dec_grad = np.empty_like(dec.flat)
+    disc_grad = np.empty_like(disc.flat)
     noise = rng.derive("noise")
     L = gen.latent_dim
 
     for epoch in range(config.epochs):
         # Discriminator step on real vs a fresh fake batch.
         z = noise.normal(size=(n, L))
-        fake = mlp_forward(gen.decoder, z)[-1]
-        d_loss, d_grads = discriminator_loss(model.discriminator, data, fake)
-        disc_arrays, disc_state = adam_step(disc_arrays, d_grads, disc_state)
-        model.discriminator = model.discriminator.with_arrays(disc_arrays)
+        fake = mlp_forward(dec, z)[-1]
+        d_loss, _ = discriminator_loss(disc, data, fake, disc_grad)
+        adam_step(disc.flat, disc_grad, disc_state)
 
         # Generator step against the just-updated discriminator.
         z = noise.normal(size=(n, L))
-        dec_acts = mlp_forward(gen.decoder, z)
-        g_loss, d_fake = _generator_loss(model.discriminator, dec_acts[-1])
-        dec_grads, _ = mlp_backward(gen.decoder, dec_acts, d_fake)
-        dec_arrays, gen_state = adam_step(dec_arrays, dec_grads, gen_state)
-        gen.decoder = gen.decoder.with_arrays(dec_arrays)
+        dec_acts = mlp_forward(dec, z)
+        g_loss, d_fake = _generator_loss(disc, dec_acts[-1])
+        mlp_backward(dec, dec_acts, d_fake, dec_grad)
+        adam_step(dec.flat, dec_grad, gen_state)
 
         if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
             raise FloatingPointError(

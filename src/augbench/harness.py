@@ -110,6 +110,11 @@ class ExperimentConfig:
         for c in self.classifiers:
             if c not in CLASSIFIER_IDS:
                 raise ConfigError(f"unknown classifier {c!r}; choose from {CLASSIFIER_IDS}")
+        for name in ("augmenters", "classifiers"):
+            ids = getattr(self, name)
+            for k, x in enumerate(ids):
+                if x in ids[:k]:
+                    raise ConfigError(f"{name} lists {x!r} more than once")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must lie in (0, 1)")
         if self.n_synthetic < 0:
@@ -158,12 +163,15 @@ def _build_section_config(defaults, overrides: dict):
     if unknown:
         raise ConfigError(f"unknown hyperparameter keys {sorted(unknown)} for {section}")
     for key, value in overrides.items():
-        # A numeric field rejects strings and bools, except "auto" where
-        # that is the default. None passes: some numeric fields take it.
+        # A numeric field (one whose default is a number, "auto" or None)
+        # takes a number, or "auto" where that is the default. None
+        # passes: some numeric fields take it.
         default = current[key]
         auto = default == "auto"
-        numeric = auto or (isinstance(default, (int, float)) and not isinstance(default, bool))
-        if numeric and isinstance(value, (str, bool)) and not (auto and value == "auto"):
+        numeric = auto or default is None or (
+            isinstance(default, (int, float)) and not isinstance(default, bool))
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if numeric and not (number or value is None or (auto and value == "auto")):
             expected = 'a number or "auto"' if auto else "a number"
             raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
     clean = {

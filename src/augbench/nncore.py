@@ -5,6 +5,14 @@ topology is a fixed chain of affine layers with elementwise activations,
 which is all the VAE, GAN and dense-net classifier need; there is no
 general autodiff graph.
 
+Parameters live in one contiguous float64 vector per network
+(`MlpParams.flat`, laid out W0, b0, W1, b1, ... in row-major order), and
+every `Layer.weights`/`Layer.bias` is a view into it. `mlp_backward`
+writes its gradients into one vector of the same layout, and
+`adam_step` updates the parameter vector and its moment vectors in
+place, so a training step is a handful of whole-vector operations and
+never rebuilds a network.
+
 Conventions fixed for test exactness:
 * ReLU derivative at exactly 0 is 0.
 * Weight init is uniform in [-L, L] with L = sqrt(6 / (fan_in + fan_out)).
@@ -22,13 +30,10 @@ ACTIVATIONS = ("relu", "sigmoid", "tanh", "identity")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; each sign takes the matching stable form.
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _activate(x: np.ndarray, kind: str) -> np.ndarray:
@@ -43,16 +48,16 @@ def _activate(x: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activation_grad(post: np.ndarray, kind: str) -> np.ndarray:
-    """d(activation)/d(pre-activation), expressed via the post-activation value."""
+def _backprop_activation(delta: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
+    """`delta` times d(activation)/d(pre-activation), from the post-activation value."""
     if kind == "relu":
-        return (post > 0.0).astype(float)
+        return delta * (post > 0.0)
     if kind == "sigmoid":
-        return post * (1.0 - post)
+        return delta * (post * (1.0 - post))
     if kind == "tanh":
-        return 1.0 - post * post
+        return delta * (1.0 - post * post)
     if kind == "identity":
-        return np.ones_like(post)
+        return delta
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -71,30 +76,55 @@ class Layer:
 
 @dataclass
 class MlpParams:
+    """A chain of layers whose arrays are views into one vector, `flat`.
+
+    The given layers' values are copied into `flat` (a new vector when
+    None), so the layers passed in are never aliased.
+    """
+
     layers: list[Layer] = field(default_factory=list)
+    flat: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for a, b in zip(self.layers, self.layers[1:]):
             if a.weights.shape[1] != b.weights.shape[0]:
                 raise ValueError("adjacent layer sizes do not chain")
+        arrays = [a for layer in self.layers for a in (layer.weights, layer.bias)]
+        # (start, stop, shape) of each array of `arrays()` within `flat`.
+        self._slots, size = [], 0
+        for a in arrays:
+            self._slots.append((size, size + a.size, a.shape))
+            size += a.size
+        if self.flat is None:
+            self.flat = np.empty(size)
+        elif self.flat.shape != (size,):
+            raise ValueError(f"flat parameter vector must have shape ({size},)")
+        views = self.views(self.flat)
+        for view, a in zip(views, arrays):
+            view[...] = a
+        self.layers = [
+            Layer(views[2 * i], views[2 * i + 1], layer.activation)
+            for i, layer in enumerate(self.layers)
+        ]
 
     @property
     def input_size(self) -> int:
         return self.layers[0].weights.shape[0]
 
+    def views(self, vector: np.ndarray) -> list[np.ndarray]:
+        """`vector`, laid out like `flat`, split into [W0, b0, W1, b1, ...] views."""
+        return [vector[start:stop].reshape(shape) for start, stop, shape in self._slots]
+
     def arrays(self) -> list[np.ndarray]:
-        """Flat parameter list [W0, b0, W1, b1, ...] in a fixed order."""
-        out = []
-        for layer in self.layers:
-            out.append(layer.weights)
-            out.append(layer.bias)
-        return out
+        """Parameter list [W0, b0, W1, b1, ...]: views into `flat`."""
+        return self.views(self.flat)
 
     def with_arrays(self, arrays: list[np.ndarray]) -> "MlpParams":
-        new_layers = []
-        for i, layer in enumerate(self.layers):
-            new_layers.append(Layer(arrays[2 * i], arrays[2 * i + 1], layer.activation))
-        return MlpParams(new_layers)
+        """A new network with the same activations and a copy of `arrays`."""
+        return MlpParams([
+            Layer(arrays[2 * i], arrays[2 * i + 1], layer.activation)
+            for i, layer in enumerate(self.layers)
+        ])
 
 
 def init_mlp(sizes: list[int], activations: list[str], rng: RngStream) -> MlpParams:
@@ -126,30 +156,35 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
 
 
 def mlp_backward(
-    params: MlpParams, activations: list[np.ndarray], output_gradient: np.ndarray
+    params: MlpParams,
+    activations: list[np.ndarray],
+    output_gradient: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Backprop a loss gradient through the network.
 
-    `activations` must come from `mlp_forward` on the same params.
-    Returns (gradients in `arrays()` order, gradient w.r.t. the input batch).
+    `activations` must come from `mlp_forward` on the same params. The
+    parameter gradient is written into `out` (laid out like
+    `params.flat`; a new vector when None). Returns (that gradient as
+    `arrays()`-order views, gradient w.r.t. the input batch).
     """
     if output_gradient.shape != activations[-1].shape:
         raise ValueError("output gradient shape mismatch")
-    grads: list[np.ndarray] = [None] * (2 * len(params.layers))
+    grads = params.views(np.empty(params.flat.size) if out is None else out)
     delta = output_gradient
     for i in range(len(params.layers) - 1, -1, -1):
         layer = params.layers[i]
-        delta = delta * _activation_grad(activations[i + 1], layer.activation)
-        grads[2 * i] = activations[i].T @ delta
-        grads[2 * i + 1] = delta.sum(axis=0)
+        delta = _backprop_activation(delta, activations[i + 1], layer.activation)
+        np.matmul(activations[i].T, delta, out=grads[2 * i])
+        np.add.reduce(delta, axis=0, out=grads[2 * i + 1])
         delta = delta @ layer.weights.T
     return grads, delta
 
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     alpha: float = 1e-3
     beta1: float = 0.9
@@ -157,35 +192,22 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_arrays(cls, arrays: list[np.ndarray], alpha: float = 1e-3, **kw) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(a) for a in arrays],
-            v=[np.zeros_like(a) for a in arrays],
-            alpha=alpha,
-            **kw,
-        )
+    def for_params(cls, params: np.ndarray, alpha: float = 1e-3, **kw) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), alpha=alpha, **kw)
 
 
-def adam_step(
-    arrays: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; inputs are not mutated."""
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient passed to adam_step")
-    t = state.t + 1
-    b1, b2 = state.beta1, state.beta2
-    new_m, new_v, new_arrays = [], [], []
-    for a, g, m, v in zip(arrays, grads, state.m, state.v):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        new_arrays.append(a - state.alpha * m_hat / (np.sqrt(v_hat) + state.eps))
-        new_m.append(m)
-        new_v.append(v)
-    new_state = AdamState(
-        m=new_m, v=new_v, t=t,
-        alpha=state.alpha, beta1=b1, beta2=b2, eps=state.eps,
-    )
-    return new_arrays, new_state
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of `params`, `state.m` and `state.v`
+    in place; `grad` is not modified."""
+    if not np.isfinite(grad).all():
+        raise FloatingPointError("non-finite gradient passed to adam_step")
+    state.t += 1
+    t, b1, b2 = state.t, state.beta1, state.beta2
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    params -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -74,17 +74,23 @@ def vae_loss(
     rng: RngStream | None = None,
     eps: np.ndarray | None = None,
     beta: float = 1.0,
+    out: np.ndarray | None = None,
 ) -> tuple[float, tuple[list[np.ndarray], list[np.ndarray]]]:
     """ELBO-style loss and gradients (encoder list, decoder list).
 
     `eps` fixes the reparameterization noise (used by gradient checks);
-    otherwise it is drawn from `rng`.
+    otherwise it is drawn from `rng`. The gradients are written into
+    `out`, the encoder's vector followed by the decoder's (a new vector
+    when None), and returned as views into it.
     """
     batch = np.asarray(batch, dtype=float)
     n, d = batch.shape
     if d != model.n_features:
         raise ValueError(f"batch has {d} columns, model expects {model.n_features}")
     L = model.latent_dim
+    n_enc = model.encoder.flat.size
+    if out is None:
+        out = np.empty(n_enc + model.decoder.flat.size)
 
     enc_acts = mlp_forward(model.encoder, batch)
     heads = enc_acts[-1]
@@ -109,12 +115,12 @@ def vae_loss(
 
     # Backward: reconstruction path through the decoder into z.
     d_recon = 2.0 * (recon - batch) / n
-    dec_grads, dz = mlp_backward(model.decoder, dec_acts, d_recon)
+    dec_grads, dz = mlp_backward(model.decoder, dec_acts, d_recon, out[n_enc:])
 
     d_mu = dz + beta * mu / n
     d_logvar = dz * eps * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0) / n
     d_heads = np.hstack([d_mu, d_logvar * clamp_ok])
-    enc_grads, _ = mlp_backward(model.encoder, enc_acts, d_heads)
+    enc_grads, _ = mlp_backward(model.encoder, enc_acts, d_heads, out[:n_enc])
     return loss, (enc_grads, dec_grads)
 
 
@@ -135,9 +141,13 @@ def train_vae(
 
     model = init_vae(data.shape[1], config, rng.derive("init"), class_label)
     noise = rng.derive("noise")
-    arrays = model.encoder.arrays() + model.decoder.arrays()
-    n_enc = len(model.encoder.arrays())
-    state = AdamState.for_arrays(arrays, alpha=config.learning_rate)
+    # Encoder and decoder step as one vector: rebuild both as views of it.
+    params = np.concatenate([model.encoder.flat, model.decoder.flat])
+    n_enc = model.encoder.flat.size
+    model.encoder = MlpParams(model.encoder.layers, params[:n_enc])
+    model.decoder = MlpParams(model.decoder.layers, params[n_enc:])
+    grad = np.empty_like(params)
+    state = AdamState.for_params(params, alpha=config.learning_rate)
 
     if config.epochs == 0:
         loss, _ = vae_loss(model, data, rng=noise, beta=config.beta)
@@ -145,11 +155,9 @@ def train_vae(
         return model
 
     for epoch in range(config.epochs):
-        loss, (enc_g, dec_g) = vae_loss(model, data, rng=noise, beta=config.beta)
+        loss, _ = vae_loss(model, data, rng=noise, beta=config.beta, out=grad)
         model.loss_history.append((epoch, loss))
-        arrays, state = adam_step(arrays, enc_g + dec_g, state)
-        model.encoder = model.encoder.with_arrays(arrays[:n_enc])
-        model.decoder = model.decoder.with_arrays(arrays[n_enc:])
+        adam_step(params, grad, state)
     return model
 
 

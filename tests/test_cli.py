@@ -146,6 +146,48 @@ def test_string_for_numeric_hyperparameter_fails_before_training(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("tree", "max_depth", [1], 'TreeConfig.max_depth must be a number or "auto", got [1]'),
+    ("tree", "max_depth", {"d": 1},
+     "TreeConfig.max_depth must be a number or \"auto\", got {'d': 1}"),
+    ("svm_rbf", "gamma", [0.5], "RbfSvmConfig.gamma must be a number, got [0.5]"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_list_or_object_for_numeric_hyperparameter_fails_before_training(
+        tmp_path, capsys, command, section, key, value, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, hyperparams={section: {key: value}})))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(p)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_grid_hyperparameter_still_takes_a_list(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, hyperparams={"tree": {"depth_grid": [1, 2]}})))
+    assert main(["validate", "--config", str(p)]) == 0
+    assert capsys.readouterr().out.startswith("ok")
+
+
+@pytest.mark.parametrize("field, ids, repeated", [
+    ("augmenters", ["none", "gmm", "none"], "none"),
+    ("classifiers", ["tree", "knn", "knn"], "knn"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_repeated_augmenter_or_classifier_is_rejected(
+        tmp_path, capsys, command, field, ids, repeated):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, **{field: ids})))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(p)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {field} lists {repeated!r} more than once\n"
+    assert not out.exists()
+
+
 def test_augment_rejects_bad_generator(config_path, capsys):
     assert main(["augment", "--config", str(config_path),
                  "--generator", "none"]) == 1

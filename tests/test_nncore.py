@@ -26,6 +26,19 @@ def test_sigmoid_matches_definition_and_survives_extremes():
     assert big[0] == 0.0 and big[1] == 1.0
 
 
+def test_sigmoid_equals_the_sign_split_form_bit_for_bit():
+    x = np.concatenate([
+        RngStream(3, ("sig",)).normal(size=200) * 30.0,
+        [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 745.0, -745.0, 1e308, -1e308],
+    ])
+    pos = x >= 0
+    ref = np.empty_like(x)
+    ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    ref[~pos] = ex / (1.0 + ex)
+    np.testing.assert_array_equal(sigmoid(x), ref)
+
+
 def test_init_mlp_is_glorot_bounded_and_deterministic():
     rng = RngStream(0, ("init",))
     p = init_mlp([5, 4, 2], ["relu", "sigmoid"], rng)
@@ -114,22 +127,22 @@ def test_backward_rejects_wrong_output_gradient_shape():
 def test_adam_first_step_oracle():
     # With zero state, the first bias-corrected step is exactly
     # -alpha * g / (|g| + eps) regardless of gradient magnitude.
-    a = [np.array([1.0, -2.0])]
-    g = [np.array([0.5, -3.0])]
-    state = AdamState.for_arrays(a, alpha=0.1)
-    new, state2 = adam_step(a, g, state)
-    expected = a[0] - 0.1 * g[0] / (np.abs(g[0]) + state.eps)
-    np.testing.assert_allclose(new[0], expected, rtol=1e-10)
-    assert state2.t == 1
-    np.testing.assert_array_equal(a[0], [1.0, -2.0])  # inputs not mutated
+    a = np.array([1.0, -2.0])
+    g = np.array([0.5, -3.0])
+    state = AdamState.for_params(a, alpha=0.1)
+    expected = a - 0.1 * g / (np.abs(g) + state.eps)
+    adam_step(a, g, state)
+    np.testing.assert_allclose(a, expected, rtol=1e-10)
+    assert state.t == 1
+    np.testing.assert_array_equal(g, [0.5, -3.0])  # params updated in place, grads untouched
 
 
 def test_adam_second_step_oracle():
-    a = [np.array([0.0])]
-    g1, g2 = [np.array([1.0])], [np.array([2.0])]
-    state = AdamState.for_arrays(a, alpha=0.01)
-    a, state = adam_step(a, g1, state)
-    a, state = adam_step(a, g2, state)
+    a = np.array([0.0])
+    g1, g2 = np.array([1.0]), np.array([2.0])
+    state = AdamState.for_params(a, alpha=0.01)
+    adam_step(a, g1, state)
+    adam_step(a, g2, state)
     # Hand-rolled two-step Adam on a scalar.
     b1, b2, eps = 0.9, 0.999, 1e-8
     m = (1 - b1) * 1.0
@@ -138,14 +151,100 @@ def test_adam_second_step_oracle():
     m = b1 * m + (1 - b1) * 2.0
     v = b2 * v + (1 - b2) * 4.0
     x = x - 0.01 * (m / (1 - b1**2)) / (np.sqrt(v / (1 - b2**2)) + eps)
-    np.testing.assert_allclose(a[0], [x], rtol=1e-12)
+    np.testing.assert_allclose(a, [x], rtol=1e-12)
 
 
 def test_adam_rejects_non_finite_gradients():
-    a = [np.zeros(2)]
-    state = AdamState.for_arrays(a)
+    a = np.zeros(2)
+    state = AdamState.for_params(a)
     with pytest.raises(FloatingPointError):
-        adam_step(a, [np.array([np.nan, 0.0])], state)
+        adam_step(a, np.array([np.nan, 0.0]), state)
+    # A rejected step changes nothing.
+    assert state.t == 0
+    np.testing.assert_array_equal(a, [0.0, 0.0])
+    np.testing.assert_array_equal(state.m, [0.0, 0.0])
+
+
+def _reference_adam(arrays, grads, m, v, t, alpha, b1=0.9, b2=0.999, eps=1e-8):
+    """Out-of-place, one array at a time: the per-array form of Adam."""
+    new_arrays, new_m, new_v = [], [], []
+    for a, g, mi, vi in zip(arrays, grads, m, v):
+        mi = b1 * mi + (1.0 - b1) * g
+        vi = b2 * vi + (1.0 - b2) * g * g
+        m_hat = mi / (1.0 - b1**t)
+        v_hat = vi / (1.0 - b2**t)
+        new_arrays.append(a - alpha * m_hat / (np.sqrt(v_hat) + eps))
+        new_m.append(mi)
+        new_v.append(vi)
+    return new_arrays, new_m, new_v
+
+
+def test_in_place_adam_equals_per_array_reference_bit_for_bit():
+    rng = RngStream(21, ("adam-ref",))
+    params = init_mlp([3, 5, 4, 2], ["relu", "tanh", "sigmoid"], rng.derive("init"))
+    ref = [a.copy() for a in params.arrays()]
+    ref_m = [np.zeros_like(a) for a in ref]
+    ref_v = [np.zeros_like(a) for a in ref]
+    state = AdamState.for_params(params.flat, alpha=0.01)
+    for t in range(1, 21):
+        grad = rng.derive(f"g{t}").normal(size=params.flat.size) * 10.0 ** (t % 5 - 2)
+        adam_step(params.flat, grad, state)
+        ref, ref_m, ref_v = _reference_adam(
+            ref, params.views(grad), ref_m, ref_v, t, alpha=0.01
+        )
+    assert state.t == 20
+    for layer_array, mine, r in zip(
+        [a for layer in params.layers for a in (layer.weights, layer.bias)],
+        params.arrays(), ref,
+    ):
+        np.testing.assert_array_equal(layer_array, r)  # layers see the update
+        np.testing.assert_array_equal(mine, r)
+    for mine, r in zip(params.views(state.m), ref_m):
+        np.testing.assert_array_equal(mine, r)
+    for mine, r in zip(params.views(state.v), ref_v):
+        np.testing.assert_array_equal(mine, r)
+
+
+def test_layers_are_views_of_one_flat_vector():
+    w0, b0 = np.arange(6.0).reshape(2, 3), np.array([1.0, 2.0, 3.0])
+    w1, b1 = np.ones((3, 1)), np.array([-1.0])
+    p = MlpParams([Layer(w0, b0, "relu"), Layer(w1, b1, "identity")])
+    np.testing.assert_array_equal(p.flat, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
+    for layer in p.layers:
+        assert np.shares_memory(layer.weights, p.flat)
+        assert np.shares_memory(layer.bias, p.flat)
+    p.flat[:] = 0.0  # the given arrays were copied, not aliased
+    assert w0[1, 2] == 5.0 and b1[0] == -1.0
+
+
+def test_flat_gradient_equals_per_layer_products_exactly():
+    rng = RngStream(22, ("flat-grad",))
+    acts_kind = ["relu", "tanh", "sigmoid"]
+    params = init_mlp([3, 5, 4, 2], acts_kind, rng.derive("init"))
+    params.flat[:] += rng.derive("shift").normal(size=params.flat.size)
+    x = rng.derive("x").normal(size=(7, 3))
+    coeffs = rng.derive("c").normal(size=(7, 2))
+    acts = mlp_forward(params, x)
+    out = np.full(params.flat.size, np.nan)
+    grads, d_in = mlp_backward(params, acts, coeffs, out)
+
+    delta = coeffs
+    expected = [None] * (2 * len(params.layers))
+    for i in range(len(params.layers) - 1, -1, -1):
+        post = acts[i + 1]
+        delta = delta * {
+            "relu": (post > 0.0).astype(float),
+            "tanh": 1.0 - post * post,
+            "sigmoid": post * (1.0 - post),
+        }[acts_kind[i]]
+        expected[2 * i] = acts[i].T @ delta
+        expected[2 * i + 1] = delta.sum(axis=0)
+        delta = delta @ params.layers[i].weights.T
+    for g, e in zip(grads, expected):
+        assert np.shares_memory(g, out)
+        np.testing.assert_array_equal(g, e)
+    np.testing.assert_array_equal(out, np.concatenate([e.ravel() for e in expected]))
+    np.testing.assert_array_equal(d_in, delta)
 
 
 def test_relu_gradient_at_zero_is_zero():
@@ -169,18 +268,17 @@ def test_zero_weight_net_outputs_activated_bias():
 
 
 def test_adam_zero_gradient_is_a_null_update():
-    a = [np.array([1.5, -0.5])]
-    state = AdamState.for_arrays(a, alpha=0.1)
-    new, state2 = adam_step(a, [np.zeros(2)], state)
-    np.testing.assert_array_equal(new[0], a[0])
-    assert state2.t == 1
+    a = np.array([1.5, -0.5])
+    state = AdamState.for_params(a, alpha=0.1)
+    adam_step(a, np.zeros(2), state)
+    np.testing.assert_array_equal(a, [1.5, -0.5])
+    assert state.t == 1
 
 
 def test_adam_converges_on_scalar_quadratic():
     # Minimize (p - 3)^2 from p = 0 with alpha = 0.1.
-    p = [np.array([0.0])]
-    state = AdamState.for_arrays(p, alpha=0.1)
+    p = np.array([0.0])
+    state = AdamState.for_params(p, alpha=0.1)
     for _ in range(100):
-        grad = [2.0 * (p[0] - 3.0)]
-        p, state = adam_step(p, grad, state)
-    assert abs(p[0][0] - 3.0) < 0.5
+        adam_step(p, 2.0 * (p - 3.0), state)
+    assert abs(p[0] - 3.0) < 0.5

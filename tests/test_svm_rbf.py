@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from augbench.classifiers import predict_labels
-from augbench.classifiers.svm_rbf import RbfSvmConfig, RbfSvmModel, fit_rbf_svm, rbf_kernel
+from augbench.classifiers.svm_rbf import (
+    RbfSvmConfig,
+    RbfSvmModel,
+    _kkt_violations,
+    fit_rbf_svm,
+    rbf_kernel,
+)
 from augbench.rng import RngStream
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -124,3 +130,25 @@ def test_decision_scores_without_support_vectors():
     assert scores.shape == (3,)
     np.testing.assert_array_equal(scores, _brute_force_scores(model, Q))
     np.testing.assert_array_equal(scores, np.full(3, model.bias))
+
+
+def test_kkt_violations_match_a_per_sample_loop():
+    C = 2.0
+    rng = RngStream(6, ("kkt",))
+    alpha = rng.derive("a").uniform(0.0, C, size=60)
+    alpha[::4] = 0.0  # at the lower bound
+    alpha[1::4] = C  # at the upper bound
+    alpha[2] = 5e-13  # within 1e-12 of a bound counts as at it
+    alpha[3] = C - 5e-13
+    yf = 1.0 + rng.derive("yf").normal(size=60)
+    yf[5:8] = 1.0  # exactly on the margin
+
+    expected = []
+    for a, v in zip(alpha, yf):
+        worst = 0.0
+        if a < C - 1e-12 and v < 1.0:  # not at C: needs y*f >= 1
+            worst = max(worst, 1.0 - v)
+        if a > 1e-12 and v > 1.0:  # not at 0: needs y*f <= 1
+            worst = max(worst, v - 1.0)
+        expected.append(worst)
+    np.testing.assert_array_equal(_kkt_violations(alpha, yf, C), expected)
