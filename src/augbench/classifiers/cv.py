@@ -1,5 +1,12 @@
 """Stratified k-fold cross-validation for hyperparameter grids.
 
+Every tuned learner has one trainer, `fit_many(X, y, jobs)`: each job is
+`(train_rows, param)` and it returns one model per job, in order. The CV
+models, the refit on all rows and a pinned hyperparameter all go through
+it. The linear learners train their jobs as one stacked problem; the
+others wrap a fixed-parameter fitter with `per_job`, which fits each job
+on `X[rows]` in turn.
+
 The grid is evaluated in order and ties in mean validation accuracy go
 to the earliest entry, so callers list grids simplest-setting-first
 (smallest depth/k/C, largest regularization).
@@ -60,30 +67,28 @@ def stratified_kfold(
     raise CvError(f"could not build {folds} stratified folds with both classes")
 
 
+def per_job(fit_fixed: Callable[[np.ndarray, np.ndarray, object], object]) -> FitMany:
+    """A `fit_many` that calls `fit_fixed(X[rows], y[rows], param)` per job."""
+    return lambda X, y, jobs: [fit_fixed(X[rows], y[rows], p) for rows, p in jobs]
+
+
 def cross_validate(
-    trainer: Callable[[np.ndarray, np.ndarray, object], object],
+    fit_many: FitMany,
     features: np.ndarray,
     labels: np.ndarray,
     folds: int,
     grid: Sequence[object],
     rng: RngStream,
-    fit_many: FitMany | None = None,
 ) -> CvResult:
     """Mean validation accuracy per grid point; first-best wins ties.
 
-    Each (grid entry, fold) model is `trainer(X[train], y[train], param)`,
-    or, when `fit_many` is given, one `fit_many(X, y, jobs)` call trains
-    them all: `jobs` lists `(train_rows, param)` grid-major, then fold,
-    and the hook returns one model per job in that order.
+    One `fit_many(X, y, jobs)` call trains every (grid entry, fold)
+    model: `jobs` lists `(train_rows, param)` grid-major, then fold.
     """
     if not grid:
         raise CvError("empty hyperparameter grid")
     splits = stratified_kfold(labels, folds, rng.derive("folds"))
-    jobs = [(tr, param) for param in grid for tr, _ in splits]
-    if fit_many is None:
-        models = [trainer(features[tr], labels[tr], param) for tr, param in jobs]
-    else:
-        models = fit_many(features, labels, jobs)
+    models = fit_many(features, labels, [(tr, param) for param in grid for tr, _ in splits])
     table = []
     for gi, param in enumerate(grid):
         fold_accs = [
@@ -96,21 +101,21 @@ def cross_validate(
 
 
 def fit_with_cv(
-    fit_fixed: Callable[[np.ndarray, np.ndarray, object], object],
+    fit_many: FitMany,
     X: np.ndarray,
     y: np.ndarray,
     param: object,
     grid: Sequence[object],
     folds: int,
     rng: RngStream,
-    fit_many: FitMany | None = None,
 ):
-    """`fit_fixed(X, y, param)`, or with `param == "auto"` pick it from
-    `grid` by stratified CV (trained by `fit_many` when given), refit on
-    all rows and attach `cv_result`."""
+    """The model `fit_many` trains on all rows at `param`, or with
+    `param == "auto"` at the `grid` entry stratified CV picks, with
+    `cv_result` attached."""
+    all_rows = np.arange(len(y))
     if param != "auto":
-        return fit_fixed(X, y, param)
-    cv = cross_validate(fit_fixed, X, y, folds, list(grid), rng, fit_many)
-    model = fit_fixed(X, y, cv.best_param)
+        return fit_many(X, y, [(all_rows, param)])[0]
+    cv = cross_validate(fit_many, X, y, folds, list(grid), rng)
+    model = fit_many(X, y, [(all_rows, cv.best_param)])[0]
     model.cv_result = cv
     return model

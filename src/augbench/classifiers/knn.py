@@ -13,7 +13,7 @@ import numpy as np
 
 from ..rng import RngStream
 from .base import sq_distances
-from .cv import CvResult, fit_with_cv
+from .cv import CvResult, fit_with_cv, per_job
 
 DEFAULT_K_GRID = (1, 3, 5, 7, 9, 11)
 DIST_EPS = 1e-9
@@ -72,6 +72,6 @@ def fit_knn(
         raise ValueError(f"k={config.k} outside [1, {len(y)}]")
     # A CV training fold can hold fewer rows than the grid filter assumes.
     return fit_with_cv(
-        lambda Xt, yt, k: KnnModel(Xt.copy(), yt.copy(), min(k, len(yt)), config.weighting),
+        per_job(lambda Xt, yt, k: KnnModel(Xt, yt, min(k, len(yt)), config.weighting)),
         X, y, config.k, grid, config.cv_folds, rng,
     )

@@ -8,12 +8,15 @@ lambda*||w||^2/2 plus mean hinge loss by subgradient descent with the
 at 0. Regularization strength is chosen by stratified CV with ties to
 the stronger regularizer (grids are listed largest-lambda first).
 
-CV trains all fold x lambda models of a learner as one stacked problem:
-column j of a d x J weight matrix is job j's model, a 0/1 row mask keeps
-each column to its fold's training rows, and every epoch is one pass of
-matrix products over all J columns. The per-model `_fit_*_fixed`
-trainers are the refit, the pinned-lambda path and the reference the
-stacked ones are tested against.
+Each learner has one trainer, `_fit_*_many(X, y, jobs, config)`, which
+trains every `(train_rows, lambda)` job as one stacked problem: column j
+of a d x J weight matrix is job j's model, a 0/1 row mask keeps each
+column to its job's training rows, and every epoch is one pass of matrix
+products over all J columns. It trains the J = 20 fold x lambda models
+of CV, and then the refit or a pinned lambda as a J = 1 problem on all
+rows. `logistic_loss_grad` is the per-model loss and gradient that the
+tests check by finite differences; the trainers do not call it, so no
+loss is computed on the training path.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ class LinearModel:
     kind: str  # "logistic" | "linear-svm"
     reg_lambda: float
     threshold: float
-    loss_history: list[float] = field(default_factory=list, repr=False)
     cv_result: CvResult | None = field(default=None, repr=False)
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
@@ -97,27 +99,11 @@ def _stack_jobs(n: int, jobs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mask, mask.sum(axis=0), lam
 
 
-def _fit_logistic_fixed(
-    X: np.ndarray, y: np.ndarray, reg_lambda: float, config: LogisticConfig
-) -> LinearModel:
-    params = np.zeros(X.shape[1] + 1)  # [w, b]
-    w = params[:-1]
-    grad = np.empty_like(params)
-    state = AdamState.for_params(params, alpha=config.learning_rate)
-    history = []
-    for _ in range(config.epochs):
-        loss, dw, db = logistic_loss_grad(w, params[-1], X, y, reg_lambda)
-        grad[:-1], grad[-1] = dw, db
-        history.append(loss)
-        adam_step(params, grad, state)
-    return LinearModel(w, float(params[-1]), "logistic", reg_lambda, 0.5, history)
-
-
 def _fit_logistic_many(
     X: np.ndarray, y: np.ndarray, jobs, config: LogisticConfig
 ) -> list[LinearModel]:
-    """`_fit_logistic_fixed(X[rows], y[rows], lam)` for every (rows, lam)
-    job, trained together; models carry no loss history."""
+    """One logistic model per (rows, lam) job, fit on `X[rows]` with
+    full-batch Adam, trained together."""
     mask, count, lam = _stack_jobs(len(y), jobs)
     y = y[:, None]
     d, J = X.shape[1], len(jobs)
@@ -151,9 +137,8 @@ def fit_logistic(
     y = np.asarray(y, dtype=int)
     _check_two_classes(y)
     return fit_with_cv(
-        lambda Xt, yt, lam: _fit_logistic_fixed(Xt, yt, lam, config),
-        X, y, config.reg_lambda, config.lambda_grid, config.cv_folds, rng,
         lambda Xt, yt, jobs: _fit_logistic_many(Xt, yt, jobs, config),
+        X, y, config.reg_lambda, config.lambda_grid, config.cv_folds, rng,
     )
 
 
@@ -162,33 +147,11 @@ def _check_svm_lambda(reg_lambda):
         raise ValueError("linear SVM requires reg_lambda > 0 (step schedule 1/(lambda*t))")
 
 
-def _fit_linear_svm_fixed(
-    X: np.ndarray, y01: np.ndarray, reg_lambda: float, config: LinearSvmConfig
-) -> LinearModel:
-    _check_svm_lambda(reg_lambda)
-    y = 2.0 * y01 - 1.0
-    n = len(y)
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    history = []
-    for t in range(1, config.epochs + 1):
-        margin = y * (X @ w + b)
-        viol = margin < 1.0
-        hinge = float(np.mean(np.maximum(0.0, 1.0 - margin)))
-        history.append(0.5 * reg_lambda * float(w @ w) + hinge)
-        eta = 1.0 / (reg_lambda * t)
-        gw = reg_lambda * w - (X[viol].T @ y[viol]) / n
-        gb = -float(y[viol].sum()) / n
-        w = w - eta * gw
-        b = b - eta * gb
-    return LinearModel(w, b, "linear-svm", reg_lambda, 0.0, history)
-
-
 def _fit_linear_svm_many(
     X: np.ndarray, y01: np.ndarray, jobs, config: LinearSvmConfig
 ) -> list[LinearModel]:
-    """`_fit_linear_svm_fixed(X[rows], y01[rows], lam)` for every
-    (rows, lam) job, trained together; models carry no loss history."""
+    """One linear SVM per (rows, lam) job, fit on `X[rows]` by Pegasos
+    subgradient steps, trained together."""
     mask, count, lam = _stack_jobs(len(y01), jobs)
     _check_svm_lambda(lam)
     y = (2.0 * y01 - 1.0)[:, None]
@@ -218,7 +181,6 @@ def fit_linear_svm(
     y = np.asarray(y, dtype=int)
     _check_two_classes(y)
     return fit_with_cv(
-        lambda Xt, yt, lam: _fit_linear_svm_fixed(Xt, yt, lam, config),
-        X, y, config.reg_lambda, config.lambda_grid, config.cv_folds, rng,
         lambda Xt, yt, jobs: _fit_linear_svm_many(Xt, yt, jobs, config),
+        X, y, config.reg_lambda, config.lambda_grid, config.cv_folds, rng,
     )

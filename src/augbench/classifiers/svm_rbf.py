@@ -17,7 +17,7 @@ import numpy as np
 
 from ..rng import RngStream
 from .base import sq_distances
-from .cv import CvResult, fit_with_cv
+from .cv import CvResult, fit_with_cv, per_job
 
 log = logging.getLogger(__name__)
 
@@ -165,6 +165,6 @@ def fit_rbf_svm(
     if len(np.unique(y)) < 2:
         raise ValueError("both classes must be present")
     return fit_with_cv(
-        lambda Xt, yt, c: _fit_fixed_c(Xt, yt, c, config),
+        per_job(lambda Xt, yt, c: _fit_fixed_c(Xt, yt, c, config)),
         X, y, config.C, config.c_grid, config.cv_folds, rng,
     )

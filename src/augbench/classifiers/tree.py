@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..rng import RngStream
-from .cv import CvResult, fit_with_cv
+from .cv import CvResult, fit_with_cv, per_job
 
 DEFAULT_DEPTH_GRID: tuple = (2, 3, 4, 5, 6, 8, None)
 
@@ -154,7 +154,7 @@ def fit_decision_tree(
     config = config or TreeConfig()
     rng = rng or RngStream(0, ("tree",))
     return fit_with_cv(
-        lambda Xt, yt, depth: fit_tree_fixed_depth(Xt, yt, depth, config),
+        per_job(lambda Xt, yt, depth: fit_tree_fixed_depth(Xt, yt, depth, config)),
         np.asarray(X, dtype=float), np.asarray(y, dtype=int),
         config.max_depth, config.depth_grid, config.cv_folds, rng,
     )

@@ -197,7 +197,6 @@ def apply_preprocess(
 
 
 def stratified_split(
-    features: np.ndarray,
     labels: np.ndarray,
     test_fraction: float,
     rng: RngStream,

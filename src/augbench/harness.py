@@ -21,6 +21,7 @@ import io
 import json
 import numbers
 import time
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -162,16 +163,21 @@ def _build_section_config(defaults, overrides: dict):
     unknown = set(overrides) - set(current)
     if unknown:
         raise ConfigError(f"unknown hyperparameter keys {sorted(unknown)} for {section}")
+    hints = typing.get_type_hints(type(defaults))
     for key, value in overrides.items():
-        # A numeric field (one whose default is a number, "auto" or None)
-        # takes a number, or "auto" where that is the default. None
-        # passes: some numeric fields take it.
+        # None passes only where the field's annotation includes it. A
+        # numeric field (one whose default is a number, "auto" or None)
+        # takes a number, or "auto" where that is the default.
+        if value is None:
+            if type(None) not in typing.get_args(hints[key]):
+                raise ConfigError(f"{section}.{key} must not be null")
+            continue
         default = current[key]
         auto = default == "auto"
         numeric = auto or default is None or (
             isinstance(default, (int, float)) and not isinstance(default, bool))
         number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if numeric and not (number or value is None or (auto and value == "auto")):
+        if numeric and not (number or (auto and value == "auto")):
             expected = 'a number or "auto"' if auto else "a number"
             raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
     clean = {
@@ -276,10 +282,7 @@ def prepare(config: ExperimentConfig) -> PreparedData:
 
     label_i = table.label_index
     y_all = np.array([int(r[label_i]) for r in table.rows])
-    split = stratified_split(
-        np.empty((len(y_all), 0)), y_all, config.test_fraction,
-        RngStream(config.seed).derive("split"),
-    )
+    split = stratified_split(y_all, config.test_fraction, RngStream(config.seed).derive("split"))
 
     # Preprocessing statistics come from the training rows only.
     train_table = RawTable(

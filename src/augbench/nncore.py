@@ -119,13 +119,6 @@ class MlpParams:
         """Parameter list [W0, b0, W1, b1, ...]: views into `flat`."""
         return self.views(self.flat)
 
-    def with_arrays(self, arrays: list[np.ndarray]) -> "MlpParams":
-        """A new network with the same activations and a copy of `arrays`."""
-        return MlpParams([
-            Layer(arrays[2 * i], arrays[2 * i + 1], layer.activation)
-            for i, layer in enumerate(self.layers)
-        ])
-
 
 def init_mlp(sizes: list[int], activations: list[str], rng: RngStream) -> MlpParams:
     """Glorot-uniform initialized MLP; deterministic in the stream."""

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from augbench.nncore import Layer, MlpParams
+
 REPO = Path(__file__).resolve().parent.parent
 FIXTURE_CSV = REPO / "data" / "social_ads_400.csv"
 
@@ -45,6 +47,16 @@ def central_difference(loss_fn, arrays, step=1e-5):
             flat[i] = (up - down) / (2 * step)
         grads.append(g)
     return grads
+
+
+def with_arrays(params: MlpParams, arrays: list[np.ndarray]) -> MlpParams:
+    """A new network with the activations of `params` and a copy of
+    `arrays` ([W0, b0, W1, b1, ...]); lets a finite-difference loss
+    rebuild the network from perturbed arrays."""
+    return MlpParams([
+        Layer(arrays[2 * i], arrays[2 * i + 1], layer.activation)
+        for i, layer in enumerate(params.layers)
+    ])
 
 
 def max_relative_error(analytic, numeric) -> float:

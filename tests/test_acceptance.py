@@ -23,7 +23,7 @@ from augbench.metrics import accuracy, f1, roc_auc
 from augbench.nncore import init_mlp, mlp_backward, mlp_forward
 from augbench.rng import RngStream
 from augbench.vae import VaeConfig, init_vae, vae_loss
-from conftest import FIXTURE_CSV, SCHEMA, central_difference, max_relative_error
+from conftest import FIXTURE_CSV, SCHEMA, central_difference, max_relative_error, with_arrays
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -43,7 +43,7 @@ def test_criterion_1_gradient_oracles():
         coeffs = rng.derive("c").normal(size=(4, 2))
         analytic, _ = mlp_backward(params, mlp_forward(params, x), coeffs)
         numeric = central_difference(
-            lambda arrs: float(np.sum(coeffs * mlp_forward(params.with_arrays(arrs), x)[-1])),
+            lambda arrs: float(np.sum(coeffs * mlp_forward(with_arrays(params, arrs), x)[-1])),
             params.arrays(),
         )
         worst = max(worst, max_relative_error(analytic, numeric))
@@ -56,8 +56,8 @@ def test_criterion_1_gradient_oracles():
 
         def vae_loss_of(arrs):
             m = init_vae(3, VaeConfig(hidden_size=4, latent_dim=2), rng.derive("vae"))
-            m.encoder = m.encoder.with_arrays(arrs[:n_enc])
-            m.decoder = m.decoder.with_arrays(arrs[n_enc:])
+            m.encoder = with_arrays(m.encoder, arrs[:n_enc])
+            m.decoder = with_arrays(m.decoder, arrs[n_enc:])
             return vae_loss(m, batch, eps=eps)[0]
 
         _, (enc_g, dec_g) = vae_loss(vae, batch, eps=eps)
@@ -70,7 +70,7 @@ def test_criterion_1_gradient_oracles():
         fake = rng.derive("f").normal(size=(4, 3))
         _, d_grads = discriminator_loss(disc, real, fake)
         numeric = central_difference(
-            lambda arrs: discriminator_loss(disc.with_arrays(arrs), real, fake)[0],
+            lambda arrs: discriminator_loss(with_arrays(disc, arrs), real, fake)[0],
             disc.arrays(),
         )
         worst = max(worst, max_relative_error(d_grads, numeric))

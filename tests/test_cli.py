@@ -151,6 +151,7 @@ def test_string_for_numeric_hyperparameter_fails_before_training(
     ("tree", "max_depth", {"d": 1},
      "TreeConfig.max_depth must be a number or \"auto\", got {'d': 1}"),
     ("svm_rbf", "gamma", [0.5], "RbfSvmConfig.gamma must be a number, got [0.5]"),
+    ("gmm", "n_components", None, "GmmConfig.n_components must not be null"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_list_or_object_for_numeric_hyperparameter_fails_before_training(
@@ -167,6 +168,16 @@ def test_list_or_object_for_numeric_hyperparameter_fails_before_training(
 def test_grid_hyperparameter_still_takes_a_list(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(FAST, hyperparams={"tree": {"depth_grid": [1, 2]}})))
+    assert main(["validate", "--config", str(p)]) == 0
+    assert capsys.readouterr().out.startswith("ok")
+
+
+@pytest.mark.parametrize("section, key", [
+    ("svm_rbf", "gamma"), ("gan", "disc_learning_rate"), ("tree", "max_depth"),
+])
+def test_null_validates_where_the_field_takes_none(tmp_path, capsys, section, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, hyperparams={section: {key: None}})))
     assert main(["validate", "--config", str(p)]) == 0
     assert capsys.readouterr().out.startswith("ok")
 

@@ -6,6 +6,7 @@ import pytest
 
 from augbench.classifiers import (
     KnnConfig,
+    KnnModel,
     LinearSvmConfig,
     LogisticConfig,
     RbfSvmConfig,
@@ -17,8 +18,11 @@ from augbench.classifiers import (
     fit_rbf_svm,
 )
 from augbench.classifiers import cv as cv_module
-from augbench.classifiers.cv import CvError, cross_validate, stratified_kfold
+from augbench.classifiers.svm_rbf import _fit_fixed_c
+from augbench.classifiers.tree import fit_tree_fixed_depth
+from augbench.classifiers.cv import CvError, cross_validate, per_job, stratified_kfold
 from augbench.rng import RngStream
+from test_linear import _fit_linear_svm_fixed, _fit_logistic_fixed
 
 
 def test_folds_partition_and_keep_both_classes():
@@ -70,7 +74,7 @@ def test_grid_order_and_first_best_tie():
         return ConstantModel(param)
 
     # Both constant predictors score 0.5; the tie must go to the first entry.
-    cv = cross_validate(trainer, X, y, 4, [0, 1], RngStream(1, ("cv",)))
+    cv = cross_validate(per_job(trainer), X, y, 4, [0, 1], RngStream(1, ("cv",)))
     assert cv.best_param == 0
     assert cv.best_index == 0
     assert [row[0] for row in cv.table] == [0, 1]
@@ -84,14 +88,14 @@ def test_grid_picks_the_better_param():
     def trainer(Xt, yt, param):
         return ConstantModel(param)
 
-    cv = cross_validate(trainer, X, y, 5, [1, 0], RngStream(2, ("cv",)))
+    cv = cross_validate(per_job(trainer), X, y, 5, [1, 0], RngStream(2, ("cv",)))
     assert cv.best_param == 0  # majority class wins at 0.75
     assert cv.table[cv.best_index][1] == pytest.approx(0.75)
 
 
 def test_empty_grid_rejected():
     with pytest.raises(CvError):
-        cross_validate(lambda *a: None, np.zeros((4, 1)),
+        cross_validate(per_job(lambda *a: None), np.zeros((4, 1)),
                        np.array([0, 0, 1, 1]), 2, [], RngStream(0))
 
 
@@ -152,6 +156,17 @@ def test_auto_with_one_entry_grid_matches_pinned_fit(name, monkeypatch):
     np.testing.assert_array_equal(auto.decision_scores(X), pinned.decision_scores(X))
 
 
+# name -> per-model fitter `(X, y, param, config) -> model`; for the linear
+# learners, the oracle their stacked trainer is checked against.
+PER_MODEL = {
+    "tree": fit_tree_fixed_depth,
+    "knn": lambda X, y, k, config: KnnModel(X, y, min(k, len(y)), config.weighting),
+    "logistic": _fit_logistic_fixed,
+    "svm_linear": _fit_linear_svm_fixed,
+    "svm_rbf": _fit_fixed_c,
+}
+
+
 @pytest.mark.parametrize("name", sorted(TUNED))
 def test_stacked_cv_hook_chooses_like_the_per_model_loop(name, monkeypatch):
     fitter, config_cls, extra, field, _, _ = TUNED[name]
@@ -164,14 +179,14 @@ def test_stacked_cv_hook_chooses_like_the_per_model_loop(name, monkeypatch):
 
     monkeypatch.setattr(cv_module, "cross_validate", spy)
     X, y = _two_blobs()
-    fitter(X, y, config_cls(**extra, **{field: "auto"}), RngStream(0, (name,)))
-    ((trainer, X_cv, y_cv, folds, grid, rng, fit_many),) = calls
-    # Only the full-batch linear learners train their CV models stacked.
-    assert (fit_many is not None) == (name in ("logistic", "svm_linear"))
-    stacked = real(trainer, X_cv, y_cv, folds, grid, rng, fit_many)
-    loop = real(trainer, X_cv, y_cv, folds, grid, rng)
-    assert stacked.best_index == loop.best_index
-    assert stacked.best_param == loop.best_param
-    assert [(p, len(accs)) for p, _, accs in stacked.table] == [
+    config = config_cls(**extra, **{field: "auto"})
+    fitter(X, y, config, RngStream(0, (name,)))
+    ((fit_many, X_cv, y_cv, folds, grid, rng),) = calls
+    given = real(fit_many, X_cv, y_cv, folds, grid, rng)
+    oracle = per_job(lambda Xt, yt, param: PER_MODEL[name](Xt, yt, param, config))
+    loop = real(oracle, X_cv, y_cv, folds, grid, rng)
+    assert given.best_index == loop.best_index
+    assert given.best_param == loop.best_param
+    assert [(p, len(accs)) for p, _, accs in given.table] == [
         (p, len(accs)) for p, _, accs in loop.table
     ]

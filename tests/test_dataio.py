@@ -113,8 +113,7 @@ def test_fixture_loads_cleanly(fixture_csv, schema):
 
 def test_stratified_split_proportions_and_disjointness():
     y = np.array([0] * 80 + [1] * 20)
-    X = np.zeros((100, 1))
-    pair = stratified_split(X, y, 0.25, RngStream(0, ("split",)))
+    pair = stratified_split(y, 0.25, RngStream(0, ("split",)))
     assert len(pair.test_indices) == 25
     assert np.sum(y[pair.test_indices]) == 5  # 25% of each class
     assert len(np.intersect1d(pair.train_indices, pair.test_indices)) == 0
@@ -124,20 +123,18 @@ def test_stratified_split_proportions_and_disjointness():
 
 def test_stratified_split_deterministic():
     y = np.array([0, 1] * 20)
-    X = np.zeros((40, 1))
-    a = stratified_split(X, y, 0.3, RngStream(5, ("s",)))
-    b = stratified_split(X, y, 0.3, RngStream(5, ("s",)))
+    a = stratified_split(y, 0.3, RngStream(5, ("s",)))
+    b = stratified_split(y, 0.3, RngStream(5, ("s",)))
     np.testing.assert_array_equal(a.test_indices, b.test_indices)
 
 
 def test_stratified_split_errors():
-    X = np.zeros((10, 1))
     with pytest.raises(DataError):
-        stratified_split(X, np.zeros(10, dtype=int), 0.25, RngStream(0))
+        stratified_split(np.zeros(10, dtype=int), 0.25, RngStream(0))
     with pytest.raises(DataError):
-        stratified_split(X, np.array([0] * 9 + [1]), 0.25, RngStream(0))  # 1-row class
+        stratified_split(np.array([0] * 9 + [1]), 0.25, RngStream(0))  # 1-row class
     with pytest.raises(DataError):
-        stratified_split(X, np.array([0, 1] * 5), 1.5, RngStream(0))
+        stratified_split(np.array([0, 1] * 5), 1.5, RngStream(0))
 
 
 @given(
@@ -148,6 +145,6 @@ def test_stratified_split_errors():
 )
 def test_split_always_leaves_both_classes_on_both_sides(n0, n1, frac, seed):
     y = np.array([0] * n0 + [1] * n1)
-    pair = stratified_split(np.zeros((len(y), 1)), y, frac, RngStream(seed))
+    pair = stratified_split(y, frac, RngStream(seed))
     for idx in (pair.train_indices, pair.test_indices):
         assert set(np.unique(y[idx])) == {0, 1}

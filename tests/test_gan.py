@@ -7,7 +7,7 @@ from augbench.gan import GanConfig, augment_with_gan, discriminator_loss, sample
 from augbench.nncore import Layer, MlpParams, init_mlp, mlp_forward
 from augbench.rng import RngStream
 from augbench.vae import VaeConfig, train_vae
-from conftest import central_difference, max_relative_error
+from conftest import central_difference, max_relative_error, with_arrays
 
 TINY = GanConfig(
     pretrain_epochs=10, epochs=15, learning_rate=1e-3, disc_learning_rate=1e-3,
@@ -48,7 +48,7 @@ def test_discriminator_gradients_match_finite_differences():
     fake = rng.derive("f").normal(size=(5, 3))
 
     def loss_fn(arrays):
-        return discriminator_loss(disc.with_arrays(arrays), real, fake)[0]
+        return discriminator_loss(with_arrays(disc, arrays), real, fake)[0]
 
     _, analytic = discriminator_loss(disc, real, fake)
     numeric = central_difference(loss_fn, disc.arrays())

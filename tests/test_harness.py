@@ -159,8 +159,7 @@ def test_none_cell_equals_direct_training():
     table = load_table(cfg.dataset, cfg.schema)
     y_all = np.array([int(r[table.label_index]) for r in table.rows])
     rng = RngStream(cfg.seed)
-    split = stratified_split(np.empty((len(y_all), 0)), y_all,
-                             cfg.test_fraction, rng.derive("split"))
+    split = stratified_split(y_all, cfg.test_fraction, rng.derive("split"))
     train_table = RawTable(table.column_names, table.column_kinds,
                            [table.rows[i] for i in split.train_indices], 0)
     plan = fit_preprocess(train_table)

@@ -1,4 +1,5 @@
-"""Logistic regression and linear SVM: gradients, separable data, regularization."""
+"""Logistic regression and linear SVM: gradients, separable data,
+regularization, and the stacked trainers against per-model oracles."""
 
 import numpy as np
 import pytest
@@ -6,18 +7,61 @@ import pytest
 from augbench.classifiers import predict_labels
 from augbench.classifiers.cv import stratified_kfold
 from augbench.classifiers.linear import (
+    LinearModel,
     LinearSvmConfig,
     LogisticConfig,
-    _fit_linear_svm_fixed,
+    _check_svm_lambda,
     _fit_linear_svm_many,
-    _fit_logistic_fixed,
     _fit_logistic_many,
     fit_linear_svm,
     fit_logistic,
     logistic_loss_grad,
 )
+from augbench.nncore import AdamState, adam_step
 from augbench.rng import RngStream
 from conftest import central_difference, max_relative_error
+
+
+# Per-model oracles: one model, one (X, y, lambda), no mask. The stacked
+# trainers must reproduce them column by column.
+def _fit_logistic_fixed(
+    X: np.ndarray, y: np.ndarray, reg_lambda: float, config: LogisticConfig
+) -> LinearModel:
+    params = np.zeros(X.shape[1] + 1)  # [w, b]
+    w = params[:-1]
+    grad = np.empty_like(params)
+    state = AdamState.for_params(params, alpha=config.learning_rate)
+    for _ in range(config.epochs):
+        _, dw, db = logistic_loss_grad(w, params[-1], X, y, reg_lambda)
+        grad[:-1], grad[-1] = dw, db
+        adam_step(params, grad, state)
+    return LinearModel(w, float(params[-1]), "logistic", reg_lambda, 0.5)
+
+
+def _fit_linear_svm_fixed(
+    X: np.ndarray, y01: np.ndarray, reg_lambda: float, config: LinearSvmConfig
+) -> LinearModel:
+    _check_svm_lambda(reg_lambda)
+    y = 2.0 * y01 - 1.0
+    n = len(y)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    for t in range(1, config.epochs + 1):
+        margin = y * (X @ w + b)
+        viol = margin < 1.0
+        eta = 1.0 / (reg_lambda * t)
+        gw = reg_lambda * w - (X[viol].T @ y[viol]) / n
+        gb = -float(y[viol].sum()) / n
+        w = w - eta * gw
+        b = b - eta * gb
+    return LinearModel(w, b, "linear-svm", reg_lambda, 0.0)
+
+
+def _assert_matches_oracle(model, ref):
+    assert (model.kind, model.reg_lambda, model.threshold) == (
+        ref.kind, ref.reg_lambda, ref.threshold)
+    np.testing.assert_allclose(model.weights, ref.weights, rtol=1e-8, atol=0)
+    np.testing.assert_allclose(model.bias, ref.bias, rtol=1e-8, atol=0)
 
 
 def separable(seed=0, n=60):
@@ -55,7 +99,6 @@ def test_logistic_fits_separable_data():
     assert np.mean(predict_labels(model, X) == y) >= 0.95
     assert model.kind == "logistic"
     assert model.threshold == 0.5
-    assert model.loss_history[-1] < model.loss_history[0]
 
 
 def test_logistic_regularization_shrinks_weights():
@@ -111,8 +154,6 @@ def test_svm_auto_lambda_from_grid():
 
 
 def test_logistic_zero_weights_scores_half():
-    from augbench.classifiers.linear import LinearModel
-
     model = LinearModel(np.zeros(3), 0.0, "logistic", 0.0, 0.5)
     np.testing.assert_allclose(model.decision_scores(np.ones((4, 3))), 0.5)
 
@@ -138,11 +179,25 @@ def test_stacked_cv_models_match_per_model_fits(learner):
     models = many(X, y, jobs, config)
     assert len(models) == len(jobs)
     for model, (rows, lam) in zip(models, jobs):
-        ref = fixed(X[rows], y[rows], lam, config)
-        assert (model.kind, model.reg_lambda, model.threshold) == (
-            ref.kind, ref.reg_lambda, ref.threshold)
-        np.testing.assert_allclose(model.weights, ref.weights, rtol=1e-8, atol=0)
-        np.testing.assert_allclose(model.bias, ref.bias, rtol=1e-8, atol=0)
+        _assert_matches_oracle(model, fixed(X[rows], y[rows], lam, config))
+
+
+@pytest.mark.parametrize("learner", ["logistic", "svm_linear"])
+def test_pinned_and_refit_models_match_the_all_rows_oracle(learner):
+    X, y = separable(seed=10, n=80)
+    if learner == "logistic":
+        fitter, config_cls, fixed, lam = fit_logistic, LogisticConfig, _fit_logistic_fixed, 0.1
+    else:
+        fitter, config_cls, fixed, lam = fit_linear_svm, LinearSvmConfig, _fit_linear_svm_fixed, 0.01
+    pinned_config = config_cls(epochs=300, reg_lambda=lam)
+    pinned = fitter(X, y, pinned_config, RngStream(10, ("cv",)))
+    assert pinned.cv_result is None
+    _assert_matches_oracle(pinned, fixed(X, y, lam, pinned_config))
+
+    auto_config = config_cls(epochs=300)
+    refit = fitter(X, y, auto_config, RngStream(10, ("cv",)))
+    assert refit.reg_lambda == refit.cv_result.best_param
+    _assert_matches_oracle(refit, fixed(X, y, refit.reg_lambda, auto_config))
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1])

@@ -15,7 +15,7 @@ from augbench.nncore import (
 )
 from augbench.rng import RngStream
 
-from conftest import central_difference, max_relative_error
+from conftest import central_difference, max_relative_error, with_arrays
 
 
 def test_sigmoid_matches_definition_and_survives_extremes():
@@ -79,7 +79,7 @@ def test_layer_validation():
 
 def test_arrays_roundtrip():
     p = init_mlp([3, 4, 1], ["tanh", "sigmoid"], RngStream(5))
-    q = p.with_arrays([a + 1.0 for a in p.arrays()])
+    q = with_arrays(p, [a + 1.0 for a in p.arrays()])
     for a, b in zip(p.arrays(), q.arrays()):
         np.testing.assert_allclose(b, a + 1.0)
     assert [l.activation for l in q.layers] == [l.activation for l in p.layers]
@@ -95,7 +95,7 @@ def test_backward_matches_finite_differences(acts):
     coeffs = rng.derive("c").normal(size=(5, 2))
 
     def loss_fn(arrays):
-        return float(np.sum(coeffs * mlp_forward(params.with_arrays(arrays), x)[-1]))
+        return float(np.sum(coeffs * mlp_forward(with_arrays(params, arrays), x)[-1]))
 
     forward = mlp_forward(params, x)
     analytic, _ = mlp_backward(params, forward, coeffs)

@@ -13,7 +13,7 @@ from augbench.vae import (
     train_vae,
     vae_loss,
 )
-from conftest import central_difference, max_relative_error
+from conftest import central_difference, max_relative_error, with_arrays
 
 
 def small_model(seed=0, d=3, hidden=4, latent=2):
@@ -46,8 +46,8 @@ def test_vae_loss_gradients_match_finite_differences():
     def loss_fn(arrays):
         n_enc = len(model.encoder.arrays())
         m = small_model()
-        m.encoder = m.encoder.with_arrays(arrays[:n_enc])
-        m.decoder = m.decoder.with_arrays(arrays[n_enc:])
+        m.encoder = with_arrays(m.encoder, arrays[:n_enc])
+        m.decoder = with_arrays(m.decoder, arrays[n_enc:])
         return vae_loss(m, batch, eps=eps, beta=0.7)[0]
 
     _, (enc_g, dec_g) = vae_loss(model, batch, eps=eps, beta=0.7)
