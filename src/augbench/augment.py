@@ -45,7 +45,7 @@ def augment_per_class(
     train_features: np.ndarray,
     train_labels: np.ndarray,
     n_synthetic: int,
-    fit_fn: Callable[[np.ndarray, int, RngStream], object],
+    fit_fn: Callable[[np.ndarray, RngStream], object],
     sample_fn: Callable[[object, int, RngStream], np.ndarray],
     rng: RngStream,
     generator_id: str,
@@ -64,7 +64,7 @@ def augment_per_class(
     synth_X, synth_y, models = [], [], {}
     for c in sorted(class_counts):
         data = train_features[train_labels == c]
-        model = fit_fn(data, c, rng.derive(f"fit-class{c}"))
+        model = fit_fn(data, rng.derive(f"fit-class{c}"))
         models[c] = model
         if counts[c] > 0:
             rows = sample_fn(model, counts[c], rng.derive(f"sample-class{c}"))

@@ -1,13 +1,15 @@
-"""CSV ingestion, preprocessing and stratified splitting.
+"""CSV ingestion, stratified splitting and preprocessing.
 
-The pipeline is: `load_table` (parse + clean), `fit_preprocess` on the
-training rows (z-score statistics, category maps), `apply_preprocess`
-(design matrix + labels), `stratified_split` (per-class proportional
-train/test cut).
+The pipeline is: `load_table` (parse + clean into a column-oriented
+`Table`), `stratified_split` on `Table.labels` (per-class proportional
+train/test cut), `fit_preprocess` on `Table.take(train_indices)`
+(z-score statistics, category maps), and `apply_preprocess` on the whole
+table (design matrix + labels).
 
-Cleaning policy: rows with unparsable numeric cells or label values
-outside {0, 1} are dropped and counted, never imputed. Standard
-deviations use the population (divide-by-n) convention.
+Cleaning policy: rows with the wrong cell count, unparsable or
+non-finite numeric cells, or label values outside {0, 1} are dropped and
+counted, never imputed. Standard deviations use the population
+(divide-by-n) convention.
 """
 
 from __future__ import annotations
@@ -32,19 +34,19 @@ class DataError(Exception):
 
 
 @dataclass
-class RawTable:
-    column_names: list[str]
-    column_kinds: list[str]
-    rows: list[tuple[str, ...]]
+class Table:
+    """A dataset's kept rows, parsed once: `columns` maps each numeric
+    column to a float64 array and each categorical one to a string array,
+    in schema order (identifiers dropped); `labels` is the 0/1 target."""
+
+    columns: dict[str, np.ndarray]
+    labels: np.ndarray
     dropped_row_count: int = 0
 
-    @property
-    def label_index(self) -> int:
-        return self.column_kinds.index("label")
-
-    def column(self, name: str) -> list[str]:
-        i = self.column_names.index(name)
-        return [row[i] for row in self.rows]
+    def take(self, rows: np.ndarray) -> Table:
+        """The subset at `rows`, with the same `dropped_row_count`."""
+        columns = {name: col[rows] for name, col in self.columns.items()}
+        return Table(columns, self.labels[rows], self.dropped_row_count)
 
 
 @dataclass
@@ -73,11 +75,11 @@ def _parse_float(cell: str) -> float | None:
     return v if np.isfinite(v) else None
 
 
-def load_table(path: str | Path, schema: dict[str, str]) -> RawTable:
+def load_table(path: str | Path, schema: dict[str, str]) -> Table:
     """Read a CSV whose header matches `schema` (name -> column kind).
 
-    Rows with unparsable numeric cells or labels outside {0, 1} are
-    dropped and counted in `dropped_row_count`.
+    Rows with the wrong cell count, unparsable numeric cells or labels
+    outside {0, 1} are dropped and counted in `dropped_row_count`.
     """
     path = Path(path)
     if not os.path.isfile(path):
@@ -99,59 +101,56 @@ def load_table(path: str | Path, schema: dict[str, str]) -> RawTable:
             raise DataError(
                 f"header mismatch: file has {header}, schema declares {list(schema)}"
             )
-        kinds = [schema[name] for name in header]
-        label_idx = kinds.index("label")
-        numeric_idx = [i for i, k in enumerate(kinds) if k == "numeric"]
+        label_idx = header.index(label_cols[0])
+        kept = [i for i, name in enumerate(header) if schema[name] in ("numeric", "categorical")]
+        numeric = {i for i in kept if schema[header[i]] == "numeric"}
 
-        rows: list[tuple[str, ...]] = []
-        dropped = 0
+        records, labels, dropped = [], [], 0
         for raw in reader:
-            if len(raw) != len(header):
-                dropped += 1
-                continue
-            cells = tuple(c.strip() for c in raw)
-            if cells[label_idx] not in ("0", "1"):
-                dropped += 1
-                continue
-            if any(_parse_float(cells[i]) is None for i in numeric_idx):
-                dropped += 1
-                continue
-            rows.append(cells)
+            cells = [c.strip() for c in raw]
+            if len(cells) == len(header) and cells[label_idx] in ("0", "1"):
+                values = [_parse_float(cells[i]) if i in numeric else cells[i] for i in kept]
+                if None not in values:
+                    records.append(values)
+                    labels.append(int(cells[label_idx]))
+                    continue
+            dropped += 1
 
-    if not rows:
+    if not records:
         raise DataError(f"zero usable rows in {path}")
-    return RawTable(header, kinds, rows, dropped)
+    columns = {
+        header[i]: np.array(col, dtype=float if i in numeric else str)
+        for i, col in zip(kept, zip(*records))
+    }
+    return Table(columns, np.array(labels, dtype=int), dropped)
 
 
-def fit_preprocess(table: RawTable) -> PreprocessPlan:
+def fit_preprocess(table: Table) -> PreprocessPlan:
     """Compute z-score statistics and category maps from `table`.
 
-    Zero-variance numeric columns are excluded from the feature order
-    and reported in `excluded_columns`.
+    Categories are indexed by first appearance. Zero-variance numeric
+    columns are excluded from the feature order and reported in
+    `excluded_columns`.
     """
     numeric_stats: dict[str, tuple[float, float]] = {}
     category_maps: dict[str, dict[str, int]] = {}
     feature_order: list[str] = []
     excluded: list[str] = []
 
-    for name, kind in zip(table.column_names, table.column_kinds):
-        if kind == "numeric":
-            vals = np.array([_parse_float(c) for c in table.column(name)], dtype=float)
-            mean = float(vals.mean())
-            std = float(vals.std())  # population convention
+    for name, col in table.columns.items():
+        if col.dtype.kind == "f":
+            mean = float(col.mean())
+            std = float(col.std())  # population convention
             if std == 0.0:
                 excluded.append(name)
                 log.warning("excluding zero-variance numeric column %r", name)
                 continue
             numeric_stats[name] = (mean, std)
             feature_order.append(name)
-        elif kind == "categorical":
-            cmap: dict[str, int] = {}
-            for cell in table.column(name):
-                if cell not in cmap:
-                    cmap[cell] = len(cmap)
-            category_maps[name] = cmap
-            feature_order.extend(f"{name}={cat}" for cat in cmap)
+        else:
+            cats = dict.fromkeys(col.tolist())
+            category_maps[name] = {cat: j for j, cat in enumerate(cats)}
+            feature_order.extend(f"{name}={cat}" for cat in cats)
 
     if not feature_order:
         raise DataError("all columns excluded; nothing to train on")
@@ -159,41 +158,33 @@ def fit_preprocess(table: RawTable) -> PreprocessPlan:
 
 
 def apply_preprocess(
-    table: RawTable, plan: PreprocessPlan
+    table: Table, plan: PreprocessPlan
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build the design matrix and label vector under a fitted plan.
 
     Numeric cells are z-scored with the plan's training statistics;
     categoricals are one-hot encoded. An unseen category maps to an
-    all-zero block (logged).
+    all-zero block (logged once per value).
     """
     for name in list(plan.numeric_stats) + list(plan.category_maps):
-        if name not in table.column_names:
+        if name not in table.columns:
             raise DataError(f"table lacks column {name!r} required by the plan")
 
-    n = len(table.rows)
-    X = np.zeros((n, len(plan.feature_order)))
+    X = np.zeros((len(table.labels), len(plan.feature_order)))
     col_of = {name: j for j, name in enumerate(plan.feature_order)}
 
     for name, (mean, std) in plan.numeric_stats.items():
-        i = table.column_names.index(name)
-        vals = np.array([float(row[i]) for row in table.rows])
-        X[:, col_of[name]] = (vals - mean) / std
+        X[:, col_of[name]] = (table.columns[name] - mean) / std
 
     for name, cmap in plan.category_maps.items():
-        i = table.column_names.index(name)
-        for r, row in enumerate(table.rows):
-            idx = cmap.get(row[i])
-            if idx is None:
-                log.warning(
-                    "unseen category %r in column %r -> zero block", row[i], name
-                )
-                continue
-            X[r, col_of[f"{name}={row[i]}"]] = 1.0
+        col = table.columns[name]
+        for cat in cmap:
+            X[:, col_of[f"{name}={cat}"]] = col == cat
+        for cat in dict.fromkeys(col.tolist()):
+            if cat not in cmap:
+                log.warning("unseen category %r in column %r -> zero block", cat, name)
 
-    label_i = table.label_index
-    y = np.array([int(row[label_i]) for row in table.rows], dtype=int)
-    return X, y
+    return X, table.labels
 
 
 def stratified_split(

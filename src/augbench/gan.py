@@ -36,7 +36,6 @@ class GanConfig:
 class GanModel:
     generator: VaeModel
     discriminator: MlpParams
-    class_label: int | None
     loss_history: list[tuple[int, float, float]]  # (epoch, gen loss, disc loss)
 
 
@@ -86,7 +85,6 @@ def train_gan(
     data: np.ndarray,
     config: GanConfig | None = None,
     rng: RngStream | None = None,
-    class_label: int | None = None,
 ) -> GanModel:
     """Pretrain the VAE generator, then alternate disc/gen Adam updates."""
     config = config or GanConfig()
@@ -97,13 +95,13 @@ def train_gan(
     n, d = data.shape
 
     vae_cfg = replace(config.vae, epochs=config.pretrain_epochs)
-    gen = train_vae(data, vae_cfg, rng.derive("pretrain"), class_label)
+    gen = train_vae(data, vae_cfg, rng.derive("pretrain"))
     disc = init_mlp(
         [d, *config.disc_hidden, 1],
         ["relu", "relu", "sigmoid"],
         rng.derive("disc-init"),
     )
-    model = GanModel(gen, disc, class_label, [])
+    model = GanModel(gen, disc, [])
 
     dec = gen.decoder  # its `flat` is a view into the pretrained VAE's vector
     disc_lr = config.disc_learning_rate or config.learning_rate
@@ -151,10 +149,7 @@ def augment_with_gan(
     """One GAN per class; append proportional synthetic rows."""
     config = config or GanConfig()
     rng = rng or RngStream(0, ("augment-gan",))
-
-    def fit(data, label, stream):
-        return train_gan(data, config, stream, label)
-
     return augment_per_class(
-        train_features, train_labels, n_synthetic, fit, sample_gan, rng, "gan"
+        train_features, train_labels, n_synthetic,
+        lambda data, stream: train_gan(data, config, stream), sample_gan, rng, "gan",
     )

@@ -35,7 +35,6 @@ class GmmModel:
     weights: np.ndarray  # (K,)
     means: np.ndarray  # (K, d)
     covariances: np.ndarray  # (K, d, d)
-    class_label: int | None
     log_likelihood_history: list[float]
 
     @property
@@ -91,7 +90,6 @@ def fit_gmm(
     n_components: int,
     config: GmmConfig | None = None,
     rng: RngStream | None = None,
-    class_label: int | None = None,
 ) -> GmmModel:
     """Fit a K-component mixture by EM with random-responsibility init."""
     config = config or GmmConfig()
@@ -112,7 +110,7 @@ def fit_gmm(
     resp = rng.derive("init").uniform(0.0, 1.0, size=(n, k)) + 1e-3
     resp /= resp.sum(axis=1, keepdims=True)
     weights, means, covs = _m_step(data, resp, config.cov_floor)
-    model = GmmModel(weights, means, covs, class_label, [])
+    model = GmmModel(weights, means, covs, [])
 
     # The covariance floor means each update is not exactly the Q-maximizer,
     # so close to convergence a step can reduce the likelihood by a hair.
@@ -141,14 +139,13 @@ def fit_gmm(
 
 
 def fit_gmm_bic(
-    data: np.ndarray, k_max: int, config: GmmConfig, rng: RngStream,
-    class_label: int | None = None,
+    data: np.ndarray, k_max: int, config: GmmConfig, rng: RngStream
 ) -> GmmModel:
     """Fit for K in 1..k_max and keep the lowest-BIC model."""
     n, d = data.shape
     best, best_bic = None, np.inf
     for k in range(1, k_max + 1):
-        model = fit_gmm(data, k, config, rng.derive(f"k{k}"), class_label)
+        model = fit_gmm(data, k, config, rng.derive(f"k{k}"))
         kk = model.n_components
         n_params = (kk - 1) + kk * d + kk * d * (d + 1) // 2
         bic = -2.0 * model.final_log_likelihood + n_params * np.log(n)
@@ -188,12 +185,10 @@ def augment_with_gmm(
     """One GMM per class; append proportional synthetic rows."""
     config = config or GmmConfig()
     rng = rng or RngStream(0, ("augment-gmm",))
-
-    def fit(data, label, stream):
-        if config.select_k_bic:
-            return fit_gmm_bic(data, config.bic_k_max, config, stream, label)
-        return fit_gmm(data, config.n_components, config, stream, label)
-
+    if config.select_k_bic:
+        fit = lambda data, stream: fit_gmm_bic(data, config.bic_k_max, config, stream)
+    else:
+        fit = lambda data, stream: fit_gmm(data, config.n_components, config, stream)
     return augment_per_class(
         train_features, train_labels, n_synthetic, fit, sample_gmm, rng, "gmm"
     )

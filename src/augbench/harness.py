@@ -31,7 +31,6 @@ from . import classifiers as clf
 from .augment import SyntheticBatch
 from .dataio import (
     PreprocessPlan,
-    RawTable,
     apply_preprocess,
     fit_preprocess,
     load_table,
@@ -166,19 +165,26 @@ def _build_section_config(defaults, overrides: dict):
     hints = typing.get_type_hints(type(defaults))
     for key, value in overrides.items():
         # None passes only where the field's annotation includes it. A
-        # numeric field (one whose default is a number, "auto" or None)
-        # takes a number, or "auto" where that is the default.
+        # field whose default is a tuple takes a list. A numeric field (one
+        # whose default is a number, "auto" or None) takes a number, or
+        # "auto" where that is the default; if its annotation includes int
+        # but not float, the number must be an integer.
+        types = typing.get_args(hints[key]) or (hints[key],)
         if value is None:
-            if type(None) not in typing.get_args(hints[key]):
+            if type(None) not in types:
                 raise ConfigError(f"{section}.{key} must not be null")
             continue
         default = current[key]
+        if isinstance(default, tuple) and not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{section}.{key} must be a list, got {value!r}")
         auto = default == "auto"
         numeric = auto or default is None or (
             isinstance(default, (int, float)) and not isinstance(default, bool))
-        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        integer = int in types and float not in types
+        kind = numbers.Integral if integer else numbers.Real
+        number = isinstance(value, kind) and not isinstance(value, bool)
         if numeric and not (number or (auto and value == "auto")):
-            expected = 'a number or "auto"' if auto else "a number"
+            expected = ("an integer" if integer else "a number") + (' or "auto"' if auto else "")
             raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
     clean = {
         k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()
@@ -279,17 +285,11 @@ class PreparedData:
 def prepare(config: ExperimentConfig) -> PreparedData:
     """Load the dataset, split it by `config.seed` and preprocess it."""
     table = load_table(config.dataset, config.schema)
-
-    label_i = table.label_index
-    y_all = np.array([int(r[label_i]) for r in table.rows])
-    split = stratified_split(y_all, config.test_fraction, RngStream(config.seed).derive("split"))
-
-    # Preprocessing statistics come from the training rows only.
-    train_table = RawTable(
-        table.column_names, table.column_kinds,
-        [table.rows[i] for i in split.train_indices], 0,
+    split = stratified_split(
+        table.labels, config.test_fraction, RngStream(config.seed).derive("split")
     )
-    plan = fit_preprocess(train_table)
+    # Preprocessing statistics come from the training rows only.
+    plan = fit_preprocess(table.take(split.train_indices))
     X_all, y_all = apply_preprocess(table, plan)
     tr, te = split.train_indices, split.test_indices
     return PreparedData(

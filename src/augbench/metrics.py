@@ -81,26 +81,15 @@ def roc_auc(y_true, scores) -> RocCurve:
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
     t_sorted = t[order]
-
-    points = [(0.0, 0.0)]
-    auc = 0.0
-    tp = fp = 0
-    i = 0
-    n = len(s_sorted)
-    while i < n:
-        # One step per distinct score value (tie group).
-        j = i
-        while j < n and s_sorted[j] == s_sorted[i]:
-            j += 1
-        tp += int(np.sum(t_sorted[i:j] == 1))
-        fp += int(np.sum(t_sorted[i:j] == 0))
-        fpr, tpr = fp / n_neg, tp / n_pos
-        prev_fpr, prev_tpr = points[-1]
-        auc += (fpr - prev_fpr) * (tpr + prev_tpr) / 2.0
-        points.append((fpr, tpr))
-        i = j
-
-    return RocCurve(points=points, auc=float(auc))
+    # One step per distinct score value: the last index of each tie group.
+    last = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))
+    fpr = np.concatenate([[0.0], np.cumsum(t_sorted == 0)[last] / n_neg])
+    tpr = np.concatenate([[0.0], np.cumsum(t_sorted == 1)[last] / n_pos])
+    # cumsum adds left to right (np.sum adds pairwise), so the AUC is the
+    # running total of the trapezoids in sweep order.
+    trapezoids = (fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0
+    auc = np.cumsum(trapezoids)[-1]
+    return RocCurve(points=list(zip(fpr.tolist(), tpr.tolist())), auc=float(auc))
 
 
 def roc_to_csv(curve: RocCurve) -> str:

@@ -38,7 +38,6 @@ class VaeModel:
     encoder: MlpParams  # output width 2*latent_dim: [mu | logvar]
     decoder: MlpParams
     latent_dim: int
-    class_label: int | None
     loss_history: list[tuple[int, float]]
 
     @property
@@ -52,9 +51,7 @@ def kl_divergence(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(mu**2 + var - 1.0 - logvar, axis=1)
 
 
-def init_vae(
-    n_features: int, config: VaeConfig, rng: RngStream, class_label: int | None = None
-) -> VaeModel:
+def init_vae(n_features: int, config: VaeConfig, rng: RngStream) -> VaeModel:
     enc = init_mlp(
         [n_features, config.hidden_size, 2 * config.latent_dim],
         ["relu", "identity"],
@@ -65,7 +62,7 @@ def init_vae(
         ["relu", "identity"],
         rng.derive("decoder"),
     )
-    return VaeModel(enc, dec, config.latent_dim, class_label, [])
+    return VaeModel(enc, dec, config.latent_dim, [])
 
 
 def vae_loss(
@@ -128,7 +125,6 @@ def train_vae(
     data: np.ndarray,
     config: VaeConfig | None = None,
     rng: RngStream | None = None,
-    class_label: int | None = None,
 ) -> VaeModel:
     """Full-batch Adam training; loss recorded once per epoch."""
     config = config or VaeConfig()
@@ -139,7 +135,7 @@ def train_vae(
     if data.shape[0] < 2:
         raise ValueError("need at least 2 rows to train")
 
-    model = init_vae(data.shape[1], config, rng.derive("init"), class_label)
+    model = init_vae(data.shape[1], config, rng.derive("init"))
     noise = rng.derive("noise")
     # Encoder and decoder step as one vector: rebuild both as views of it.
     params = np.concatenate([model.encoder.flat, model.decoder.flat])
@@ -181,10 +177,7 @@ def augment_with_vae(
     """One VAE per class; append proportional synthetic rows."""
     config = config or VaeConfig()
     rng = rng or RngStream(0, ("augment-vae",))
-
-    def fit(data, label, stream):
-        return train_vae(data, config, stream, label)
-
     return augment_per_class(
-        train_features, train_labels, n_synthetic, fit, sample_vae, rng, "vae"
+        train_features, train_labels, n_synthetic,
+        lambda data, stream: train_vae(data, config, stream), sample_vae, rng, "vae",
     )

@@ -34,19 +34,18 @@ def test_augment_per_class_routes_streams_and_stacks_rows():
     y = np.array([0, 0, 0, 0, 1, 1])
     seen = {}
 
-    def fit(data, label, stream):
-        seen[label] = (len(data), stream.path)
-        return ("model", label)
+    def fit(data, stream):
+        seen[stream.path] = len(data)
+        return data[0, 0]  # a "model" that names the class's first row
 
     def sample(model, n, stream):
-        return np.full((n, 2), float(model[1]) + 10.0)
+        return np.full((n, 2), model + 10.0)
 
     Xa, ya, prov = augment_per_class(X, y, 3, fit, sample, RngStream(0, ("t",)), "gmm")
-    assert seen[0] == (4, ("t", "fit-class0"))
-    assert seen[1] == (2, ("t", "fit-class1"))
+    assert seen == {("t", "fit-class0"): 4, ("t", "fit-class1"): 2}
     assert prov.per_class_counts == {0: 2, 1: 1}
     np.testing.assert_array_equal(Xa[:6], X)
-    np.testing.assert_array_equal(Xa[6:], [[10, 10], [10, 10], [11, 11]])
+    np.testing.assert_array_equal(Xa[6:], [[10, 10], [10, 10], [18, 18]])
     np.testing.assert_array_equal(ya, [0, 0, 0, 0, 1, 1, 0, 0, 1])
     assert prov.generator == "gmm"
     assert list(prov.models) == [0, 1]
@@ -56,7 +55,7 @@ def test_augment_per_class_zero_synthetic_copies_input():
     X = np.ones((4, 2))
     y = np.array([0, 0, 1, 1])
     Xa, ya, prov = augment_per_class(
-        X, y, 0, lambda d, l, s: None, lambda m, n, s: np.zeros((n, 2)),
+        X, y, 0, lambda d, s: None, lambda m, n, s: np.zeros((n, 2)),
         RngStream(0), "vae",
     )
     np.testing.assert_array_equal(Xa, X)
@@ -69,6 +68,6 @@ def test_augment_per_class_requires_both_classes():
     with pytest.raises(ValueError):
         augment_per_class(
             np.ones((3, 1)), np.zeros(3, dtype=int), 5,
-            lambda d, l, s: None, lambda m, n, s: np.zeros((n, 1)),
+            lambda d, s: None, lambda m, n, s: np.zeros((n, 1)),
             RngStream(0), "gmm",
         )

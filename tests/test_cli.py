@@ -147,11 +147,16 @@ def test_string_for_numeric_hyperparameter_fails_before_training(
 
 
 @pytest.mark.parametrize("section, key, value, message", [
-    ("tree", "max_depth", [1], 'TreeConfig.max_depth must be a number or "auto", got [1]'),
+    ("tree", "max_depth", [1], 'TreeConfig.max_depth must be an integer or "auto", got [1]'),
     ("tree", "max_depth", {"d": 1},
-     "TreeConfig.max_depth must be a number or \"auto\", got {'d': 1}"),
+     "TreeConfig.max_depth must be an integer or \"auto\", got {'d': 1}"),
     ("svm_rbf", "gamma", [0.5], "RbfSvmConfig.gamma must be a number, got [0.5]"),
     ("gmm", "n_components", None, "GmmConfig.n_components must not be null"),
+    ("vae", "epochs", 10.0, "VaeConfig.epochs must be an integer, got 10.0"),
+    ("gan", "epochs", 5.0, "GanConfig.epochs must be an integer, got 5.0"),
+    ("knn", "k", 3.0, 'KnnConfig.k must be an integer or "auto", got 3.0'),
+    ("dense", "hidden", 5, "DenseNetConfig.hidden must be a list, got 5"),
+    ("tree", "depth_grid", "abc", "TreeConfig.depth_grid must be a list, got 'abc'"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_list_or_object_for_numeric_hyperparameter_fails_before_training(

@@ -1,5 +1,8 @@
 """CSV ingestion, preprocessing plans and stratified splitting."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -25,10 +28,12 @@ def write(tmp_path, body, name="d.csv"):
 def test_load_table_happy_path(tmp_path, schema):
     p = write(tmp_path, "1,Male,30,50000,0\n2,Female,45,90000,1\n")
     t = load_table(p, schema)
-    assert len(t.rows) == 2
+    assert list(t.columns) == ["gender", "age", "salary"]  # identifier dropped
     assert t.dropped_row_count == 0
-    assert t.column("age") == ["30", "45"]
-    assert t.label_index == 4
+    np.testing.assert_array_equal(t.columns["age"], [30.0, 45.0])
+    assert t.columns["age"].dtype == np.float64
+    assert t.columns["gender"].tolist() == ["Male", "Female"]
+    np.testing.assert_array_equal(t.labels, [0, 1])
 
 
 def test_load_table_drops_bad_rows(tmp_path, schema):
@@ -40,7 +45,8 @@ def test_load_table_drops_bad_rows(tmp_path, schema):
         "5,Female,50,70000,1\n"
     )
     t = load_table(write(tmp_path, body), schema)
-    assert len(t.rows) == 2
+    np.testing.assert_array_equal(t.columns["age"], [30.0, 50.0])
+    np.testing.assert_array_equal(t.labels, [0, 1])
     assert t.dropped_row_count == 3
 
 
@@ -91,24 +97,102 @@ def test_apply_preprocess_zscores_and_one_hot(tmp_path, schema):
     np.testing.assert_array_equal(X[:, female], [0.0, 1.0])
 
 
-def test_apply_preprocess_unseen_category_zero_block(tmp_path, schema):
+def test_apply_preprocess_unseen_category_zero_block(tmp_path, schema, caplog):
     train = load_table(write(tmp_path, "1,Male,20,50000,0\n2,Male,40,90000,1\n"), schema)
     plan = fit_preprocess(train)
     other = load_table(
-        write(tmp_path, "3,Female,30,60000,0\n4,Male,35,70000,1\n", "o.csv"), schema
+        write(tmp_path, "3,Female,30,60000,0\n4,Male,35,70000,1\n5,Female,25,40000,1\n",
+              "o.csv"),
+        schema,
     )
     X, _ = apply_preprocess(other, plan)
     male = plan.feature_order.index("gender=Male")
-    assert X[0, male] == 0.0  # unseen Female -> all-zero block
-    assert X[1, male] == 1.0
+    np.testing.assert_array_equal(X[:, male], [0.0, 1.0, 0.0])  # unseen Female -> zeros
+    assert [r.getMessage() for r in caplog.records if "unseen" in r.getMessage()] == [
+        "unseen category 'Female' in column 'gender' -> zero block"  # once per value
+    ]
 
 
 def test_fixture_loads_cleanly(fixture_csv, schema):
     t = load_table(fixture_csv, schema)
-    assert len(t.rows) == 400
+    assert len(t.labels) == 400
     assert t.dropped_row_count == 0
-    labels = [r[t.label_index] for r in t.rows]
-    assert labels.count("1") == 144 and labels.count("0") == 256
+    assert np.sum(t.labels == 1) == 144 and np.sum(t.labels == 0) == 256
+
+
+ID, LABEL = "row_id", "target"
+CATEGORIES = ("a", "b", "c", "Male", "x y")
+BAD_NUMBERS = ("abc", "nan", "inf", "-inf", "")
+BAD_LABELS = ("2", "-1", "", "yes", "1.0")
+
+
+@st.composite
+def csv_with_bad_rows(draw):
+    """A shuffled schema with an identifier, categorical and numeric
+    columns and a label; CSV lines with some bad rows mixed in; the good
+    rows in file order; and a nonempty set of training rows among them."""
+    n_cat, n_num = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    cats = [f"c{j}" for j in range(n_cat)]
+    nums = [f"x{j}" for j in range(n_num)]
+    kinds = {ID: "identifier", LABEL: "label"}
+    kinds.update({c: "categorical" for c in cats})
+    kinds.update({x: "numeric" for x in nums})
+    schema = {name: kinds[name] for name in draw(st.permutations(list(kinds)))}
+
+    def row(k):
+        r = {ID: str(k), LABEL: draw(st.sampled_from("01"))}
+        r.update({c: draw(st.sampled_from(CATEGORIES)) for c in cats})
+        r.update({x: str(draw(st.integers(-4000, 4000)) / 4) for x in nums})
+        return r
+
+    lines, good = [], []
+    for k in range(draw(st.integers(1, 30))):
+        r = row(k)
+        fault = draw(st.sampled_from([None, None, None, "number", "label", "count"]))
+        if fault == "number":
+            r[draw(st.sampled_from(nums))] = draw(st.sampled_from(BAD_NUMBERS))
+        elif fault == "label":
+            r[LABEL] = draw(st.sampled_from(BAD_LABELS))
+        cells = [r[name] for name in schema]
+        if fault == "count":
+            cells = draw(st.sampled_from([cells[:-1], cells + ["extra"]]))
+        if fault is None:
+            good.append(r)
+        lines.append(",".join(cells))
+    if not good:
+        good.append(row(len(lines)))
+        lines.append(",".join(good[-1][name] for name in schema))
+    train = draw(st.sets(st.integers(0, len(good) - 1), min_size=1))
+    return schema, lines, good, np.array(sorted(train))
+
+
+@given(csv_with_bad_rows())
+def test_table_drops_bad_rows_and_preprocesses_on_training_rows(case):
+    schema, lines, good, rows = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text(",".join(schema) + "\n" + "\n".join(lines) + "\n")
+        table = load_table(path, schema)
+
+    assert table.dropped_row_count == len(lines) - len(good)
+    np.testing.assert_array_equal(table.labels, [int(r[LABEL]) for r in good])
+    plan = fit_preprocess(table.take(rows))
+    X, y = apply_preprocess(table, plan)
+    np.testing.assert_array_equal(y, table.labels)
+
+    numeric = [n for n, k in schema.items() if k == "numeric"]
+    assert sorted([*plan.numeric_stats, *plan.excluded_columns]) == sorted(numeric)
+    for name in plan.numeric_stats:
+        z = X[rows, plan.feature_order.index(name)]
+        assert abs(z.mean()) <= 1e-9
+        assert abs(z.std() - 1.0) <= 1e-9
+    other = np.setdiff1d(np.arange(len(good)), rows)
+    for name, cmap in plan.category_maps.items():
+        block = X[:, [plan.feature_order.index(f"{name}={cat}") for cat in cmap]]
+        np.testing.assert_array_equal(block[rows].sum(axis=1), 1.0)
+        assert set(block[other].sum(axis=1).tolist()) <= {0.0, 1.0}
+    for feature in plan.feature_order:
+        assert feature.partition("=")[0] not in (ID, LABEL)
 
 
 def test_stratified_split_proportions_and_disjointness():

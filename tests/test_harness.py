@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from augbench.classifiers import fit_decision_tree, predict_labels
-from augbench.dataio import RawTable, apply_preprocess, fit_preprocess, load_table, stratified_split
+from augbench.dataio import apply_preprocess, fit_preprocess, load_table, stratified_split
 from augbench import harness
 from augbench.gan import GanConfig
 from augbench.harness import (
@@ -112,16 +112,16 @@ def test_module_configs_rejects_unknown_keys():
         module_configs(fast_config(hyperparams={"tree": {"depth": 3}}))
 
 
-@pytest.mark.parametrize("section", [
-    {"tree": {"max_depth": "5"}},
-    {"tree": {"max_depth": True}},
-    {"knn": {"k": "3"}},
-    {"logistic": {"epochs": "1000"}},
-    {"gmm": {"tol": False}},
-    {"gan": {"vae": {"latent_dim": "4"}}},
-])
-def test_module_configs_rejects_string_or_bool_for_numeric_field(section):
-    with pytest.raises(ConfigError, match="must be a number"):
+@pytest.mark.parametrize("section, expected", [
+    ({"tree": {"max_depth": "5"}}, 'max_depth must be an integer or "auto", got'),
+    ({"tree": {"max_depth": True}}, 'max_depth must be an integer or "auto", got'),
+    ({"knn": {"k": "3"}}, 'k must be an integer or "auto", got'),
+    ({"logistic": {"epochs": "1000"}}, "epochs must be an integer, got"),
+    ({"gmm": {"tol": False}}, "tol must be a number, got"),
+    ({"gan": {"vae": {"latent_dim": "4"}}}, "latent_dim must be an integer, got"),
+], ids=[f"section{i}" for i in range(6)])
+def test_module_configs_rejects_string_or_bool_for_numeric_field(section, expected):
+    with pytest.raises(ConfigError, match=expected):
         module_configs(fast_config(hyperparams=section))
 
 
@@ -157,12 +157,9 @@ def test_none_cell_equals_direct_training():
     cell = bundle.cell("none", "tree")
 
     table = load_table(cfg.dataset, cfg.schema)
-    y_all = np.array([int(r[table.label_index]) for r in table.rows])
     rng = RngStream(cfg.seed)
-    split = stratified_split(y_all, cfg.test_fraction, rng.derive("split"))
-    train_table = RawTable(table.column_names, table.column_kinds,
-                           [table.rows[i] for i in split.train_indices], 0)
-    plan = fit_preprocess(train_table)
+    split = stratified_split(table.labels, cfg.test_fraction, rng.derive("split"))
+    plan = fit_preprocess(table.take(split.train_indices))
     X, y = apply_preprocess(table, plan)
     Xtr, ytr = X[split.train_indices], y[split.train_indices]
     Xte, yte = X[split.test_indices], y[split.test_indices]

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from augbench.metrics import MetricError, accuracy, confusion, f1, roc_auc, roc_to_csv
+from augbench.metrics import (
+    MetricError,
+    RocCurve,
+    accuracy,
+    confusion,
+    f1,
+    roc_auc,
+    roc_to_csv,
+)
 
 
 def pair_count_auc(y_true, scores) -> float:
@@ -18,6 +26,36 @@ def pair_count_auc(y_true, scores) -> float:
     for p in pos:
         total += np.sum(p > neg) + 0.5 * np.sum(p == neg)
     return total / (len(pos) * len(neg))
+
+
+def tie_group_loop_roc(y_true, scores) -> RocCurve:
+    """Sweep oracle: one step per tie group, with a running trapezoid sum.
+    `roc_auc` must reproduce its points and AUC bit for bit."""
+    t = np.asarray(y_true)
+    s = np.asarray(scores, dtype=float)
+    n_pos = int(np.sum(t == 1))
+    n_neg = int(np.sum(t == 0))
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    t_sorted = t[order]
+
+    points = [(0.0, 0.0)]
+    auc = 0.0
+    tp = fp = 0
+    i = 0
+    n = len(s_sorted)
+    while i < n:
+        j = i
+        while j < n and s_sorted[j] == s_sorted[i]:
+            j += 1
+        tp += int(np.sum(t_sorted[i:j] == 1))
+        fp += int(np.sum(t_sorted[i:j] == 0))
+        fpr, tpr = fp / n_neg, tp / n_pos
+        prev_fpr, prev_tpr = points[-1]
+        auc += (fpr - prev_fpr) * (tpr + prev_tpr) / 2.0
+        points.append((fpr, tpr))
+        i = j
+    return RocCurve(points=points, auc=float(auc))
 
 
 def test_confusion_hand_values():
@@ -97,6 +135,24 @@ def test_auc_equals_pair_counting_property(rows):
     curve = roc_auc(y, s)
     assert 0.0 <= curve.auc <= 1.0
     assert curve.auc == pytest.approx(pair_count_auc(y, s), abs=1e-12)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.one_of(st.integers(-3, 3), st.floats(-1e3, 1e3)),
+        ),
+        min_size=2,
+        max_size=120,
+    ).filter(lambda rows: len({t for t, _ in rows}) == 2)
+)
+def test_roc_auc_equals_the_tie_group_loop_exactly(rows):
+    y = [t for t, _ in rows]
+    s = [float(v) for _, v in rows]
+    curve, oracle = roc_auc(y, s), tie_group_loop_roc(y, s)
+    assert curve.points == oracle.points
+    assert curve.auc == oracle.auc
 
 
 def test_auc_hand_case_three_of_four_pairs():
