@@ -71,20 +71,7 @@ def augment_per_class(
             synth_X.append(rows)
             synth_y.append(np.full(counts[c], c, dtype=train_labels.dtype))
 
-    if synth_X:
-        aug_X = np.vstack([train_features] + synth_X)
-        aug_y = np.concatenate([train_labels] + synth_y)
-    else:
-        aug_X = train_features.copy()
-        aug_y = train_labels.copy()
-
-    mask = np.zeros(len(aug_y), dtype=bool)
-    mask[n_orig:] = True
-    provenance = SyntheticBatch(
-        generator=generator_id,
-        n_synthetic=n_synthetic,
-        per_class_counts=counts,
-        synthetic_mask=mask,
-        models=models,
-    )
-    return aug_X, aug_y, provenance
+    aug_X = np.vstack([train_features] + synth_X)
+    aug_y = np.concatenate([train_labels] + synth_y)
+    mask = np.arange(len(aug_y)) >= n_orig
+    return aug_X, aug_y, SyntheticBatch(generator_id, n_synthetic, counts, mask, models)

@@ -8,6 +8,7 @@ the smallest k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -21,9 +22,9 @@ DIST_EPS = 1e-9
 
 @dataclass
 class KnnConfig:
-    k: int | str = "auto"  # "auto" = pick from k_grid by CV
-    k_grid: tuple = DEFAULT_K_GRID
-    weighting: str = "inverse"  # "uniform" | "inverse"
+    k: int | Literal["auto"] = "auto"  # "auto" = pick from k_grid by CV
+    k_grid: tuple[int, ...] = DEFAULT_K_GRID
+    weighting: Literal["uniform", "inverse"] = "inverse"
     cv_folds: int = 5
 
 

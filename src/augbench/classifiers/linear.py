@@ -22,6 +22,7 @@ loss is computed on the training path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -35,8 +36,8 @@ SVM_LAMBDA_GRID = (1.0, 0.1, 0.01, 0.001)
 
 @dataclass
 class LogisticConfig:
-    reg_lambda: float | str = "auto"
-    lambda_grid: tuple = LOGISTIC_LAMBDA_GRID
+    reg_lambda: float | Literal["auto"] = "auto"
+    lambda_grid: tuple[float, ...] = LOGISTIC_LAMBDA_GRID
     epochs: int = 1000
     learning_rate: float = 0.05
     cv_folds: int = 5
@@ -44,8 +45,8 @@ class LogisticConfig:
 
 @dataclass
 class LinearSvmConfig:
-    reg_lambda: float | str = "auto"
-    lambda_grid: tuple = SVM_LAMBDA_GRID
+    reg_lambda: float | Literal["auto"] = "auto"
+    lambda_grid: tuple[float, ...] = SVM_LAMBDA_GRID
     epochs: int = 2000
     cv_folds: int = 5
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -26,8 +27,8 @@ DEFAULT_C_GRID = (0.1, 1.0, 10.0)
 
 @dataclass
 class RbfSvmConfig:
-    C: float | str = "auto"
-    c_grid: tuple = DEFAULT_C_GRID
+    C: float | Literal["auto"] = "auto"
+    c_grid: tuple[float, ...] = DEFAULT_C_GRID
     gamma: float | None = None  # None = 1/d
     kkt_tol: float = 1e-3
     max_iter: int = 20000

@@ -9,6 +9,7 @@ depth control comes from `max_depth`, chosen by cross-validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -20,8 +21,8 @@ DEFAULT_DEPTH_GRID: tuple = (2, 3, 4, 5, 6, 8, None)
 
 @dataclass
 class TreeConfig:
-    max_depth: int | None | str = "auto"  # "auto" = pick from depth_grid by CV
-    depth_grid: tuple = DEFAULT_DEPTH_GRID
+    max_depth: int | None | Literal["auto"] = "auto"  # "auto" = pick from depth_grid by CV
+    depth_grid: tuple[int | None, ...] = DEFAULT_DEPTH_GRID
     min_samples_split: int = 2
     cv_folds: int = 5
 

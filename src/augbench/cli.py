@@ -23,6 +23,7 @@ from .harness import (
     AUGMENTER_IDS,
     ConfigError,
     ExperimentConfig,
+    GeneratorError,
     build_augmented_sets,
     emit_report,
     export_synthetic_csv,
@@ -36,7 +37,10 @@ def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_json(args.config)
     env_seed = os.environ.get("AUGBENCH_SEED")
     if env_seed is not None:
-        config = dataclasses.replace(config, seed=int(env_seed))
+        try:
+            config = dataclasses.replace(config, seed=int(env_seed))
+        except ValueError:
+            raise ConfigError(f"AUGBENCH_SEED must be an integer, got {env_seed!r}") from None
     if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, seed=args.seed)
     if getattr(args, "out", None) is not None:
@@ -89,13 +93,14 @@ def _cmd_augment(args) -> int:
     if args.generator not in AUGMENTER_IDS or args.generator == "none":
         raise ConfigError(f"--generator must be one of gmm, vae, gan")
     config = dataclasses.replace(config, augmenters=(args.generator,))
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     data = prepare(config)
     sets = build_augmented_sets(config, data.X_train, data.y_train, module_configs(config))
+    if isinstance(sets[args.generator], GeneratorError):
+        raise sets[args.generator]
     Xa, ya, prov = sets[args.generator]
     mask = prov.synthetic_mask
+    outdir = Path(config.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"synthetic_{args.generator}.csv"
     path.write_text(export_synthetic_csv(Xa[mask], ya[mask], data.plan))
     print(f"wrote {int(mask.sum())} synthetic rows to {path}")
@@ -148,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (ConfigError, DataError, ValueError) as e:
+    except (ConfigError, DataError, GeneratorError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
 import numbers
 import time
+import types
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -55,31 +58,68 @@ CLASSIFIER_NAMES = {
     "dense": "Dense Network",
 }
 
-_CONFIG_KEYS = {
-    "dataset", "schema", "seed", "test_fraction", "augmenters", "n_synthetic",
-    "classifiers", "hyperparams", "output_dir", "export_synthetic",
+_SECTIONS = {
+    "gmm": GmmConfig, "vae": VaeConfig, "gan": GanConfig, "tree": clf.TreeConfig,
+    "knn": clf.KnnConfig, "logistic": clf.LogisticConfig, "svm_linear": clf.LinearSvmConfig,
+    "svm_rbf": clf.RbfSvmConfig, "dense": clf.DenseNetConfig,
 }
-_HYPERPARAM_SECTIONS = {
-    "gmm", "vae", "gan", "tree", "knn", "logistic", "svm_linear", "svm_rbf", "dense",
+# The values each scalar annotation accepts, and how an error names them. A
+# bool is neither an integer nor a number here, although Python counts it as
+# both. An error never suggests null.
+_SCALARS = {
+    type(None): (type(None), ""), bool: (bool, "true or false"),
+    int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+    str: (str, "a string"),
 }
-# The type each config field must have, and how an error names it. A bool
-# is rejected where a number is expected, although Python counts it as one.
-_FIELD_TYPES = {
-    "dataset": (str, "a string"),
-    "schema": (dict, "an object"),
-    "seed": (numbers.Integral, "an integer"),
-    "test_fraction": (numbers.Real, "a number"),
-    "augmenters": ((list, tuple), "a list"),
-    "n_synthetic": (numbers.Integral, "an integer"),
-    "classifiers": ((list, tuple), "a list"),
-    "hyperparams": (dict, "an object"),
-    "output_dir": (str, "a string"),
-    "export_synthetic": (bool, "true or false"),
-}
+_hints = functools.cache(typing.get_type_hints)
 
 
 class ConfigError(Exception):
     pass
+
+
+class GeneratorError(Exception):
+    """A generator raised; the message is "{type}: {message}" of its error."""
+
+
+def _check(where: str, value, hint):
+    """Return `value` if it matches the annotation `hint`, with each list
+    turned into a tuple; otherwise raise one ConfigError naming `where`.
+    `hint` is a scalar, None, a Literal of strings, tuple[T, ...],
+    tuple[T1, T2], dict[str, T], dict, or a union of these."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    expected = []
+    for m in typing.get_args(hint) if union else (hint,):
+        origin, args = typing.get_origin(m) or m, typing.get_args(m)
+        if origin is Literal:
+            if isinstance(value, str) and value in args:
+                return value
+            expected += map(json.dumps, args)
+        elif origin is tuple:
+            fixed = args[-1:] != (...,)
+            if isinstance(value, (list, tuple)) and (not fixed or len(value) == len(args)):
+                elems = args if fixed else args[:1] * len(value)
+                return tuple(
+                    _check(f"{where}[{i}]", v, a) for i, (v, a) in enumerate(zip(value, elems))
+                )
+            expected.append(f"a list of {len(args)}" if fixed else "a list")
+        elif origin is dict:
+            if isinstance(value, dict):
+                return {
+                    k: _check(f"{where}.{k}" if str(k).isidentifier() else f"{where}[{k!r}]",
+                              v, args[1])
+                    for k, v in value.items()
+                } if args else value
+            expected.append("an object")
+        else:
+            kind, name = _SCALARS[m]
+            if isinstance(value, kind) and (m is bool or not isinstance(value, bool)):
+                return value
+            expected.append(name)
+    *rest, last = filter(None, expected)
+    raise ConfigError(
+        f"{where} must be {', '.join(rest) + ' or ' if rest else ''}{last}, got {value!r}"
+    )
 
 
 @dataclass
@@ -88,28 +128,18 @@ class ExperimentConfig:
     schema: dict[str, str]
     seed: int = 0
     test_fraction: float = 0.25
-    augmenters: tuple[str, ...] = AUGMENTER_IDS
+    augmenters: tuple[Literal[AUGMENTER_IDS], ...] = AUGMENTER_IDS
     n_synthetic: int = 200
-    classifiers: tuple[str, ...] = CLASSIFIER_IDS
-    hyperparams: dict = field(default_factory=dict)
+    classifiers: tuple[Literal[CLASSIFIER_IDS], ...] = CLASSIFIER_IDS
+    hyperparams: dict[str, dict] = field(default_factory=dict)
     output_dir: str = "out"
     export_synthetic: bool = False
 
     def __post_init__(self):
-        for name, (types, expected) in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-                raise ConfigError(f"{name} must be {expected}, got {value!r}")
-        self.augmenters = tuple(self.augmenters)
-        self.classifiers = tuple(self.classifiers)
+        for name, hint in _hints(ExperimentConfig).items():
+            setattr(self, name, _check(name, getattr(self, name), hint))
         if not self.augmenters or not self.classifiers:
             raise ConfigError("augmenter and classifier sets must be nonempty")
-        for a in self.augmenters:
-            if a not in AUGMENTER_IDS:
-                raise ConfigError(f"unknown augmenter {a!r}; choose from {AUGMENTER_IDS}")
-        for c in self.classifiers:
-            if c not in CLASSIFIER_IDS:
-                raise ConfigError(f"unknown classifier {c!r}; choose from {CLASSIFIER_IDS}")
         for name in ("augmenters", "classifiers"):
             ids = getattr(self, name)
             for k, x in enumerate(ids):
@@ -119,15 +149,13 @@ class ExperimentConfig:
             raise ConfigError("test_fraction must lie in (0, 1)")
         if self.n_synthetic < 0:
             raise ConfigError("n_synthetic must be nonnegative")
-        for section, kv in self.hyperparams.items():
-            if section not in _HYPERPARAM_SECTIONS:
+        for section in self.hyperparams:
+            if section not in _SECTIONS:
                 raise ConfigError(f"unknown hyperparams section {section!r}")
-            if not isinstance(kv, dict):
-                raise ConfigError(f"hyperparams.{section} must be an object")
 
     @classmethod
     def from_dict(cls, d: dict, base_dir: Path | None = None) -> "ExperimentConfig":
-        unknown = set(d) - _CONFIG_KEYS
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for required in ("dataset", "schema"):
@@ -158,65 +186,32 @@ class ExperimentConfig:
 
 def _build_section_config(defaults, overrides: dict):
     section = type(defaults).__name__
-    current = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(defaults)}
-    unknown = set(overrides) - set(current)
+    hints = _hints(type(defaults))
+    unknown = set(overrides) - set(hints)
     if unknown:
         raise ConfigError(f"unknown hyperparameter keys {sorted(unknown)} for {section}")
-    hints = typing.get_type_hints(type(defaults))
-    for key, value in overrides.items():
-        # None passes only where the field's annotation includes it. A
-        # field whose default is a tuple takes a list. A numeric field (one
-        # whose default is a number, "auto" or None) takes a number, or
-        # "auto" where that is the default; if its annotation includes int
-        # but not float, the number must be an integer.
-        types = typing.get_args(hints[key]) or (hints[key],)
-        if value is None:
-            if type(None) not in types:
-                raise ConfigError(f"{section}.{key} must not be null")
-            continue
-        default = current[key]
-        if isinstance(default, tuple) and not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{section}.{key} must be a list, got {value!r}")
-        auto = default == "auto"
-        numeric = auto or default is None or (
-            isinstance(default, (int, float)) and not isinstance(default, bool))
-        integer = int in types and float not in types
-        kind = numbers.Integral if integer else numbers.Real
-        number = isinstance(value, kind) and not isinstance(value, bool)
-        if numeric and not (number or (auto and value == "auto")):
-            expected = ("an integer" if integer else "a number") + (' or "auto"' if auto else "")
-            raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
-    clean = {
-        k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()
-    }
-    return replace(defaults, **clean)
+    return replace(defaults, **{
+        key: _check(f"{section}.{key}", value, hints[key]) for key, value in overrides.items()
+    })
 
 
 def module_configs(config: ExperimentConfig) -> dict:
     hp = config.hyperparams
-    vae_cfg = _build_section_config(VaeConfig(), hp.get("vae", {}))
+    cfgs = {
+        name: _build_section_config(cls(), hp.get(name, {}))
+        for name, cls in _SECTIONS.items() if name != "gan"
+    }
+    # gan.vae overrides hyperparams.vae, except for the epochs it never uses.
     gan_over = dict(hp.get("gan", {}))
-    gan_vae_over = gan_over.pop("vae", {})
-    if not isinstance(gan_vae_over, dict):
-        raise ConfigError("hyperparams.gan.vae must be an object")
+    gan_vae_over = _check("hyperparams.gan.vae", gan_over.pop("vae", {}), dict)
     if "epochs" in gan_vae_over:
         raise ConfigError(
             "hyperparams.gan.vae.epochs is not used; the GAN pretrains its VAE "
             "for gan.pretrain_epochs"
         )
-    gan_vae = _build_section_config(vae_cfg, gan_vae_over)
-    gan_cfg = _build_section_config(GanConfig(vae=gan_vae), gan_over)
-    return {
-        "gmm": _build_section_config(GmmConfig(), hp.get("gmm", {})),
-        "vae": vae_cfg,
-        "gan": gan_cfg,
-        "tree": _build_section_config(clf.TreeConfig(), hp.get("tree", {})),
-        "knn": _build_section_config(clf.KnnConfig(), hp.get("knn", {})),
-        "logistic": _build_section_config(clf.LogisticConfig(), hp.get("logistic", {})),
-        "svm_linear": _build_section_config(clf.LinearSvmConfig(), hp.get("svm_linear", {})),
-        "svm_rbf": _build_section_config(clf.RbfSvmConfig(), hp.get("svm_rbf", {})),
-        "dense": _build_section_config(clf.DenseNetConfig(), hp.get("dense", {})),
-    }
+    gan_vae = _build_section_config(cfgs["vae"], gan_vae_over)
+    cfgs["gan"] = _build_section_config(GanConfig(vae=gan_vae), gan_over)
+    return cfgs
 
 
 _FITTERS = {
@@ -302,9 +297,10 @@ def build_augmented_sets(
     X_train: np.ndarray,
     y_train: np.ndarray,
     cfgs: dict,
-) -> dict[str, tuple[np.ndarray, np.ndarray, SyntheticBatch | None]]:
+) -> dict[str, tuple[np.ndarray, np.ndarray, SyntheticBatch | None] | GeneratorError]:
     """One training set per augmenter, each generator drawing from its own
-    stream of `config.seed`; `cfgs` is `module_configs(config)`."""
+    stream of `config.seed`; `cfgs` is `module_configs(config)`. A generator
+    that raises gets a GeneratorError in place of its set."""
     rng = RngStream(config.seed).derive("augment")
     sets = {}
     for aug in config.augmenters:
@@ -312,9 +308,13 @@ def build_augmented_sets(
             sets[aug] = (X_train, y_train, None)
             continue
         fn = {"gmm": augment_with_gmm, "vae": augment_with_vae, "gan": augment_with_gan}[aug]
-        sets[aug] = fn(
-            X_train, y_train, config.n_synthetic, cfgs[aug], rng.derive(aug)
-        )
+        try:
+            # A diverging generator stops at its first overflow, not at the
+            # non-finite gradient that follows a stream of warnings.
+            with np.errstate(over="raise", invalid="raise"):
+                sets[aug] = fn(X_train, y_train, config.n_synthetic, cfgs[aug], rng.derive(aug))
+        except Exception as e:  # a failed generator fails its row, not the grid
+            sets[aug] = GeneratorError(f"{type(e).__name__}: {e}")
     return sets
 
 
@@ -355,25 +355,24 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     X_test, y_test = data.X_test, data.y_test
 
     aug_sets = build_augmented_sets(config, X_train, y_train, cfgs)
+    built = {a: s for a, s in aug_sets.items() if not isinstance(s, GeneratorError)}
 
     # Test purity: the test set comes straight from the original split and
     # no augmented set may mark an original row as synthetic.
-    contamination = bool(np.intersect1d(data.train_indices, data.test_indices).size)
-    for aug, (_, ya, prov) in aug_sets.items():
-        if prov is not None:
-            if prov.synthetic_mask[: len(y_train)].any():
-                contamination = True
-            if len(ya) != len(y_train) + prov.n_synthetic:
-                contamination = True
+    contamination = bool(np.intersect1d(data.train_indices, data.test_indices).size) or any(
+        prov.synthetic_mask[: len(y_train)].any() or len(ya) != len(y_train) + prov.n_synthetic
+        for _, ya, prov in built.values() if prov is not None
+    )
 
     results = []
     for aug in config.augmenters:
-        X_aug, y_aug, _ = aug_sets[aug]
         for c in config.classifiers:
-            cell_rng = RngStream(config.seed, ("cell", aug, c))
-            results.append(
-                _run_cell(aug, c, X_aug, y_aug, X_test, y_test, cfgs[c], cell_rng)
-            )
+            if aug in built:  # else its generator failed, and so does the cell
+                X_aug, y_aug, _ = built[aug]
+                cell_rng = RngStream(config.seed, ("cell", aug, c))
+                results.append(_run_cell(aug, c, X_aug, y_aug, X_test, y_test, cfgs[c], cell_rng))
+            else:
+                results.append(EvalResult(aug, c, error=str(aug_sets[aug])))
 
     return ReportBundle(
         config=config,
@@ -381,10 +380,10 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
         n_train=len(y_train),
         n_test=len(y_test),
         plan=data.plan,
-        provenances={a: s[2] for a, s in aug_sets.items()},
+        provenances={a: s[2] for a, s in built.items()},
         synthetic={
             a: (Xa[prov.synthetic_mask], ya[prov.synthetic_mask])
-            for a, (Xa, ya, prov) in aug_sets.items() if prov is not None
+            for a, (Xa, ya, prov) in built.items() if prov is not None
         },
         contamination=contamination,
     )

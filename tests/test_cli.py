@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -151,18 +152,46 @@ def test_string_for_numeric_hyperparameter_fails_before_training(
     ("tree", "max_depth", {"d": 1},
      "TreeConfig.max_depth must be an integer or \"auto\", got {'d': 1}"),
     ("svm_rbf", "gamma", [0.5], "RbfSvmConfig.gamma must be a number, got [0.5]"),
-    ("gmm", "n_components", None, "GmmConfig.n_components must not be null"),
+    ("gmm", "n_components", None, "GmmConfig.n_components must be an integer, got None"),
     ("vae", "epochs", 10.0, "VaeConfig.epochs must be an integer, got 10.0"),
     ("gan", "epochs", 5.0, "GanConfig.epochs must be an integer, got 5.0"),
     ("knn", "k", 3.0, 'KnnConfig.k must be an integer or "auto", got 3.0'),
-    ("dense", "hidden", 5, "DenseNetConfig.hidden must be a list, got 5"),
+    ("dense", "hidden", 5, "DenseNetConfig.hidden must be a list of 2, got 5"),
     ("tree", "depth_grid", "abc", "TreeConfig.depth_grid must be a list, got 'abc'"),
+    ("gmm", "select_k_bic", "yes", "GmmConfig.select_k_bic must be true or false, got 'yes'"),
+    ("dense", "hidden", [8], "DenseNetConfig.hidden must be a list of 2, got [8]"),
+    ("dense", "hidden", [1.5, 2], "DenseNetConfig.hidden[0] must be an integer, got 1.5"),
+    ("gan", "disc_hidden", [4], "GanConfig.disc_hidden must be a list of 2, got [4]"),
+    ("knn", "weighting", 3, 'KnnConfig.weighting must be "uniform" or "inverse", got 3'),
+    ("knn", "weighting", "cosine",
+     'KnnConfig.weighting must be "uniform" or "inverse", got \'cosine\''),
+    ("tree", "depth_grid", ["a"], "TreeConfig.depth_grid[0] must be an integer, got 'a'"),
+    ("logistic", "lambda_grid", ["x"], "LogisticConfig.lambda_grid[0] must be a number, got 'x'"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_list_or_object_for_numeric_hyperparameter_fails_before_training(
         tmp_path, capsys, command, section, key, value, message):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(FAST, hyperparams={section: {key: value}})))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(p)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("schema", dict(SCHEMA, age=1), "schema.age must be a string, got 1"),
+    ("augmenters", ["none", 1],
+     'augmenters[1] must be "none", "gmm", "vae" or "gan", got 1'),
+    ("classifiers", ["tree", "forest"],
+     'classifiers[1] must be "tree", "knn", "logistic", "svm_rbf", "svm_linear" or "dense", '
+     "got 'forest'"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_wrong_element_names_the_element(tmp_path, capsys, command, key, value, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, **{key: value})))
     out = tmp_path / "out"
     argv = [command, "--config", str(p)] + (["--out", str(out)] if command == "run" else [])
     assert main(argv) == 1
@@ -220,6 +249,51 @@ def test_seed_precedence_flag_over_env_over_file(config_path, tmp_path, monkeypa
     main(["run", "--config", str(config_path), "--out", str(out_flag),
           "--seed", "22"])
     assert json.loads((out_flag / "run_meta.json").read_text())["seed"] == 22
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_bad_seed_env_var_is_a_one_line_error(config_path, tmp_path, capsys, monkeypatch,
+                                              command):
+    monkeypatch.setenv("AUGBENCH_SEED", "abc")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config_path)]
+    assert main(argv + (["--out", str(out)] if command == "run" else [])) == 1
+    assert capsys.readouterr().err == "error: AUGBENCH_SEED must be an integer, got 'abc'\n"
+    assert not out.exists()
+
+
+DIVERGING_VAE = dict(
+    FAST, augmenters=["none", "vae"], classifiers=["tree"],
+    hyperparams={"vae": {"learning_rate": 1e300, "epochs": 20}},
+)
+
+
+def test_failing_generator_fails_only_its_row(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(DIVERGING_VAE))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    rows = {(r["augmenter"], r["classifier"]): r
+            for r in csv.DictReader((out / "results.csv").open())}
+    assert rows["vae", "tree"]["error"].startswith("FloatingPointError: ")
+    assert "## Failed cells" in (out / "report.md").read_text()
+    assert json.loads((out / "run_meta.json").read_text())["contamination"] is False
+
+    p.write_text(json.dumps(dict(DIVERGING_VAE, augmenters=["none"])))
+    alone = tmp_path / "alone"
+    assert main(["run", "--config", str(p), "--out", str(alone)]) == 0
+    alone_rows = list(csv.DictReader((alone / "results.csv").open()))
+    assert alone_rows == [rows["none", "tree"]]
+
+
+def test_augment_with_failing_generator_is_a_one_line_error(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(DIVERGING_VAE))
+    out = tmp_path / "out"
+    assert main(["augment", "--config", str(p), "--generator", "vae", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and err.startswith("error: FloatingPointError: ")
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_with_usage(config_path, capsys):
@@ -320,14 +394,30 @@ JSON_VALUES = st.recursive(
 )
 
 
+# One hyperparams section with a few of its fields (or any other key) set
+# to any JSON value.
+HYPERPARAMS = st.sampled_from(sorted(harness._SECTIONS)).flatmap(
+    lambda name: st.dictionaries(
+        st.sampled_from([f.name for f in dataclasses.fields(harness._SECTIONS[name])])
+        | st.text(max_size=8),
+        JSON_VALUES, max_size=2,
+    ).map(lambda kv: {name: kv})
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(overrides=st.dictionaries(
-    st.sampled_from(sorted(harness._CONFIG_KEYS)), JSON_VALUES, max_size=3
-))
-def test_validate_ends_in_ok_or_one_error_line(overrides):
+@given(
+    overrides=st.dictionaries(
+        st.sampled_from([f.name for f in dataclasses.fields(harness.ExperimentConfig)]),
+        JSON_VALUES, max_size=3,
+    ),
+    hyperparams=HYPERPARAMS,
+)
+def test_validate_ends_in_ok_or_one_error_line(overrides, hyperparams):
     fixture = REPO / "configs" / "fixture.json"
     config = json.loads(fixture.read_text())
     config["dataset"] = str((fixture.parent / config["dataset"]).resolve())
+    config["hyperparams"] = hyperparams
     config.update(overrides)
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

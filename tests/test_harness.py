@@ -1,6 +1,7 @@
 """Harness: config validation, grid orchestration, determinism, reports."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -132,6 +133,31 @@ def test_module_configs_auto_field_takes_auto_or_number():
     }))
     assert (mc["tree"].max_depth, mc["knn"].k) == ("auto", 5)
     assert (mc["svm_rbf"].C, mc["svm_rbf"].gamma, mc["logistic"].reg_lambda) == (0.5, None, 0)
+
+
+def _json_round_trip(value):
+    return json.loads(json.dumps(value))
+
+
+@pytest.mark.parametrize("section", sorted(harness._SECTIONS))
+def test_every_section_default_passes_its_own_check(section):
+    """Each field's default, sent through JSON and the builder, gives back
+    the default config: no annotation rejects its own default."""
+    defaults = harness._SECTIONS[section]()
+    overrides = {
+        f.name: _json_round_trip(getattr(defaults, f.name))
+        for f in dataclasses.fields(defaults)
+        if not (section == "gan" and f.name == "vae")  # a nested section
+    }
+    assert module_configs(fast_config(hyperparams={section: overrides})) == \
+        module_configs(fast_config(hyperparams={}))
+
+
+def test_experiment_config_defaults_pass_their_own_check():
+    config = ExperimentConfig(dataset=str(FIXTURE_CSV), schema=dict(SCHEMA))
+    again = ExperimentConfig.from_dict(_json_round_trip(dataclasses.asdict(config)))
+    assert again == config
+    assert again.digest() == config.digest()
 
 
 # ---------------------------------------------------------------- run
