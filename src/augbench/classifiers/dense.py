@@ -14,9 +14,9 @@ PROB_CLAMP = 1e-12
 
 @dataclass
 class DenseNetConfig:
-    hidden: tuple[int, int] = (16, 8)
-    epochs: int = 500
-    learning_rate: float = 1e-3
+    hidden: tuple[int, int] = field(default=(16, 8), metadata={"ge": 1})
+    epochs: int = field(default=500, metadata={"ge": 0})
+    learning_rate: float = field(default=1e-3, metadata={"gt": 0})
 
 
 @dataclass

@@ -22,10 +22,11 @@ DIST_EPS = 1e-9
 
 @dataclass
 class KnnConfig:
-    k: int | Literal["auto"] = "auto"  # "auto" = pick from k_grid by CV
-    k_grid: tuple[int, ...] = DEFAULT_K_GRID
+    # "auto" = pick from k_grid by CV
+    k: int | Literal["auto"] = field(default="auto", metadata={"ge": 1})
+    k_grid: tuple[int, ...] = field(default=DEFAULT_K_GRID, metadata={"ge": 1})
     weighting: Literal["uniform", "inverse"] = "inverse"
-    cv_folds: int = 5
+    cv_folds: int = field(default=5, metadata={"ge": 2})
 
 
 @dataclass

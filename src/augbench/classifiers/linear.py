@@ -36,19 +36,20 @@ SVM_LAMBDA_GRID = (1.0, 0.1, 0.01, 0.001)
 
 @dataclass
 class LogisticConfig:
-    reg_lambda: float | Literal["auto"] = "auto"
-    lambda_grid: tuple[float, ...] = LOGISTIC_LAMBDA_GRID
-    epochs: int = 1000
-    learning_rate: float = 0.05
-    cv_folds: int = 5
+    reg_lambda: float | Literal["auto"] = field(default="auto", metadata={"ge": 0})
+    lambda_grid: tuple[float, ...] = field(default=LOGISTIC_LAMBDA_GRID, metadata={"ge": 0})
+    epochs: int = field(default=1000, metadata={"ge": 0})
+    learning_rate: float = field(default=0.05, metadata={"gt": 0})
+    cv_folds: int = field(default=5, metadata={"ge": 2})
 
 
 @dataclass
 class LinearSvmConfig:
-    reg_lambda: float | Literal["auto"] = "auto"
-    lambda_grid: tuple[float, ...] = SVM_LAMBDA_GRID
-    epochs: int = 2000
-    cv_folds: int = 5
+    # Pegasos steps by 1/(lambda t), so lambda must be positive.
+    reg_lambda: float | Literal["auto"] = field(default="auto", metadata={"gt": 0})
+    lambda_grid: tuple[float, ...] = field(default=SVM_LAMBDA_GRID, metadata={"gt": 0})
+    epochs: int = field(default=2000, metadata={"ge": 0})
+    cv_folds: int = field(default=5, metadata={"ge": 2})
 
 
 @dataclass

@@ -1,11 +1,18 @@
 """RBF-kernel SVM trained by sequential minimal optimization (SMO).
 
-Working-set selection: the first index is the worst KKT violator, the
-second maximizes |E_i - E_j|. Pair updates are the analytic clipped
-solution of the two-variable subproblem; the bias follows the standard
-b1/b2 rule. Convergence is declared when no KKT violation exceeds the
-tolerance. C is chosen by stratified CV (ties to the smallest C),
-gamma defaults to 1/d.
+The solver keeps the dual gradient G = Q alpha - e (Q = yy'K), starting
+from -e. Each step takes i, the maximal violator of I_up (largest -y_t G_t),
+and j from I_low by second-order working-set selection (WSS 2, Fan, Chen
+& Lin, JMLR 2005): the largest gain b_it^2 / a_it over b_it > 0, where
+b_it = -y_i G_i + y_t G_t and a_it = K_ii + K_tt - 2 K_it. A pair with
+a_it <= 1e-12 is never chosen. The pair moves by the clipped Newton step
+b_ij / a_ij, and G is updated from the two kernel rows. The solve stops
+when the gap m(alpha) - M(alpha) between the largest -y_t G_t over I_up
+and the smallest over I_low is at most `kkt_tol` (Keerthi et al., Neural
+Computation 2001); at the returned bias no sample then violates its KKT
+condition by more than `kkt_tol`. The bias is the mean of -y_t G_t over
+free alphas, or the midpoint of [M, m] when none is free. C is chosen by
+stratified CV (ties to the smallest C), gamma defaults to 1/d.
 """
 
 from __future__ import annotations
@@ -27,12 +34,12 @@ DEFAULT_C_GRID = (0.1, 1.0, 10.0)
 
 @dataclass
 class RbfSvmConfig:
-    C: float | Literal["auto"] = "auto"
-    c_grid: tuple[float, ...] = DEFAULT_C_GRID
-    gamma: float | None = None  # None = 1/d
-    kkt_tol: float = 1e-3
-    max_iter: int = 20000
-    cv_folds: int = 5
+    C: float | Literal["auto"] = field(default="auto", metadata={"gt": 0})
+    c_grid: tuple[float, ...] = field(default=DEFAULT_C_GRID, metadata={"gt": 0})
+    gamma: float | None = field(default=None, metadata={"gt": 0})  # None = 1/d
+    kkt_tol: float = field(default=1e-3, metadata={"gt": 0})  # on the gap m - M
+    max_iter: int = field(default=20000, metadata={"ge": 1})
+    cv_folds: int = field(default=5, metadata={"ge": 2})
 
 
 @dataclass
@@ -46,6 +53,7 @@ class RbfSvmModel:
     train_labels_pm: np.ndarray = field(repr=False, default=None)
     threshold: float = 0.0
     converged: bool = True
+    iterations: int = 0  # SMO pair updates
     cv_result: CvResult | None = field(default=None, repr=False)
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
@@ -60,76 +68,51 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * sq_distances(A, B))
 
 
-def _kkt_violations(alpha: np.ndarray, yf: np.ndarray, C: float) -> np.ndarray:
-    """Per-sample violation of the KKT conditions (0 when satisfied)."""
-    r = yf - 1.0
-    # alpha < C requires y*f >= 1; alpha > 0 requires y*f <= 1.
-    below = np.where(alpha < C - 1e-12, -r, 0.0)
-    above = np.where(alpha > 1e-12, r, 0.0)
-    return np.maximum(below, above)
-
-
 def _smo(
     K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: int
-) -> tuple[np.ndarray, float, bool]:
-    """Solve the dual; returns (alpha, bias, converged)."""
+) -> tuple[np.ndarray, float, bool, int, float]:
+    """Minimize 0.5 a'Qa - sum(a), Q = yy'K, over 0 <= a <= C, y'a = 0.
+
+    Returns (alpha, bias, converged, pair updates made, final gap m - M).
+    """
     n = len(y)
     alpha = np.zeros(n)
-    b = 0.0
-    f = np.full(n, b)  # decision value cache
-
+    # The gradient G = Q alpha - e, kept as -y*G (exact, as y is +-1); it
+    # starts at -y*(-e) = y.
+    score = y.copy()
     diag = np.diag(K).copy()
-    for _ in range(max_iter):
-        E = f - y
-        viol = _kkt_violations(alpha, y * f, C)
-        if viol.max() <= tol:
-            return alpha, b, True
-        i = int(np.argmax(viol))
-        Ki = K[i]
-        ai, yi, Ei = float(alpha[i]), float(y[i]), float(E[i])
+    pos = y > 0
+    # I_up: y_t alpha_t can grow; I_low: it can shrink. Within 1e-12 of a
+    # bound counts as at it.
+    up, low = pos.copy(), ~pos
+    for iterations in range(max_iter + 1):
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        b = score[i] - np.where(low, score, np.inf)  # b_it; -inf off I_low
+        gap = b.max()  # m - M
+        if gap <= tol or iterations == max_iter:
+            break
+        a = diag[i] + diag - 2.0 * K[i]
+        ok = (b > 0.0) & (a > 1e-12)
+        j = int(np.argmax(np.where(ok, b * b / np.where(ok, a, 1.0), -np.inf)))
+        if not ok[j]:
+            break  # only zero-curvature pairs violate; no pair makes progress
 
-        # Vectorized second-index choice: among all j whose clipped
-        # analytic update actually moves alpha, take max |E_i - E_j|.
-        same = y == yi
-        lo = np.maximum(0.0, np.where(same, ai + alpha - C, alpha - ai))
-        hi = np.minimum(C, np.where(same, ai + alpha, (C + alpha) - ai))
-        eta = diag[i] + diag - 2.0 * Ki
-        safe_eta = np.where(eta > 1e-12, eta, 1.0)
-        aj_all = np.clip(alpha + y * (Ei - E) / safe_eta, lo, hi)
-        movable = (
-            (hi - lo > 1e-12)
-            & (eta > 1e-12)
-            & (np.abs(aj_all - alpha) > 1e-12)
-        )
-        movable[i] = False
-        if not movable.any():
-            break  # no pair makes progress; treat as stalled
-        gap = np.where(movable, np.abs(E - Ei), -np.inf)
-        j = int(np.argmax(gap))
+        # Move alpha_i by y_i t and alpha_j by -y_j t: y'alpha is unchanged,
+        # and G changes by y * t * (K_i - K_j).
+        t = min(b[j] / a[j],
+                C - alpha[i] if pos[i] else alpha[i],
+                alpha[j] if pos[j] else C - alpha[j])
+        alpha[i] = min(max(alpha[i] + y[i] * t, 0.0), C)
+        alpha[j] = min(max(alpha[j] - y[j] * t, 0.0), C)
+        score -= t * (K[i] - K[j])
+        for k in (i, j):
+            below_c, above_0 = alpha[k] < C - 1e-12, alpha[k] > 1e-12
+            up[k], low[k] = (below_c, above_0) if pos[k] else (above_0, below_c)
 
-        aj, yj, Ej = float(alpha[j]), float(y[j]), float(E[j])
-        Kii, Kij, Kjj = float(Ki[i]), float(Ki[j]), float(K[j, j])
-        aj_new = float(aj_all[j])
-        ai_new = ai + yi * yj * (aj - aj_new)
-        d_ai, d_aj = ai_new - ai, aj_new - aj
-
-        b1 = b - Ei - yi * d_ai * Kii - yj * d_aj * Kij
-        b2 = b - Ej - yi * d_ai * Kij - yj * d_aj * Kjj
-        if 1e-12 < ai_new < C - 1e-12:
-            b_new = b1
-        elif 1e-12 < aj_new < C - 1e-12:
-            b_new = b2
-        else:
-            b_new = (b1 + b2) / 2.0
-
-        f += yi * d_ai * Ki
-        f += yj * d_aj * K[j]
-        f += b_new - b
-        alpha[i], alpha[j] = ai_new, aj_new
-        b = b_new
-
-    converged = _kkt_violations(alpha, y * f, C).max() <= tol
-    return alpha, b, converged
+    free = (alpha > 1e-12) & (alpha < C - 1e-12)
+    # Every free score lies in [M, m], so the bias does too.
+    bias = float(np.mean(score[free])) if free.any() else float(score[i] - gap / 2.0)
+    return alpha, bias, bool(gap <= tol), iterations, float(gap)
 
 
 def _fit_fixed_c(
@@ -138,9 +121,11 @@ def _fit_fixed_c(
     y = 2.0 * np.asarray(y01, dtype=float) - 1.0
     gamma = config.gamma if config.gamma is not None else 1.0 / X.shape[1]
     K = rbf_kernel(X, X, gamma)
-    alpha, b, converged = _smo(K, y, C, config.kkt_tol, config.max_iter)
+    alpha, b, converged, iterations, gap = _smo(K, y, C, config.kkt_tol, config.max_iter)
     if not converged:
-        log.warning("SMO did not reach tolerance %g; returning best iterate", config.kkt_tol)
+        log.warning("SMO did not reach tolerance %g at C=%g, n=%d: gap %.3g after %d "
+                    "iterations; returning the last iterate",
+                    config.kkt_tol, C, len(y), gap, iterations)
     sv = alpha > 1e-12
     return RbfSvmModel(
         support_vectors=X[sv].copy(),
@@ -151,6 +136,7 @@ def _fit_fixed_c(
         alphas=alpha,
         train_labels_pm=y,
         converged=converged,
+        iterations=iterations,
     )
 
 

@@ -21,10 +21,11 @@ DEFAULT_DEPTH_GRID: tuple = (2, 3, 4, 5, 6, 8, None)
 
 @dataclass
 class TreeConfig:
-    max_depth: int | None | Literal["auto"] = "auto"  # "auto" = pick from depth_grid by CV
-    depth_grid: tuple[int | None, ...] = DEFAULT_DEPTH_GRID
-    min_samples_split: int = 2
-    cv_folds: int = 5
+    # "auto" = pick from depth_grid by CV; None = no limit
+    max_depth: int | None | Literal["auto"] = field(default="auto", metadata={"ge": 0})
+    depth_grid: tuple[int | None, ...] = field(default=DEFAULT_DEPTH_GRID, metadata={"ge": 0})
+    min_samples_split: int = field(default=2, metadata={"ge": 2})
+    cv_folds: int = field(default=5, metadata={"ge": 2})
 
 
 @dataclass

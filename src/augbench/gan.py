@@ -15,7 +15,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .augment import SyntheticBatch, augment_per_class
-from .nncore import AdamState, MlpParams, adam_step, init_mlp, mlp_backward, mlp_forward
+from .nncore import (
+    AdamState, MlpParams, adam_step, init_mlp, mlp_backward, mlp_forward, mlp_input_grad,
+)
 from .rng import RngStream
 from .vae import VaeConfig, VaeModel, sample_vae, train_vae
 
@@ -24,11 +26,12 @@ PROB_CLAMP = 1e-7
 
 @dataclass
 class GanConfig:
-    pretrain_epochs: int = 500
-    epochs: int = 4000
-    learning_rate: float = 3e-4  # generator step size
-    disc_learning_rate: float | None = 1e-3  # None = same as generator
-    disc_hidden: tuple[int, int] = (32, 16)
+    pretrain_epochs: int = field(default=500, metadata={"ge": 0})
+    epochs: int = field(default=4000, metadata={"ge": 0})
+    learning_rate: float = field(default=3e-4, metadata={"gt": 0})  # generator step size
+    # None = same as generator
+    disc_learning_rate: float | None = field(default=1e-3, metadata={"gt": 0})
+    disc_hidden: tuple[int, int] = field(default=(32, 16), metadata={"ge": 1})
     vae: VaeConfig = field(default_factory=VaeConfig)
 
 
@@ -77,8 +80,7 @@ def _generator_loss(
     p = _clamp(acts[-1])
     loss = float(np.mean(-np.log(p)))
     d_out = -1.0 / (p * len(p))
-    _, d_fake = mlp_backward(disc, acts, d_out)
-    return loss, d_fake
+    return loss, mlp_input_grad(disc, acts, d_out)
 
 
 def train_gan(

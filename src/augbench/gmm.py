@@ -22,12 +22,12 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class GmmConfig:
-    n_components: int = 3
-    tol: float = 1e-6  # relative log-likelihood change
-    max_iter: int = 200
-    cov_floor: float = 1e-6
+    n_components: int = field(default=3, metadata={"ge": 1})
+    tol: float = field(default=1e-6, metadata={"ge": 0})  # relative log-likelihood change
+    max_iter: int = field(default=200, metadata={"ge": 1})
+    cov_floor: float = field(default=1e-6, metadata={"gt": 0})
     select_k_bic: bool = False  # pick K in 1..n_components by BIC
-    bic_k_max: int = 5
+    bic_k_max: int = field(default=5, metadata={"ge": 1})
 
 
 @dataclass

@@ -21,6 +21,7 @@ import hashlib
 import io
 import json
 import numbers
+import operator
 import time
 import types
 import typing
@@ -184,15 +185,38 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">=")}
+
+
+def _check_bounds(where: str, value, bounds: dict) -> None:
+    """Raise one ConfigError unless the number `value`, or each element of
+    the non-empty grid `value`, meets the field's `ge`/`gt` bounds; "auto"
+    and None are not numbers and pass."""
+    if isinstance(value, tuple):
+        if not value:
+            raise ConfigError(f"{where} must be a non-empty list, got []")
+        for i, v in enumerate(value):
+            _check_bounds(f"{where}[{i}]", v, bounds)
+    elif isinstance(value, numbers.Real):
+        for kind, limit in bounds.items():
+            op, symbol = _BOUNDS[kind]
+            if not op(value, limit):
+                raise ConfigError(f"{where} must be {symbol} {limit}, got {value!r}")
+
+
 def _build_section_config(defaults, overrides: dict):
     section = type(defaults).__name__
     hints = _hints(type(defaults))
     unknown = set(overrides) - set(hints)
     if unknown:
         raise ConfigError(f"unknown hyperparameter keys {sorted(unknown)} for {section}")
-    return replace(defaults, **{
-        key: _check(f"{section}.{key}", value, hints[key]) for key, value in overrides.items()
-    })
+    metadata = {f.name: f.metadata for f in dataclasses.fields(defaults)}
+    checked = {}
+    for key, value in overrides.items():
+        where = f"{section}.{key}"
+        checked[key] = _check(where, value, hints[key])
+        _check_bounds(where, checked[key], metadata[key])
+    return replace(defaults, **checked)
 
 
 def module_configs(config: ExperimentConfig) -> dict:

@@ -8,7 +8,8 @@ general autodiff graph.
 Parameters live in one contiguous float64 vector per network
 (`MlpParams.flat`, laid out W0, b0, W1, b1, ... in row-major order), and
 every `Layer.weights`/`Layer.bias` is a view into it. `mlp_backward`
-writes its gradients into one vector of the same layout, and
+writes its gradients into one vector of the same layout (`mlp_input_grad`
+gives only the gradient w.r.t. the input, for a network held fixed), and
 `adam_step` updates the parameter vector and its moment vectors in
 place, so a training step is a handful of whole-vector operations and
 never rebuilds a network.
@@ -172,6 +173,21 @@ def mlp_backward(
         np.add.reduce(delta, axis=0, out=grads[2 * i + 1])
         delta = delta @ layer.weights.T
     return grads, delta
+
+
+def mlp_input_grad(
+    params: MlpParams, activations: list[np.ndarray], output_gradient: np.ndarray
+) -> np.ndarray:
+    """The input-batch gradient of `mlp_backward`, without the parameter
+    gradient (same operations, so the same bits)."""
+    if output_gradient.shape != activations[-1].shape:
+        raise ValueError("output gradient shape mismatch")
+    delta = output_gradient
+    for i in range(len(params.layers) - 1, -1, -1):
+        layer = params.layers[i]
+        delta = _backprop_activation(delta, activations[i + 1], layer.activation)
+        delta = delta @ layer.weights.T
+    return delta
 
 
 @dataclass

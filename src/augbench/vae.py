@@ -13,7 +13,7 @@ finite; gradients do not flow through a saturated clamp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,11 +26,11 @@ LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
 
 @dataclass
 class VaeConfig:
-    hidden_size: int = 16
-    latent_dim: int = 4
-    epochs: int = 500
-    learning_rate: float = 1e-3
-    beta: float = 1.0
+    hidden_size: int = field(default=16, metadata={"ge": 1})
+    latent_dim: int = field(default=4, metadata={"ge": 1})
+    epochs: int = field(default=500, metadata={"ge": 0})
+    learning_rate: float = field(default=1e-3, metadata={"gt": 0})
+    beta: float = field(default=1.0, metadata={"ge": 0})
 
 
 @dataclass

@@ -167,6 +167,15 @@ def test_string_for_numeric_hyperparameter_fails_before_training(
      'KnnConfig.weighting must be "uniform" or "inverse", got \'cosine\''),
     ("tree", "depth_grid", ["a"], "TreeConfig.depth_grid[0] must be an integer, got 'a'"),
     ("logistic", "lambda_grid", ["x"], "LogisticConfig.lambda_grid[0] must be a number, got 'x'"),
+    ("svm_rbf", "C", -1.0, "RbfSvmConfig.C must be > 0, got -1.0"),
+    ("svm_rbf", "gamma", -1.0, "RbfSvmConfig.gamma must be > 0, got -1.0"),
+    ("knn", "k", -3, "KnnConfig.k must be >= 1, got -3"),
+    ("svm_rbf", "c_grid", [], "RbfSvmConfig.c_grid must be a non-empty list, got []"),
+    ("svm_rbf", "c_grid", [1.0, -1.0], "RbfSvmConfig.c_grid[1] must be > 0, got -1.0"),
+    ("svm_rbf", "kkt_tol", 0.0, "RbfSvmConfig.kkt_tol must be > 0, got 0.0"),
+    ("svm_rbf", "kkt_tol", -1e-3, "RbfSvmConfig.kkt_tol must be > 0, got -0.001"),
+    ("gmm", "n_components", 0, "GmmConfig.n_components must be >= 1, got 0"),
+    ("tree", "depth_grid", [None, -1], "TreeConfig.depth_grid[1] must be >= 0, got -1"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_list_or_object_for_numeric_hyperparameter_fails_before_training(
@@ -202,6 +211,17 @@ def test_wrong_element_names_the_element(tmp_path, capsys, command, key, value, 
 def test_grid_hyperparameter_still_takes_a_list(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(FAST, hyperparams={"tree": {"depth_grid": [1, 2]}})))
+    assert main(["validate", "--config", str(p)]) == 0
+    assert capsys.readouterr().out.startswith("ok")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("logistic", "reg_lambda", 0.0), ("tree", "max_depth", 0), ("gan", "epochs", 0),
+    ("knn", "k", "auto"), ("svm_rbf", "c_grid", [0.5]),
+])
+def test_value_on_its_bound_validates(tmp_path, capsys, section, key, value):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, hyperparams={section: {key: value}})))
     assert main(["validate", "--config", str(p)]) == 0
     assert capsys.readouterr().out.startswith("ok")
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -151,6 +152,19 @@ def test_every_section_default_passes_its_own_check(section):
     }
     assert module_configs(fast_config(hyperparams={section: overrides})) == \
         module_configs(fast_config(hyperparams={}))
+
+
+def _takes_a_number(hint) -> bool:
+    return hint in (int, float) or any(_takes_a_number(a) for a in typing.get_args(hint))
+
+
+@pytest.mark.parametrize("section", sorted(harness._SECTIONS))
+def test_every_numeric_section_field_declares_a_bound(section):
+    cls = harness._SECTIONS[section]
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if _takes_a_number(hints[f.name]):
+            assert set(f.metadata) in ({"ge"}, {"gt"}), f"{cls.__name__}.{f.name}"
 
 
 def test_experiment_config_defaults_pass_their_own_check():

@@ -11,6 +11,7 @@ from augbench.nncore import (
     init_mlp,
     mlp_backward,
     mlp_forward,
+    mlp_input_grad,
     sigmoid,
 )
 from augbench.rng import RngStream
@@ -122,6 +123,19 @@ def test_backward_rejects_wrong_output_gradient_shape():
     acts = mlp_forward(params, np.zeros((3, 2)))
     with pytest.raises(ValueError):
         mlp_backward(params, acts, np.zeros((2, 1)))
+    with pytest.raises(ValueError):
+        mlp_input_grad(params, acts, np.zeros((2, 1)))
+
+
+def test_input_grad_equals_backward_input_gradient_bit_for_bit():
+    rng = RngStream(13, ("input-grad",))
+    params = init_mlp([3, 5, 4, 1], ["relu", "tanh", "sigmoid"], rng.derive("params"))
+    acts = mlp_forward(params, rng.derive("x").normal(size=(6, 3)))
+    coeffs = rng.derive("c").normal(size=(6, 1))
+    flat_before = params.flat.copy()
+    _, d_input = mlp_backward(params, acts, coeffs)
+    np.testing.assert_array_equal(mlp_input_grad(params, acts, coeffs), d_input)
+    np.testing.assert_array_equal(params.flat, flat_before)
 
 
 def test_adam_first_step_oracle():

@@ -1,4 +1,4 @@
-"""RBF SVM: kernel values, scoring, SMO dual feasibility, XOR, CV over C."""
+"""RBF SVM: kernel values, scoring, SMO dual feasibility and optimality, XOR, CV over C."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from augbench.classifiers import predict_labels
 from augbench.classifiers.svm_rbf import (
     RbfSvmConfig,
     RbfSvmModel,
-    _kkt_violations,
+    _smo,
     fit_rbf_svm,
     rbf_kernel,
 )
@@ -15,6 +15,15 @@ from augbench.rng import RngStream
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
+
+
+def _kkt_violations(alpha: np.ndarray, yf: np.ndarray, C: float) -> np.ndarray:
+    """Per-sample violation of the KKT conditions (0 when satisfied)."""
+    r = yf - 1.0
+    # alpha < C requires y*f >= 1; alpha > 0 requires y*f <= 1.
+    below = np.where(alpha < C - 1e-12, -r, 0.0)
+    above = np.where(alpha > 1e-12, r, 0.0)
+    return np.maximum(below, above)
 
 
 def test_rbf_kernel_hand_values():
@@ -152,3 +161,54 @@ def test_kkt_violations_match_a_per_sample_loop():
             worst = max(worst, v - 1.0)
         expected.append(worst)
     np.testing.assert_array_equal(_kkt_violations(alpha, yf, C), expected)
+
+
+def _project(v: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
+    """Euclidean projection onto {0 <= a <= C, y'a = 0}: a = clip(v - lam*y)
+    with y'a(lam) = 0. y'a(lam) is nonincreasing and piecewise linear in lam
+    with kinks at the 2n breakpoints, so interpolate in the bracketing pair."""
+    kinks = np.unique(np.concatenate([v * y, (v - C) * y]))
+    h = (y * np.clip(v[None, :] - kinks[:, None] * y, 0.0, C)).sum(axis=1)
+    k = int(np.searchsorted(-h, 0.0))  # first kink with h <= 0
+    if k == 0 or h[k] == 0.0:
+        lam = kinks[k]
+    else:
+        lam = kinks[k - 1] + (kinks[k] - kinks[k - 1]) * h[k - 1] / (h[k - 1] - h[k])
+    return np.clip(v - lam * y, 0.0, C)
+
+
+def _projected_gradient_optimum(Q: np.ndarray, y: np.ndarray, C: float) -> np.ndarray:
+    """Minimize 0.5 a'Qa - sum(a) by projected gradient until the
+    projected-gradient step moves no coordinate by more than 1e-8."""
+    step = 1.0 / np.linalg.eigvalsh(Q)[-1]
+    a = np.zeros(len(y))
+    for _ in range(200_000):
+        new = _project(a - step * (Q @ a - 1.0), y, C)
+        if np.abs(new - a).max() <= 1e-8 * step:
+            return new
+        a = new
+    raise AssertionError("projected gradient did not converge")
+
+
+def _dual_objective(alpha: np.ndarray, Q: np.ndarray) -> float:
+    return 0.5 * alpha @ Q @ alpha - alpha.sum()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+def test_smo_meets_kkt_and_matches_projected_gradient_optimum(seed, C):
+    rng = RngStream(seed, ("smo-oracle",))
+    n = 4 + seed % 3 * 4  # 4, 8 or 12 rows
+    X = rng.derive("x").normal(size=(n, 2))
+    y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    K = rbf_kernel(X, X, 0.5)
+    tol = 1e-3
+    alpha, b, converged, _, gap = _smo(K, y, C, tol, 20000)
+    assert converged and gap <= tol
+    assert np.all(alpha >= 0.0) and np.all(alpha <= C)
+    assert abs(y @ alpha) < 1e-9
+    assert _kkt_violations(alpha, y * (K @ (alpha * y) + b), C).max() <= tol
+    Q = np.outer(y, y) * K
+    best = _projected_gradient_optimum(Q, y, C)
+    assert abs(y @ best) < 1e-9
+    assert _dual_objective(alpha, Q) - _dual_objective(best, Q) <= tol * n
