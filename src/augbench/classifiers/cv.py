@@ -4,8 +4,9 @@ Every tuned learner has one trainer, `fit_many(X, y, jobs)`: each job is
 `(train_rows, param)` and it returns one model per job, in order. The CV
 models, the refit on all rows and a pinned hyperparameter all go through
 it. The linear learners train their jobs as one stacked problem; the
-others wrap a fixed-parameter fitter with `per_job`, which fits each job
-on `X[rows]` in turn.
+tree grows one tree per distinct row set and reads it at each job's
+depth; KNN and the RBF SVM wrap a fixed-parameter fitter with `per_job`,
+which fits each job on `X[rows]` in turn.
 
 The grid is evaluated in order and ties in mean validation accuracy go
 to the earliest entry, so callers list grids simplest-setting-first

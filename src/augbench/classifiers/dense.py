@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..nncore import AdamState, MlpParams, adam_step, init_mlp, mlp_backward, mlp_forward
+from ..nncore import (
+    AdamState, GradBuffer, MlpParams, adam_step, init_mlp, mlp_backward, mlp_forward,
+)
 from ..rng import RngStream
 
 PROB_CLAMP = 1e-12
@@ -52,18 +55,21 @@ def fit_dense_net(
         rng.derive("init"),
     )
     state = AdamState.for_params(params.flat, alpha=config.learning_rate)
-    grad = np.empty_like(params.flat)
+    grad = GradBuffer(params)
     model = DenseNetModel(params)
     n = len(y)
+    not_y = 1 - y
 
     for epoch in range(config.epochs):
         acts = mlp_forward(params, X)
-        p = np.clip(acts[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
-        loss = float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p)))
-        if not np.isfinite(loss):
+        p = np.minimum(np.maximum(acts[-1], PROB_CLAMP), 1.0 - PROB_CLAMP)  # np.clip
+        not_p = 1.0 - p
+        # -np.mean(...), as np.add.reduce / size: the same bits without the wrapper.
+        loss = float(-(np.add.reduce(y * np.log(p) + not_y * np.log(not_p), axis=None) / n))
+        if not math.isfinite(loss):
             raise FloatingPointError(f"non-finite loss at epoch {epoch}")
         model.loss_history.append(loss)
-        d_out = (p - y) / (n * p * (1.0 - p))  # dBCE/d(sigmoid output)
-        mlp_backward(params, acts, d_out, grad)
-        adam_step(params.flat, grad, state)
+        d_out = (p - y) / (n * p * not_p)  # dBCE/d(sigmoid output)
+        mlp_backward(params, acts, d_out, grad, input_grad=False)
+        adam_step(params.flat, grad.flat, state)
     return model

@@ -4,6 +4,13 @@ Candidate thresholds are midpoints between consecutive distinct sorted
 values. An impure node is split as long as any valid threshold exists,
 even at zero Gini gain (this is what lets a depth-2 tree shatter XOR);
 depth control comes from `max_depth`, chosen by cross-validation.
+
+A greedily grown tree limited to depth d is the depth-d truncation of a
+deeper tree on the same rows: `_grow`'s choices above the limit do not
+depend on it. So every node keeps its class counts, a model reads its
+tree down to its own `max_depth` (a node at the limit scores as a leaf),
+and the CV trainer grows one tree per fold, to the deepest depth its
+jobs ask for, and reads it at each grid depth.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Literal
 import numpy as np
 
 from ..rng import RngStream
-from .cv import CvResult, fit_with_cv, per_job
+from .cv import CvResult, fit_with_cv
 
 DEFAULT_DEPTH_GRID: tuple = (2, 3, 4, 5, 6, 8, None)
 
@@ -30,16 +37,17 @@ class TreeConfig:
 
 @dataclass
 class TreeNode:
-    # Internal node: feature/threshold/left/right set. Leaf: counts set.
+    # (negatives, positives) among the training rows that reach the node.
+    counts: tuple[int, int]
+    # Internal node: feature/threshold/left/right set; all None at a leaf.
     feature: int | None = None
     threshold: float | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    counts: tuple[int, int] | None = None  # (negatives, positives)
 
     @property
     def is_leaf(self) -> bool:
-        return self.counts is not None
+        return self.left is None
 
     @property
     def positive_fraction(self) -> float:
@@ -100,13 +108,14 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, config: TreeConfig,
         or len(y) < config.min_samples_split
         or (max_depth is not None and depth >= max_depth)
     ):
-        return TreeNode(counts=(n0, n1))
+        return TreeNode((n0, n1))
     split = _best_split(X, y)
     if split is None:
-        return TreeNode(counts=(n0, n1))
+        return TreeNode((n0, n1))
     f, thr, _ = split
     mask = X[:, f] <= thr
     return TreeNode(
+        (n0, n1),
         feature=f,
         threshold=thr,
         left=_grow(X[mask], y[mask], depth + 1, config, max_depth),
@@ -116,17 +125,19 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, config: TreeConfig,
 
 @dataclass
 class DecisionTreeModel:
-    root: TreeNode
+    root: TreeNode  # may be grown deeper than `max_depth`
     max_depth: int | None
     threshold: float = 0.5
     cv_result: CvResult | None = field(default=None, repr=False)
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
+        limit = -1 if self.max_depth is None else self.max_depth
         out = np.empty(len(X))
         for i, row in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
+            node, depth = self.root, 0
+            while not node.is_leaf and depth != limit:
                 node = node.left if row[node.feature] <= node.threshold else node.right
+                depth += 1
             out[i] = node.positive_fraction
         return out
 
@@ -147,6 +158,24 @@ def fit_tree_fixed_depth(
     return DecisionTreeModel(_grow(X, y, 0, config, max_depth), max_depth)
 
 
+def _fit_tree_many(
+    X: np.ndarray, y: np.ndarray, jobs, config: TreeConfig
+) -> list[DecisionTreeModel]:
+    """One model per (rows, max_depth) job, scoring as
+    `fit_tree_fixed_depth(X[rows], y[rows], max_depth)` does: one tree per
+    distinct row set, grown to the deepest depth its jobs ask for."""
+    depths: dict[bytes, list] = {}
+    for rows, max_depth in jobs:
+        depths.setdefault(rows.tobytes(), []).append(max_depth)
+    roots = {}
+    for rows, _ in jobs:
+        key = rows.tobytes()
+        if key not in roots:
+            deepest = None if None in depths[key] else max(depths[key])
+            roots[key] = fit_tree_fixed_depth(X[rows], y[rows], deepest, config).root
+    return [DecisionTreeModel(roots[rows.tobytes()], max_depth) for rows, max_depth in jobs]
+
+
 def fit_decision_tree(
     X: np.ndarray, y: np.ndarray,
     config: TreeConfig | None = None,
@@ -156,7 +185,7 @@ def fit_decision_tree(
     config = config or TreeConfig()
     rng = rng or RngStream(0, ("tree",))
     return fit_with_cv(
-        per_job(lambda Xt, yt, depth: fit_tree_fixed_depth(Xt, yt, depth, config)),
+        lambda Xt, yt, jobs: _fit_tree_many(Xt, yt, jobs, config),
         np.asarray(X, dtype=float), np.asarray(y, dtype=int),
         config.max_depth, config.depth_grid, config.cv_folds, rng,
     )

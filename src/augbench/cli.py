@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -25,12 +26,14 @@ from .harness import (
     ExperimentConfig,
     GeneratorError,
     build_augmented_sets,
+    checked_prepare,
     emit_report,
     export_synthetic_csv,
     module_configs,
     prepare,
     run_experiment,
 )
+from .rng import SEED_MAX
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -48,18 +51,34 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
+def _make_output_dir(path: Path) -> Path | None:
+    """Make the directory `path` and its missing parents; return the
+    topmost directory this made, or None if `path` already existed."""
+    missing = [p for p in (path, *path.parents) if not p.exists()]
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {path}: {e.strerror}") from None
+    return missing[-1] if missing else None
+
+
 def _cmd_run(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     config = _load_config(args)
+    last_seed = config.seed + args.seeds - 1
+    if last_seed > SEED_MAX:
+        raise ConfigError(f"seed + --seeds - 1 must be <= {SEED_MAX}, got {last_seed}")
+    # Every check, and the output directories, before the first cell trains.
+    checked_prepare(config)
     seeds = [config.seed + i for i in range(args.seeds)]
+    root = Path(config.output_dir)
+    outdirs = [root / f"seed_{s}" if len(seeds) > 1 else root for s in seeds]
+    for outdir in outdirs:
+        _make_output_dir(outdir)
     all_bundles = []
-    for s in seeds:
-        cfg = dataclasses.replace(config, seed=s)
-        bundle = run_experiment(cfg)
-        outdir = Path(config.output_dir)
-        if len(seeds) > 1:
-            outdir = outdir / f"seed_{s}"
+    for s, outdir in zip(seeds, outdirs):
+        bundle = run_experiment(dataclasses.replace(config, seed=s))
         emit_report(bundle, outdir)
         all_bundles.append(bundle)
 
@@ -93,14 +112,17 @@ def _cmd_augment(args) -> int:
     if args.generator not in AUGMENTER_IDS or args.generator == "none":
         raise ConfigError(f"--generator must be one of gmm, vae, gan")
     config = dataclasses.replace(config, augmenters=(args.generator,))
+    cfgs = module_configs(config)
     data = prepare(config)
-    sets = build_augmented_sets(config, data.X_train, data.y_train, module_configs(config))
+    outdir = Path(config.output_dir)
+    made = _make_output_dir(outdir)
+    sets = build_augmented_sets(config, data.X_train, data.y_train, cfgs)
     if isinstance(sets[args.generator], GeneratorError):
+        if made is not None:  # a failed augment writes nothing
+            shutil.rmtree(made)
         raise sets[args.generator]
     Xa, ya, prov = sets[args.generator]
     mask = prov.synthetic_mask
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"synthetic_{args.generator}.csv"
     path.write_text(export_synthetic_csv(Xa[mask], ya[mask], data.plan))
     print(f"wrote {int(mask.sum())} synthetic rows to {path}")
@@ -109,8 +131,7 @@ def _cmd_augment(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = _load_config(args)
-    module_configs(config)
-    data = prepare(config)
+    _, data = checked_prepare(config)
     y = np.concatenate([data.y_train, data.y_test])
     classes, counts = np.unique(y, return_counts=True)
     print(

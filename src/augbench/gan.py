@@ -10,13 +10,15 @@ loss (cross-entropy of fakes against target 1). Updates alternate 1:1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .augment import SyntheticBatch, augment_per_class
 from .nncore import (
-    AdamState, MlpParams, adam_step, init_mlp, mlp_backward, mlp_forward, mlp_input_grad,
+    AdamState, GradBuffer, MlpParams, adam_step, init_mlp, mlp_backward, mlp_forward,
+    mlp_input_grad,
 )
 from .rng import RngStream
 from .vae import VaeConfig, VaeModel, sample_vae, train_vae
@@ -43,33 +45,45 @@ class GanModel:
 
 
 def _clamp(p: np.ndarray) -> np.ndarray:
-    return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    """`np.clip(p, PROB_CLAMP, 1 - PROB_CLAMP)` without its Python wrapper."""
+    return np.minimum(np.maximum(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+
+
+def _neg_mean_log(p: np.ndarray) -> float:
+    """`np.mean(-np.log(p))`: negating the sum instead of each term, and
+    `np.add.reduce / size` instead of `np.mean`, give the same bits."""
+    return float(-np.add.reduce(np.log(p), axis=None) / p.size)
 
 
 def discriminator_loss(
-    disc: MlpParams, real: np.ndarray, fake: np.ndarray, out: np.ndarray | None = None
+    disc: MlpParams,
+    real: np.ndarray,
+    fake: np.ndarray,
+    out: GradBuffer | None = None,
+    fake_out: GradBuffer | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """BCE with real->1, fake->0; returns (loss, gradients w.r.t. disc params).
 
-    The gradient is written into `out`, laid out like `disc.flat` (a new
-    vector when None), and returned as `arrays()`-order views into it.
+    The gradient is written into `out` (new when None) and returned as
+    its `arrays()`-order views. The fake batch's half goes through
+    `fake_out` first; a training loop passes both, built once.
     """
     if len(real) == 0 or len(fake) == 0:
         raise ValueError("real and fake batches must be nonempty")
     acts_r = mlp_forward(disc, real)
     acts_f = mlp_forward(disc, fake)
     p_r = _clamp(acts_r[-1])
-    p_f = _clamp(acts_f[-1])
-    loss = 0.5 * float(np.mean(-np.log(p_r)) + np.mean(-np.log(1.0 - p_f)))
+    q_f = 1.0 - _clamp(acts_f[-1])
+    loss = 0.5 * (_neg_mean_log(p_r) + _neg_mean_log(q_f))
 
     d_out_r = -0.5 / (p_r * len(p_r))
-    d_out_f = 0.5 / ((1.0 - p_f) * len(p_f))
-    grad = np.empty(disc.flat.size) if out is None else out
-    grad_f = np.empty_like(grad)
-    grads, _ = mlp_backward(disc, acts_r, d_out_r, grad)
-    mlp_backward(disc, acts_f, d_out_f, grad_f)
-    grad += grad_f
-    return loss, grads
+    d_out_f = 0.5 / (q_f * len(q_f))
+    out = out or GradBuffer(disc)
+    fake_out = fake_out or GradBuffer(disc)
+    mlp_backward(disc, acts_r, d_out_r, out, input_grad=False)
+    mlp_backward(disc, acts_f, d_out_f, fake_out, input_grad=False)
+    out.flat += fake_out.flat
+    return loss, out.arrays
 
 
 def _generator_loss(
@@ -78,9 +92,8 @@ def _generator_loss(
     """Non-saturating loss -log D(fake); returns (loss, gradient w.r.t. fake rows)."""
     acts = mlp_forward(disc, fake)
     p = _clamp(acts[-1])
-    loss = float(np.mean(-np.log(p)))
     d_out = -1.0 / (p * len(p))
-    return loss, mlp_input_grad(disc, acts, d_out)
+    return _neg_mean_log(p), mlp_input_grad(disc, acts, d_out)
 
 
 def train_gan(
@@ -109,8 +122,8 @@ def train_gan(
     disc_lr = config.disc_learning_rate or config.learning_rate
     gen_state = AdamState.for_params(dec.flat, alpha=config.learning_rate)
     disc_state = AdamState.for_params(disc.flat, alpha=disc_lr)
-    dec_grad = np.empty_like(dec.flat)
-    disc_grad = np.empty_like(disc.flat)
+    dec_grad = GradBuffer(dec)
+    disc_grad, fake_grad = GradBuffer(disc), GradBuffer(disc)
     noise = rng.derive("noise")
     L = gen.latent_dim
 
@@ -118,17 +131,17 @@ def train_gan(
         # Discriminator step on real vs a fresh fake batch.
         z = noise.normal(size=(n, L))
         fake = mlp_forward(dec, z)[-1]
-        d_loss, _ = discriminator_loss(disc, data, fake, disc_grad)
-        adam_step(disc.flat, disc_grad, disc_state)
+        d_loss, _ = discriminator_loss(disc, data, fake, disc_grad, fake_grad)
+        adam_step(disc.flat, disc_grad.flat, disc_state)
 
         # Generator step against the just-updated discriminator.
         z = noise.normal(size=(n, L))
         dec_acts = mlp_forward(dec, z)
         g_loss, d_fake = _generator_loss(disc, dec_acts[-1])
-        mlp_backward(dec, dec_acts, d_fake, dec_grad)
-        adam_step(dec.flat, dec_grad, gen_state)
+        mlp_backward(dec, dec_acts, d_fake, dec_grad, input_grad=False)
+        adam_step(dec.flat, dec_grad.flat, gen_state)
 
-        if not (np.isfinite(d_loss) and np.isfinite(g_loss)):
+        if not (math.isfinite(d_loss) and math.isfinite(g_loss)):
             raise FloatingPointError(
                 f"non-finite GAN losses at epoch {epoch}: gen={g_loss}, disc={d_loss}"
             )

@@ -43,7 +43,7 @@ from .dataio import (
 from .gan import GanConfig, augment_with_gan
 from .gmm import GmmConfig, augment_with_gmm
 from .metrics import RocCurve, accuracy, f1, roc_auc, roc_to_csv
-from .rng import RngStream
+from .rng import SEED_MAX, RngStream
 from .vae import VaeConfig, augment_with_vae
 
 AUGMENTER_IDS = ("none", "gmm", "vae", "gan")
@@ -146,6 +146,12 @@ class ExperimentConfig:
             for k, x in enumerate(ids):
                 if x in ids[:k]:
                     raise ConfigError(f"{name} lists {x!r} more than once")
+        # RngStream takes a seed modulo 2**64, so one outside the range
+        # would draw what another seed draws.
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        if self.seed > SEED_MAX:
+            raise ConfigError(f"seed must be <= {SEED_MAX}, got {self.seed!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must lie in (0, 1)")
         if self.n_synthetic < 0:
@@ -316,6 +322,36 @@ def prepare(config: ExperimentConfig) -> PreparedData:
     )
 
 
+def check_data_bounds(config: ExperimentConfig, cfgs: dict, y_train: np.ndarray) -> None:
+    """Raise one ConfigError for a hyperparameter that the real training
+    rows, which every augmented training set contains, cannot meet: a
+    tuned classifier's `cv_folds` above the smaller class's row count
+    (a fold would miss that class), or a pinned `knn.k` above the row
+    count. A classifier is tuned when a field is "auto" (picked by CV)."""
+    smaller = int(np.bincount(y_train, minlength=2).min())
+    for c in config.classifiers:
+        cfg, section = cfgs[c], type(cfgs[c]).__name__
+        tuned = "auto" in (getattr(cfg, f.name) for f in dataclasses.fields(cfg))
+        if tuned and cfg.cv_folds > smaller:
+            raise ConfigError(
+                f"{section}.cv_folds must be <= {smaller} (training rows of the smaller "
+                f"class), got {cfg.cv_folds}"
+            )
+        if c == "knn" and cfg.k != "auto" and cfg.k > len(y_train):
+            raise ConfigError(
+                f"{section}.k must be <= {len(y_train)} (training rows), got {cfg.k}"
+            )
+
+
+def checked_prepare(config: ExperimentConfig) -> tuple[dict, PreparedData]:
+    """`(module_configs(config), prepare(config))`, after `check_data_bounds`:
+    what `augbench validate` checks, and `augbench run` before it trains."""
+    cfgs = module_configs(config)
+    data = prepare(config)
+    check_data_bounds(config, cfgs, data.y_train)
+    return cfgs, data
+
+
 def build_augmented_sets(
     config: ExperimentConfig,
     X_train: np.ndarray,
@@ -372,7 +408,9 @@ def _run_cell(
 
 
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
-    """Execute the full augmenter x classifier grid for one seed."""
+    """Execute the full augmenter x classifier grid for one seed; a cell
+    whose classifier raises (say, on a bound `check_data_bounds` rejects)
+    fails alone."""
     cfgs = module_configs(config)
     data = prepare(config)
     X_train, y_train = data.X_train, data.y_train

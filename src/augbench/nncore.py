@@ -8,11 +8,19 @@ general autodiff graph.
 Parameters live in one contiguous float64 vector per network
 (`MlpParams.flat`, laid out W0, b0, W1, b1, ... in row-major order), and
 every `Layer.weights`/`Layer.bias` is a view into it. `mlp_backward`
-writes its gradients into one vector of the same layout (`mlp_input_grad`
-gives only the gradient w.r.t. the input, for a network held fixed), and
-`adam_step` updates the parameter vector and its moment vectors in
-place, so a training step is a handful of whole-vector operations and
-never rebuilds a network.
+writes its gradients into one vector of the same layout, held with its
+per-layer views in a `GradBuffer` that a training loop builds once, and
+computes the gradient w.r.t. the input batch only when asked
+(`mlp_input_grad` gives only that, for a network held fixed). `adam_step`
+updates the parameter vector and its moment vectors in place, through
+scratch vectors kept in its state, so a training step is a handful of
+whole-vector operations and never rebuilds a network or allocates.
+
+Every step does only the work its caller reads, with the arithmetic of
+the plain formulas: activations and ReLU masks are applied in place on
+the step's own temporaries, and a one-output layer backpropagates
+`delta @ W.T` as the elementwise `delta * W.T` (one product per element
+and no sum, so the same values up to the sign of an exact zero).
 
 Conventions fixed for test exactness:
 * ReLU derivative at exactly 0 is 0.
@@ -31,35 +39,53 @@ ACTIVATIONS = ("relu", "sigmoid", "tanh", "identity")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; each sign takes the matching stable form.
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # exp(-|x|) never overflows; each sign takes the matching stable form,
+    # 1/(1 + e) for x >= 0 and e/(1 + e) below.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    return np.where(x >= 0, 1.0, e) / d
 
 
 def _activate(x: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of the pre-activation `x`, which it may overwrite."""
     if kind == "relu":
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x)
     if kind == "sigmoid":
         return sigmoid(x)
     if kind == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=x)
     if kind == "identity":
         return x
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _backprop_activation(delta: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
-    """`delta` times d(activation)/d(pre-activation), from the post-activation value."""
-    if kind == "relu":
-        return delta * (post > 0.0)
-    if kind == "sigmoid":
-        return delta * (post * (1.0 - post))
-    if kind == "tanh":
-        return delta * (1.0 - post * post)
+def _backprop_activation(
+    delta: np.ndarray, post: np.ndarray, kind: str, own: bool
+) -> np.ndarray:
+    """`delta` times d(activation)/d(pre-activation), from the post-activation
+    value; in place when `own`, i.e. `delta` is a temporary of the backward
+    pass rather than the caller's output gradient."""
     if kind == "identity":
         return delta
-    raise ValueError(f"unknown activation {kind!r}")
+    if kind == "relu":
+        factor = post > 0.0
+    elif kind == "sigmoid":
+        factor = post * (1.0 - post)
+    elif kind == "tanh":
+        factor = 1.0 - post * post
+    else:
+        raise ValueError(f"unknown activation {kind!r}")
+    return np.multiply(delta, factor, out=delta if own else None)
+
+
+def _through_weights(delta: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """`delta @ weights.T`; for a one-output layer the same products
+    without the one-term sum."""
+    if weights.shape[1] == 1:
+        return delta * weights.T
+    return delta @ weights.T
 
 
 @dataclass
@@ -134,6 +160,15 @@ def init_mlp(sizes: list[int], activations: list[str], rng: RngStream) -> MlpPar
     return MlpParams(layers)
 
 
+class GradBuffer:
+    """A gradient vector laid out like `params.flat` (a new one when None)
+    and its `arrays()`-order views, built once per training loop."""
+
+    def __init__(self, params: MlpParams, flat: np.ndarray | None = None):
+        self.flat = np.empty(params.flat.size) if flat is None else flat
+        self.arrays = params.views(self.flat)
+
+
 def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     """Per-layer post-activations; entry 0 is the input, last is the output."""
     x = np.asarray(x, dtype=float)
@@ -144,7 +179,9 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
         )
     activations = [x]
     for layer in params.layers:
-        x = _activate(x @ layer.weights + layer.bias, layer.activation)
+        x = x @ layer.weights
+        x += layer.bias
+        x = _activate(x, layer.activation)
         activations.append(x)
     return activations
 
@@ -153,25 +190,30 @@ def mlp_backward(
     params: MlpParams,
     activations: list[np.ndarray],
     output_gradient: np.ndarray,
-    out: np.ndarray | None = None,
-) -> tuple[list[np.ndarray], np.ndarray]:
+    out: GradBuffer | None = None,
+    input_grad: bool = True,
+) -> tuple[list[np.ndarray], np.ndarray | None]:
     """Backprop a loss gradient through the network.
 
     `activations` must come from `mlp_forward` on the same params. The
-    parameter gradient is written into `out` (laid out like
-    `params.flat`; a new vector when None). Returns (that gradient as
-    `arrays()`-order views, gradient w.r.t. the input batch).
+    parameter gradient is written into `out`, a `GradBuffer` of `params`
+    (a new one when None). Returns (that gradient as `arrays()`-order
+    views, gradient w.r.t. the input batch); the input gradient is None,
+    and never computed, when `input_grad` is False.
     """
     if output_gradient.shape != activations[-1].shape:
         raise ValueError("output gradient shape mismatch")
-    grads = params.views(np.empty(params.flat.size) if out is None else out)
+    grads = (out or GradBuffer(params)).arrays
     delta = output_gradient
-    for i in range(len(params.layers) - 1, -1, -1):
+    last = len(params.layers) - 1
+    for i in range(last, -1, -1):
         layer = params.layers[i]
-        delta = _backprop_activation(delta, activations[i + 1], layer.activation)
+        delta = _backprop_activation(delta, activations[i + 1], layer.activation, i < last)
         np.matmul(activations[i].T, delta, out=grads[2 * i])
         np.add.reduce(delta, axis=0, out=grads[2 * i + 1])
-        delta = delta @ layer.weights.T
+        if i == 0 and not input_grad:
+            return grads, None
+        delta = _through_weights(delta, layer.weights)
     return grads, delta
 
 
@@ -183,10 +225,11 @@ def mlp_input_grad(
     if output_gradient.shape != activations[-1].shape:
         raise ValueError("output gradient shape mismatch")
     delta = output_gradient
-    for i in range(len(params.layers) - 1, -1, -1):
+    last = len(params.layers) - 1
+    for i in range(last, -1, -1):
         layer = params.layers[i]
-        delta = _backprop_activation(delta, activations[i + 1], layer.activation)
-        delta = delta @ layer.weights.T
+        delta = _backprop_activation(delta, activations[i + 1], layer.activation, i < last)
+        delta = _through_weights(delta, layer.weights)
     return delta
 
 
@@ -199,6 +242,11 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    # Two vectors shaped like `m` that `adam_step` computes in.
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def for_params(cls, params: np.ndarray, alpha: float = 1e-3, **kw) -> "AdamState":
@@ -213,10 +261,18 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     state.t += 1
     t, b1, b2 = state.t, state.beta1, state.beta2
     m, v = state.m, state.v
+    s, u = state.scratch
+    # m = b1*m + (1 - b1)*grad and v = b2*v + (1 - b2)*grad*grad.
     m *= b1
-    m += (1.0 - b1) * grad
+    m += np.multiply(grad, 1.0 - b1, out=s)
     v *= b2
-    v += (1.0 - b2) * grad * grad
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    params -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
+    np.multiply(grad, 1.0 - b2, out=s)
+    v += np.multiply(s, grad, out=s)
+    # params -= alpha * m_hat / (sqrt(v_hat) + eps), factor by factor.
+    np.divide(v, 1.0 - b2**t, out=s)
+    np.sqrt(s, out=s)
+    s += state.eps
+    np.divide(m, 1.0 - b1**t, out=u)
+    u *= state.alpha
+    u /= s
+    params -= u

@@ -20,13 +20,14 @@ import hashlib
 import numpy as np
 
 _DOMAIN = b"augbench.rng.v1"
+SEED_MAX = 2**64 - 1  # a root seed is taken modulo 2**64
 
 
 class RngStream:
     """A named, splittable random stream backed by PCG64."""
 
     def __init__(self, seed: int, path: tuple[str, ...] = ()):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed) & SEED_MAX
         self.path = tuple(path)
         self._generator: np.random.Generator | None = None
 

@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import SyntheticBatch, augment_per_class
-from .nncore import AdamState, MlpParams, adam_step, init_mlp, mlp_backward, mlp_forward
+from .nncore import (
+    AdamState, GradBuffer, MlpParams, adam_step, init_mlp, mlp_backward, mlp_forward,
+)
 from .rng import RngStream
 
 LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
@@ -48,7 +50,7 @@ class VaeModel:
 def kl_divergence(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
     """Per-row KL(N(mu, sigma^2) || N(0, I)); nonnegative."""
     var = np.exp(logvar)
-    return 0.5 * np.sum(mu**2 + var - 1.0 - logvar, axis=1)
+    return 0.5 * np.add.reduce(mu**2 + var - 1.0 - logvar, axis=1)
 
 
 def init_vae(n_features: int, config: VaeConfig, rng: RngStream) -> VaeModel:
@@ -71,29 +73,27 @@ def vae_loss(
     rng: RngStream | None = None,
     eps: np.ndarray | None = None,
     beta: float = 1.0,
-    out: np.ndarray | None = None,
+    out: tuple[GradBuffer, GradBuffer] | None = None,
 ) -> tuple[float, tuple[list[np.ndarray], list[np.ndarray]]]:
     """ELBO-style loss and gradients (encoder list, decoder list).
 
     `eps` fixes the reparameterization noise (used by gradient checks);
     otherwise it is drawn from `rng`. The gradients are written into
-    `out`, the encoder's vector followed by the decoder's (a new vector
-    when None), and returned as views into it.
+    `out`, the encoder's and the decoder's buffer (new ones when None),
+    and returned as their views.
     """
     batch = np.asarray(batch, dtype=float)
     n, d = batch.shape
     if d != model.n_features:
         raise ValueError(f"batch has {d} columns, model expects {model.n_features}")
     L = model.latent_dim
-    n_enc = model.encoder.flat.size
-    if out is None:
-        out = np.empty(n_enc + model.decoder.flat.size)
+    enc_out, dec_out = out or (GradBuffer(model.encoder), GradBuffer(model.decoder))
 
     enc_acts = mlp_forward(model.encoder, batch)
     heads = enc_acts[-1]
     mu, logvar_raw = heads[:, :L], heads[:, L:]
     clamp_ok = (logvar_raw > LOGVAR_MIN) & (logvar_raw < LOGVAR_MAX)
-    logvar = np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX)
+    logvar = np.minimum(np.maximum(logvar_raw, LOGVAR_MIN), LOGVAR_MAX)  # np.clip
     sigma = np.exp(0.5 * logvar)
 
     if eps is None:
@@ -106,18 +106,20 @@ def vae_loss(
     recon = dec_acts[-1]
     # Squared error summed over features (unit-variance Gaussian decoder
     # up to constants), averaged over the batch; KL averaged over the batch.
-    recon_loss = float(np.mean(np.sum((recon - batch) ** 2, axis=1)))
+    residual = recon - batch
+    # np.mean as np.add.reduce / size: the same bits without the wrapper.
+    recon_loss = float(np.add.reduce(np.add.reduce(residual**2, axis=1)) / n)
     kl = kl_divergence(mu, logvar)
-    loss = recon_loss + beta * float(kl.mean())
+    loss = recon_loss + beta * float(np.add.reduce(kl) / n)
 
     # Backward: reconstruction path through the decoder into z.
-    d_recon = 2.0 * (recon - batch) / n
-    dec_grads, dz = mlp_backward(model.decoder, dec_acts, d_recon, out[n_enc:])
+    d_recon = 2.0 * residual / n
+    dec_grads, dz = mlp_backward(model.decoder, dec_acts, d_recon, dec_out)
 
     d_mu = dz + beta * mu / n
     d_logvar = dz * eps * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0) / n
-    d_heads = np.hstack([d_mu, d_logvar * clamp_ok])
-    enc_grads, _ = mlp_backward(model.encoder, enc_acts, d_heads, out[:n_enc])
+    d_heads = np.concatenate([d_mu, d_logvar * clamp_ok], axis=1)
+    enc_grads, _ = mlp_backward(model.encoder, enc_acts, d_heads, enc_out, input_grad=False)
     return loss, (enc_grads, dec_grads)
 
 
@@ -143,6 +145,7 @@ def train_vae(
     model.encoder = MlpParams(model.encoder.layers, params[:n_enc])
     model.decoder = MlpParams(model.decoder.layers, params[n_enc:])
     grad = np.empty_like(params)
+    grads = (GradBuffer(model.encoder, grad[:n_enc]), GradBuffer(model.decoder, grad[n_enc:]))
     state = AdamState.for_params(params, alpha=config.learning_rate)
 
     if config.epochs == 0:
@@ -151,7 +154,7 @@ def train_vae(
         return model
 
     for epoch in range(config.epochs):
-        loss, _ = vae_loss(model, data, rng=noise, beta=config.beta, out=grad)
+        loss, _ = vae_loss(model, data, rng=noise, beta=config.beta, out=grads)
         model.loss_history.append((epoch, loss))
         adam_step(params, grad, state)
     return model

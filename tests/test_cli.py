@@ -449,3 +449,109 @@ def test_validate_ends_in_ok_or_one_error_line(overrides, hyperparams):
         assert stdout.getvalue().startswith("ok: ") and stderr.getvalue() == ""
     else:
         assert code == 1 and _one_line_error(stderr.getvalue())
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("training started")
+
+
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+@pytest.mark.parametrize("command", ["run", "augment"])
+def test_unusable_out_is_a_one_line_error_before_any_work(
+        config_path, tmp_path, capsys, monkeypatch, command, target):
+    (tmp_path / "file").write_text("kept\n")
+    monkeypatch.setattr(cli, "run_experiment", _no_work)
+    monkeypatch.setattr(cli, "build_augmented_sets", _no_work)
+    out = tmp_path / target
+    argv = [command, "--config", str(config_path), "--out", str(out)]
+    assert main(argv + (["--generator", "gmm"] if command == "augment" else [])) == 1
+    err = capsys.readouterr().err
+    assert _one_line_error(err)
+    assert err.startswith(f"error: cannot create output directory {out}: ")
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_unusable_seed_directory_fails_before_the_first_seed(
+        config_path, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "seed_1").write_text("kept\n")
+    monkeypatch.setattr(cli, "run_experiment", _no_work)
+    argv = ["run", "--config", str(config_path), "--out", str(out), "--seeds", "2"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and f"{out / 'seed_1'}: " in err
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be >= 0, got -1"),
+    (2**64, f"seed must be <= {2**64 - 1}, got {2**64}"),
+])
+def test_seed_outside_64_bits_is_rejected_everywhere(
+        config_path, tmp_path, capsys, monkeypatch, seed, message):
+    # RngStream takes a seed modulo 2**64: -1 would draw what 2**64 - 1 draws.
+    out = tmp_path / "out"
+    in_file = tmp_path / "seeded.json"
+    in_file.write_text(json.dumps(dict(FAST, seed=seed)))
+    flag = ["--seed", str(seed), "--out", str(out)]
+    for argv in (
+        ["validate", "--config", str(in_file)],
+        ["run", "--config", str(config_path), *flag],
+        ["augment", "--config", str(config_path), "--generator", "gmm", *flag],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    monkeypatch.setenv("AUGBENCH_SEED", str(seed))
+    assert main(["validate", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_largest_seed_validates_but_not_past_it_with_seeds(config_path, tmp_path, capsys):
+    top = 2**64 - 1
+    in_file = tmp_path / "seeded.json"
+    in_file.write_text(json.dumps(dict(FAST, seed=top)))
+    assert main(["validate", "--config", str(in_file)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config_path), "--seed", str(top), "--seeds", "2",
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: seed + --seeds - 1 must be <= {top}, got {top + 1}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"test_fraction": 0.97},
+     "TreeConfig.cv_folds must be <= 4 (training rows of the smaller class), got 5"),
+    ({"hyperparams": {"knn": {"k": 500}}},
+     "KnnConfig.k must be <= 300 (training rows), got 500"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_bound_the_training_rows_cannot_meet_fails_before_training(
+        tmp_path, capsys, monkeypatch, command, overrides, message):
+    monkeypatch.setattr(cli, "run_experiment", _no_work)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, **overrides)))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(p)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    # 12 training rows, 4 of the smaller class: 4 folds still hold both classes.
+    {"test_fraction": 0.97,
+     "hyperparams": {"tree": {"cv_folds": 4}, "knn": {"cv_folds": 4}}},
+    # A pinned depth runs no CV.
+    {"test_fraction": 0.97, "classifiers": ["tree"], "hyperparams": {"tree": {"max_depth": 3}}},
+    {"hyperparams": {"knn": {"k": 300}}},
+])
+def test_bound_the_training_rows_meet_validates(tmp_path, capsys, overrides):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, **overrides)))
+    assert main(["validate", "--config", str(p)]) == 0
+    assert capsys.readouterr().out.startswith("ok: ")

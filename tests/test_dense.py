@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from augbench.classifiers import predict_labels
-from augbench.classifiers.dense import DenseNetConfig, fit_dense_net
+from augbench.classifiers.dense import PROB_CLAMP, DenseNetConfig, fit_dense_net
+from augbench.nncore import AdamState, init_mlp
 from augbench.rng import RngStream
+from conftest import flat, ref_adam_step, ref_backward, ref_forward
 
 
 def blobs(seed=0, n=80):
@@ -58,3 +60,24 @@ def test_zero_epochs_scores_finite_in_unit_interval():
     s = model.decision_scores(X)
     assert model.loss_history == []
     assert np.all(np.isfinite(s)) and np.all((s > 0.0) & (s < 1.0))
+
+
+def test_fit_equals_the_plain_formula_loop_bit_for_bit():
+    X, y = blobs(seed=5, n=40)
+    config = DenseNetConfig(hidden=(6, 4), epochs=60)
+    model = fit_dense_net(X, y, config, RngStream(6, ("fit",)))
+
+    # The training loop on np.clip, np.mean and a full backward pass.
+    params = init_mlp([2, 6, 4, 1], ["relu", "relu", "sigmoid"],
+                      RngStream(6, ("fit",)).derive("init"))
+    state = AdamState.for_params(params.flat, alpha=config.learning_rate)
+    t = y.astype(float).reshape(-1, 1)
+    history = []
+    for _ in range(config.epochs):
+        acts = ref_forward(params, X)
+        p = np.clip(acts[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
+        history.append(float(-np.mean(t * np.log(p) + (1 - t) * np.log(1 - p))))
+        grads, _ = ref_backward(params, acts, (p - t) / (len(t) * p * (1.0 - p)))
+        ref_adam_step(params.flat, flat(grads), state)
+    assert np.array_equal(model.params.flat, params.flat)
+    assert model.loss_history == history

@@ -1,13 +1,20 @@
 """GAN: discriminator loss values and gradients, staged training, sampling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from augbench.gan import GanConfig, augment_with_gan, discriminator_loss, sample_gan, train_gan
-from augbench.nncore import Layer, MlpParams, init_mlp, mlp_forward
+from augbench.gan import (
+    PROB_CLAMP, GanConfig, augment_with_gan, discriminator_loss, sample_gan, train_gan,
+)
+from augbench.nncore import AdamState, Layer, MlpParams, init_mlp, mlp_forward
 from augbench.rng import RngStream
 from augbench.vae import VaeConfig, train_vae
-from conftest import central_difference, max_relative_error, with_arrays
+from conftest import (
+    central_difference, flat, max_relative_error, ref_adam_step, ref_backward, ref_forward,
+    with_arrays,
+)
 
 TINY = GanConfig(
     pretrain_epochs=10, epochs=15, learning_rate=1e-3, disc_learning_rate=1e-3,
@@ -160,3 +167,47 @@ def test_near_equilibrium_discriminator_on_toy_data():
         p_fake = fwd(model.discriminator, fake)[-1][:, 0]
         accs.append(0.5 * (np.mean(p_real >= 0.5) + np.mean(p_fake < 0.5)))
     assert 0.3 <= float(np.mean(accs)) <= 0.7
+
+
+def _reference_train_gan(data, config, rng):
+    """The adversarial loop on the plain formulas: np.clip, np.mean, and a
+    full backward pass whose unread products are still computed. Returns
+    (decoder vector, discriminator vector, loss history)."""
+    n, d = data.shape
+    gen = train_vae(data, replace(config.vae, epochs=config.pretrain_epochs),
+                    rng.derive("pretrain"))
+    disc = init_mlp([d, *config.disc_hidden, 1], ["relu", "relu", "sigmoid"],
+                    rng.derive("disc-init"))
+    dec = gen.decoder
+    gen_state = AdamState.for_params(dec.flat, alpha=config.learning_rate)
+    disc_state = AdamState.for_params(disc.flat, alpha=config.disc_learning_rate)
+    noise = rng.derive("noise")
+    history = []
+    for epoch in range(config.epochs):
+        fake = ref_forward(dec, noise.normal(size=(n, gen.latent_dim)))[-1]
+        acts_r, acts_f = ref_forward(disc, data), ref_forward(disc, fake)
+        p_r = np.clip(acts_r[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
+        p_f = np.clip(acts_f[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
+        d_loss = 0.5 * float(np.mean(-np.log(p_r)) + np.mean(-np.log(1.0 - p_f)))
+        grad_r, _ = ref_backward(disc, acts_r, -0.5 / (p_r * len(p_r)))
+        grad_f, _ = ref_backward(disc, acts_f, 0.5 / ((1.0 - p_f) * len(p_f)))
+        ref_adam_step(disc.flat, flat(grad_r) + flat(grad_f), disc_state)
+
+        dec_acts = ref_forward(dec, noise.normal(size=(n, gen.latent_dim)))
+        acts = ref_forward(disc, dec_acts[-1])
+        p = np.clip(acts[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
+        g_loss = float(np.mean(-np.log(p)))
+        _, d_fake = ref_backward(disc, acts, -1.0 / (p * len(p)))
+        dec_grad, _ = ref_backward(dec, dec_acts, d_fake)
+        ref_adam_step(dec.flat, flat(dec_grad), gen_state)
+        history.append((epoch, g_loss, d_loss))
+    return dec.flat, disc.flat, history
+
+
+def test_train_gan_equals_the_plain_formula_loop_bit_for_bit():
+    data = RngStream(10).normal(size=(30, 3)) + 1.0
+    model = train_gan(data, TINY, RngStream(11, ("gan",)))
+    dec, disc, history = _reference_train_gan(data, TINY, RngStream(11, ("gan",)))
+    assert np.array_equal(model.generator.decoder.flat, dec)
+    assert np.array_equal(model.discriminator.flat, disc)
+    assert model.loss_history == history

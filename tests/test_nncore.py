@@ -1,10 +1,12 @@
-"""MLP forward/backward against finite differences; Adam against a hand oracle."""
+"""MLP forward/backward against finite differences and the plain formulas;
+Adam against hand oracles."""
 
 import numpy as np
 import pytest
 
 from augbench.nncore import (
     AdamState,
+    GradBuffer,
     Layer,
     MlpParams,
     adam_step,
@@ -16,7 +18,15 @@ from augbench.nncore import (
 )
 from augbench.rng import RngStream
 
-from conftest import central_difference, max_relative_error, with_arrays
+from conftest import (
+    central_difference,
+    max_relative_error,
+    ref_adam_step,
+    ref_backward,
+    ref_forward,
+    ref_sigmoid,
+    with_arrays,
+)
 
 
 def test_sigmoid_matches_definition_and_survives_extremes():
@@ -240,7 +250,7 @@ def test_flat_gradient_equals_per_layer_products_exactly():
     coeffs = rng.derive("c").normal(size=(7, 2))
     acts = mlp_forward(params, x)
     out = np.full(params.flat.size, np.nan)
-    grads, d_in = mlp_backward(params, acts, coeffs, out)
+    grads, d_in = mlp_backward(params, acts, coeffs, GradBuffer(params, out))
 
     delta = coeffs
     expected = [None] * (2 * len(params.layers))
@@ -296,3 +306,73 @@ def test_adam_converges_on_scalar_quadratic():
     for _ in range(100):
         adam_step(p, 2.0 * (p - 3.0), state)
     assert abs(p[0] - 3.0) < 0.5
+
+
+# Every activation, hidden and as the head, including one-unit heads,
+# whose backward multiplies by W.T instead of a one-term matmul.
+LEAN_NETS = [
+    ([3, 6, 4, 1], ["relu", "relu", "sigmoid"]),  # discriminator / dense net
+    ([4, 5, 6], ["relu", "identity"]),  # VAE encoder and decoder
+    ([3, 5, 4, 2], ["tanh", "sigmoid", "identity"]),
+    ([2, 4, 3, 1], ["sigmoid", "tanh", "relu"]),
+    ([3, 4, 1], ["identity", "tanh"]),
+    ([3, 1], ["sigmoid"]),
+]
+
+
+@pytest.mark.parametrize("sizes, kinds", LEAN_NETS)
+def test_lean_step_equals_the_plain_formulas_bit_for_bit(sizes, kinds):
+    rng = RngStream(31, ("lean", *kinds))
+    params = init_mlp(sizes, kinds, rng.derive("init"))
+    params.flat[:] += 0.5 * rng.derive("shift").normal(size=params.flat.size)
+    x = rng.derive("x").normal(size=(9, sizes[0]))
+    g = rng.derive("g").normal(size=(9, sizes[-1]))
+    x_before, g_before = x.copy(), g.copy()
+
+    acts = mlp_forward(params, x)
+    ref_acts = ref_forward(params, x)
+    for a, r in zip(acts, ref_acts):
+        assert np.array_equal(a, r)
+    ref_grads, ref_d_in = ref_backward(params, ref_acts, g)
+
+    grads, d_in = mlp_backward(params, acts, g)
+    buffer = GradBuffer(params)
+    lean, no_input = mlp_backward(params, acts, g, buffer, input_grad=False)
+    assert no_input is None
+    for a, b, r, view in zip(grads, lean, ref_grads, buffer.arrays):
+        assert np.array_equal(a, r) and np.array_equal(b, r)
+        assert b is view
+    assert np.array_equal(d_in, ref_d_in)
+    assert np.array_equal(mlp_input_grad(params, acts, g), ref_d_in)
+    # The caller's arrays are read, never written.
+    assert np.array_equal(x, x_before) and np.array_equal(g, g_before)
+    for a, r in zip(acts, ref_acts):
+        assert np.array_equal(a, r)
+
+
+def test_sigmoid_equals_the_plain_formula_across_the_exp_range():
+    x = np.concatenate([
+        np.linspace(-745.0, 745.0, 5961),
+        [-746.0, 746.0, -1e308, 1e308, -np.inf, np.inf, 0.0, -0.0, 5e-324, -5e-324],
+    ])
+    before = x.copy()
+    assert np.array_equal(sigmoid(x), ref_sigmoid(x))
+    assert np.array_equal(x, before)
+
+
+def test_adam_step_equals_the_plain_formula_over_several_steps():
+    rng = RngStream(32, ("adam-lean",))
+    params = rng.derive("p").normal(size=40)
+    ref = params.copy()
+    state = AdamState.for_params(params, alpha=0.01)
+    ref_state = AdamState.for_params(ref, alpha=0.01)
+    for t in range(1, 13):
+        grad = rng.derive(f"g{t}").normal(size=40) * 10.0 ** (t % 7 - 3)
+        grad[t] = 0.0
+        grad_before = grad.copy()
+        adam_step(params, grad, state)
+        ref_adam_step(ref, grad, ref_state)
+        assert state.t == ref_state.t == t
+        assert np.array_equal(params, ref)
+        assert np.array_equal(state.m, ref_state.m) and np.array_equal(state.v, ref_state.v)
+        assert np.array_equal(grad, grad_before)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from augbench.classifiers import predict_labels
 from augbench.classifiers.tree import (
+    DEFAULT_DEPTH_GRID,
     TreeConfig,
+    _fit_tree_many,
     fit_decision_tree,
     fit_tree_fixed_depth,
     gini,
@@ -104,3 +107,29 @@ def test_deterministic_under_equal_stream():
         a.decision_scores(X), b.decision_scores(X)
     )
     assert a.max_depth == b.max_depth
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_one_tree_per_row_set_scores_as_a_tree_grown_at_each_depth(data):
+    # Small integer features give ties and repeated values; a subset of
+    # rows stands in for a CV training fold beside the all-rows refit.
+    n = data.draw(st.integers(1, 40))
+    cell = st.integers(0, 4)
+    X = np.array(data.draw(st.lists(st.tuples(cell, cell, cell), min_size=n, max_size=n)),
+                 dtype=float)
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    subset = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    config = TreeConfig(min_samples_split=data.draw(st.integers(2, 5)))
+    grid = (*DEFAULT_DEPTH_GRID, 0, 1)
+    row_sets = (np.arange(n), subset)
+    jobs = [(rows, depth) for depth in grid for rows in row_sets]
+
+    models = _fit_tree_many(X, y, jobs, config)
+    queries = np.vstack([X, np.array(np.meshgrid(*[np.arange(-0.5, 5.0)] * 3)).reshape(3, -1).T])
+    for (rows, depth), model in zip(jobs, models):
+        expected = fit_tree_fixed_depth(X[rows], y[rows], depth, config)
+        assert model.max_depth == depth
+        assert np.array_equal(model.decision_scores(queries), expected.decision_scores(queries))
+    # One tree per distinct row set.
+    assert len({id(m.root) for m in models}) == len({rows.tobytes() for rows in row_sets})

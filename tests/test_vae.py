@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from augbench.nncore import AdamState, MlpParams
 from augbench.rng import RngStream
 from augbench.vae import (
+    LOGVAR_MAX,
+    LOGVAR_MIN,
     VaeConfig,
     augment_with_vae,
     init_vae,
@@ -13,7 +16,10 @@ from augbench.vae import (
     train_vae,
     vae_loss,
 )
-from conftest import central_difference, max_relative_error, with_arrays
+from conftest import (
+    central_difference, flat, max_relative_error, ref_adam_step, ref_backward, ref_forward,
+    with_arrays,
+)
 
 
 def small_model(seed=0, d=3, hidden=4, latent=2):
@@ -155,3 +161,45 @@ def test_trained_sampler_tracks_the_data_location():
     model = train_vae(data, VaeConfig(epochs=200), rng.derive("fit"))
     samples = sample_vae(model, 1000, rng.derive("sample"))
     assert abs(samples.mean()) < 0.5
+
+
+def _reference_train_vae(data, config, rng):
+    """`train_vae` on the plain formulas: np.clip, np.mean, np.hstack, the
+    reconstruction residual computed twice and a full encoder backward.
+    Returns (encoder and decoder vector, loss history)."""
+    model = init_vae(data.shape[1], config, rng.derive("init"))
+    noise = rng.derive("noise")
+    n_enc = model.encoder.flat.size
+    params = np.concatenate([model.encoder.flat, model.decoder.flat])
+    enc = MlpParams(model.encoder.layers, params[:n_enc])
+    dec = MlpParams(model.decoder.layers, params[n_enc:])
+    state = AdamState.for_params(params, alpha=config.learning_rate)
+    n, L, beta = len(data), config.latent_dim, config.beta
+    history = []
+    for epoch in range(config.epochs):
+        enc_acts = ref_forward(enc, data)
+        mu, logvar_raw = enc_acts[-1][:, :L], enc_acts[-1][:, L:]
+        clamp_ok = (logvar_raw > LOGVAR_MIN) & (logvar_raw < LOGVAR_MAX)
+        logvar = np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX)
+        sigma = np.exp(0.5 * logvar)
+        eps = noise.normal(size=(n, L))
+        dec_acts = ref_forward(dec, mu + sigma * eps)
+        recon = dec_acts[-1]
+        recon_loss = float(np.mean(np.sum((recon - data) ** 2, axis=1)))
+        kl = 0.5 * np.sum(mu**2 + np.exp(logvar) - 1.0 - logvar, axis=1)
+        history.append((epoch, recon_loss + beta * float(kl.mean())))
+        dec_grads, dz = ref_backward(dec, dec_acts, 2.0 * (recon - data) / n)
+        d_mu = dz + beta * mu / n
+        d_logvar = dz * eps * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0) / n
+        enc_grads, _ = ref_backward(enc, enc_acts, np.hstack([d_mu, d_logvar * clamp_ok]))
+        ref_adam_step(params, flat(enc_grads + dec_grads), state)
+    return params, history
+
+
+def test_train_vae_equals_the_plain_formula_loop_bit_for_bit():
+    data = RngStream(12).normal(size=(25, 3)) * 2.0 + 1.0
+    config = VaeConfig(hidden_size=6, latent_dim=2, epochs=40, beta=0.8)
+    model = train_vae(data, config, RngStream(13, ("vae",)))
+    params, history = _reference_train_vae(data, config, RngStream(13, ("vae",)))
+    assert np.array_equal(np.concatenate([model.encoder.flat, model.decoder.flat]), params)
+    assert model.loss_history == history
