@@ -5,8 +5,10 @@ Every tuned learner has one trainer, `fit_many(X, y, jobs)`: each job is
 models, the refit on all rows and a pinned hyperparameter all go through
 it. The linear learners train their jobs as one stacked problem; the
 tree grows one tree per distinct row set and reads it at each job's
-depth; KNN and the RBF SVM wrap a fixed-parameter fitter with `per_job`,
-which fits each job on `X[rows]` in turn.
+depth; KNN gives the models of one row set a shared neighbour memo, so
+a fold's validation rows are ranked once for every k; the RBF SVM wraps
+a fixed-parameter fitter with `per_job`, which fits each job on
+`X[rows]` in turn.
 
 The grid is evaluated in order and ties in mean validation accuracy go
 to the earliest entry, so callers list grids simplest-setting-first

@@ -3,6 +3,14 @@
 The score is the (weighted) positive vote fraction among the k nearest
 training rows; k is picked from an odd grid by stratified CV, ties to
 the smallest k.
+
+Neighbours are ranked by a stable argsort of squared distances, so a
+model with k neighbours reads the first k columns of any longer ranking.
+The models that share a training set share one `NeighbourMemo`: it keeps
+the first `k_max` columns of the ranking of the last query, with their
+squared distances, where `k_max` is the largest k among them. The CV
+trainer builds one memo per fold, so the fold's validation rows are
+ranked once for the whole k grid.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import numpy as np
 
 from ..rng import RngStream
 from .base import sq_distances
-from .cv import CvResult, fit_with_cv, per_job
+from .cv import CvResult, fit_with_cv
 
 DEFAULT_K_GRID = (1, 3, 5, 7, 9, 11)
 DIST_EPS = 1e-9
@@ -29,6 +37,30 @@ class KnnConfig:
     cv_folds: int = field(default=5, metadata={"ge": 2})
 
 
+class NeighbourMemo:
+    """The `k_max` nearest training rows of the last query, in stable
+    order, and their squared distances; shared by the models of one
+    training set."""
+
+    def __init__(self, train_features: np.ndarray, k_max: int):
+        self.train_features = train_features
+        self.k_max = k_max
+        self.query = None
+        self.nearest = None
+        self.sq_dist = None
+
+    def neighbours(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row indices, squared distances) of the `k_max` nearest
+        training rows of each row of X."""
+        if self.query is None or not np.array_equal(X, self.query):
+            d2 = sq_distances(X, self.train_features)
+            # A copy, so the full n_query x n_train ranking is not kept.
+            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k_max].copy()
+            self.query = X.copy()
+            self.nearest, self.sq_dist = nearest, np.take_along_axis(d2, nearest, axis=1)
+        return self.nearest, self.sq_dist
+
+
 @dataclass
 class KnnModel:
     train_features: np.ndarray
@@ -37,20 +69,45 @@ class KnnModel:
     weighting: str
     threshold: float = 0.5
     cv_result: CvResult | None = field(default=None, repr=False)
+    # None: a memo of this model's own k neighbours.
+    memo: NeighbourMemo | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.memo is None:
+            self.memo = NeighbourMemo(self.train_features, self.k)
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
-        d2 = sq_distances(X, self.train_features)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+        nearest, d2 = self.memo.neighbours(X)
+        nearest, d2 = nearest[:, : self.k], d2[:, : self.k]
         labels = self.train_labels[nearest]
         if self.weighting == "uniform":
             return labels.mean(axis=1)
-        dist = np.sqrt(np.take_along_axis(d2, nearest, axis=1))
-        w = 1.0 / (dist + DIST_EPS)
+        w = 1.0 / (np.sqrt(d2) + DIST_EPS)
         return np.sum(w * labels, axis=1) / np.sum(w, axis=1)
 
     @property
     def hyperparams(self) -> dict:
         return {"k": self.k, "weighting": self.weighting}
+
+
+def _fit_knn_many(
+    X: np.ndarray, y: np.ndarray, jobs, weighting: str
+) -> list[KnnModel]:
+    """One model per (rows, k) job, scoring as `KnnModel(X[rows], y[rows],
+    min(k, len(rows)), weighting)` does; the models of one row set share
+    one memo, sized for the largest k among them."""
+    groups: dict[bytes, list[int]] = {}
+    for j, (rows, _) in enumerate(jobs):
+        groups.setdefault(rows.tobytes(), []).append(j)
+    models: list = [None] * len(jobs)
+    for members in groups.values():
+        rows = jobs[members[0]][0]
+        # A CV training fold can hold fewer rows than the grid filter assumes.
+        ks = [min(jobs[j][1], len(rows)) for j in members]
+        memo, labels = NeighbourMemo(X[rows], max(ks)), y[rows]
+        for j, k in zip(members, ks):
+            models[j] = KnnModel(memo.train_features, labels, k, weighting, memo=memo)
+    return models
 
 
 def fit_knn(
@@ -72,8 +129,7 @@ def fit_knn(
         grid = [k for k in grid if k <= len(y) - len(y) // config.cv_folds]
     elif not 1 <= config.k <= len(y):
         raise ValueError(f"k={config.k} outside [1, {len(y)}]")
-    # A CV training fold can hold fewer rows than the grid filter assumes.
     return fit_with_cv(
-        per_job(lambda Xt, yt, k: KnnModel(Xt, yt, min(k, len(yt)), config.weighting)),
+        lambda Xt, yt, jobs: _fit_knn_many(Xt, yt, jobs, config.weighting),
         X, y, config.k, grid, config.cv_folds, rng,
     )

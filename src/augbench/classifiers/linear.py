@@ -17,6 +17,16 @@ of CV, and then the refit or a pinned lambda as a J = 1 problem on all
 rows. `logistic_loss_grad` is the per-model loss and gradient that the
 tests check by finite differences; the trainers do not call it, so no
 loss is computed on the training path.
+
+The bias is the last row of one (d+1) x J array `[W; B]` (for logistic
+regression, a view of Adam's parameter vector), so an epoch's margins
+are the one product `[X | 1] @ [W; B]`, and its gradient `[dW; dB]` is
+scaled by the row counts and regularized by `[lambda; 0]` as one array.
+The epoch computes in (n, J) buffers allocated before the loop, against
+y broadcast to (n, J) once; the linear SVM multiplies y into the rows
+of `[X | 1]`, which is exact for y = +-1. Every value is the one the
+plain formulas give (`ref_fit_*_many` in the tests), up to the sign of
+an exact zero.
 """
 
 from __future__ import annotations
@@ -92,13 +102,21 @@ def logistic_loss_grad(
     return loss, dw, db
 
 
-def _stack_jobs(n: int, jobs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n x J 0/1 train-row mask, per-column row count, per-column lambda)."""
-    mask = np.zeros((n, len(jobs)))
+def _stack_jobs(X: np.ndarray, jobs):
+    """`[X | 1]`, the n x J 0/1 train-row mask, each column's row count,
+    each column's lambda, and the (d+1) x J `[lam; 0]` that scales
+    `[W; B]` (the bias is not regularized)."""
+    (n, d), J = X.shape, len(jobs)
+    Xb = np.empty((n, d + 1))
+    Xb[:, :d] = X
+    Xb[:, d] = 1.0
+    mask = np.zeros((n, J))
     for j, (rows, _) in enumerate(jobs):
         mask[rows, j] = 1.0
     lam = np.array([float(param) for _, param in jobs])
-    return mask, mask.sum(axis=0), lam
+    reg = np.zeros((d + 1, J))
+    reg[:d] = lam
+    return Xb, mask, mask.sum(axis=0), lam, reg
 
 
 def _fit_logistic_many(
@@ -106,24 +124,34 @@ def _fit_logistic_many(
 ) -> list[LinearModel]:
     """One logistic model per (rows, lam) job, fit on `X[rows]` with
     full-batch Adam, trained together."""
-    mask, count, lam = _stack_jobs(len(y), jobs)
-    y = y[:, None]
-    d, J = X.shape[1], len(jobs)
-    params = np.zeros(d * J + J)  # [W row-major, B]
-    W, B = params[: d * J].reshape(d, J), params[d * J:]
+    Xb, mask, count, _, reg = _stack_jobs(X, jobs)
+    (n, d), J = X.shape, len(jobs)
+    Y = np.ascontiguousarray(np.broadcast_to(y[:, None], (n, J)), dtype=float)
+    params = np.zeros((d + 1) * J)
+    WB = params.reshape(d + 1, J)  # [W; B]
     grad = np.empty_like(params)
-    dW, dB = grad[: d * J].reshape(d, J), grad[d * J:]
+    G = grad.reshape(d + 1, J)  # [dW; dB]
     state = AdamState.for_params(params, alpha=config.learning_rate)
+    Z, E, D = np.empty((n, J)), np.empty((n, J)), np.empty((n, J))
+    nonneg, R = np.empty((n, J), dtype=bool), np.empty((d + 1, J))
     for _ in range(config.epochs):
-        diff = (sigmoid(X @ W + B) - y) * mask
-        np.matmul(X.T, diff, out=dW)
-        dW /= count
-        dW += lam * W
-        np.add.reduce(diff, axis=0, out=dB)
-        dB /= count
+        np.matmul(Xb, WB, out=Z)
+        # diff = (sigmoid(Z) - y) * mask, with nncore.sigmoid's arithmetic
+        np.abs(Z, out=E)
+        np.negative(E, out=E)
+        np.exp(E, out=E)
+        np.add(E, 1.0, out=D)
+        np.copyto(E, 1.0, where=np.greater_equal(Z, 0.0, out=nonneg))
+        np.divide(E, D, out=E)
+        np.subtract(E, Y, out=E)
+        diff = np.multiply(E, mask, out=E)
+        np.matmul(X.T, diff, out=G[:d])
+        np.add.reduce(diff, axis=0, out=G[d])
+        G /= count
+        G += np.multiply(reg, WB, out=R)  # lam * W; the bias row adds 0
         adam_step(params, grad, state)
     return [
-        LinearModel(W[:, j].copy(), float(B[j]), "logistic", param, 0.5)
+        LinearModel(WB[:d, j].copy(), float(WB[d, j]), "logistic", param, 0.5)
         for j, (_, param) in enumerate(jobs)
     ]
 
@@ -154,20 +182,31 @@ def _fit_linear_svm_many(
 ) -> list[LinearModel]:
     """One linear SVM per (rows, lam) job, fit on `X[rows]` by Pegasos
     subgradient steps, trained together."""
-    mask, count, lam = _stack_jobs(len(y01), jobs)
+    Xb, mask, count, lam, reg = _stack_jobs(X, jobs)
     _check_svm_lambda(lam)
-    y = (2.0 * y01 - 1.0)[:, None]
-    y_train = y * mask
-    W = np.zeros((X.shape[1], len(jobs)))
-    B = np.zeros(len(jobs))
+    (n, d), J = X.shape, len(jobs)
+    y = 2.0 * y01 - 1.0
+    # y * ([X | 1] @ [W; B]) in one product: y is +-1, so the sign moves
+    # into the rows exactly.
+    yXb = y[:, None] * Xb
+    y_train = y[:, None] * mask
+    WB = np.zeros((d + 1, J))
+    M, yv, G, R = np.empty((n, J)), np.empty((n, J)), np.empty((d + 1, J)), np.empty((d + 1, J))
+    violates, eta = np.empty((n, J), dtype=bool), np.empty(J)
     for t in range(1, config.epochs + 1):
+        np.divide(1.0, np.multiply(lam, t, out=eta), out=eta)  # 1/(lam t)
         # y on each column's margin-violating training rows, 0 elsewhere
-        yv = np.where(y * (X @ W + B) < 1.0, y_train, 0.0)
-        eta = 1.0 / (lam * t)
-        W = W - eta * (lam * W - X.T @ yv / count)
-        B = B - eta * (-yv.sum(axis=0) / count)
+        np.less(np.matmul(yXb, WB, out=M), 1.0, out=violates)
+        np.multiply(y_train, violates, out=yv)
+        # [W; B] -= eta * ([lam W; 0] - [X.T @ yv; sum(yv)] / count)
+        np.matmul(X.T, yv, out=G[:d])
+        np.add.reduce(yv, axis=0, out=G[d])
+        G /= count
+        np.subtract(np.multiply(reg, WB, out=R), G, out=G)
+        G *= eta
+        WB -= G
     return [
-        LinearModel(W[:, j].copy(), float(B[j]), "linear-svm", param, 0.0)
+        LinearModel(WB[:d, j].copy(), float(WB[d, j]), "linear-svm", param, 0.0)
         for j, (_, param) in enumerate(jobs)
     ]
 

@@ -326,8 +326,10 @@ def check_data_bounds(config: ExperimentConfig, cfgs: dict, y_train: np.ndarray)
     """Raise one ConfigError for a hyperparameter that the real training
     rows, which every augmented training set contains, cannot meet: a
     tuned classifier's `cv_folds` above the smaller class's row count
-    (a fold would miss that class), or a pinned `knn.k` above the row
-    count. A classifier is tuned when a field is "auto" (picked by CV)."""
+    (a fold would miss that class), a pinned `knn.k` above the row
+    count, or a tuned `knn.k_grid` with no entry that a CV training fold
+    can hold (`fit_knn` keeps k <= n - n // cv_folds). A classifier is
+    tuned when a field is "auto" (picked by CV)."""
     smaller = int(np.bincount(y_train, minlength=2).min())
     for c in config.classifiers:
         cfg, section = cfgs[c], type(cfgs[c]).__name__
@@ -341,6 +343,13 @@ def check_data_bounds(config: ExperimentConfig, cfgs: dict, y_train: np.ndarray)
             raise ConfigError(
                 f"{section}.k must be <= {len(y_train)} (training rows), got {cfg.k}"
             )
+        if c == "knn" and cfg.k == "auto":
+            fold_rows = len(y_train) - len(y_train) // cfg.cv_folds
+            if min(cfg.k_grid) > fold_rows:
+                raise ConfigError(
+                    f"{section}.k_grid must hold an entry <= {fold_rows} (training rows "
+                    f"less one CV fold), got {list(cfg.k_grid)}"
+                )
 
 
 def checked_prepare(config: ExperimentConfig) -> tuple[dict, PreparedData]:

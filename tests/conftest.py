@@ -1,11 +1,24 @@
 """Shared fixtures and numeric-oracle helpers for the test suite."""
 
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from augbench.nncore import Layer, MlpParams
+from augbench.classifiers.linear import LinearModel, _check_svm_lambda
+from augbench.nncore import AdamState, Layer, MlpParams
+
+# GitHub Actions sets CI: a failing property there prints the blob that
+# replays it (`@reproduce_failure`), and a slow shared runner cannot fail
+# a property on its deadline. Built on the default profile, not on the
+# "ci" profile hypothesis loads by itself in CI, which derandomizes.
+settings.register_profile(
+    "ci", settings.get_profile("default"), print_blob=True, deadline=None
+)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURE_CSV = REPO / "data" / "social_ads_400.csv"
@@ -138,3 +151,60 @@ def ref_adam_step(params, grad, state):
 def flat(arrays):
     """[W0, b0, ...] as one vector in `MlpParams.flat` layout."""
     return np.concatenate([a.ravel() for a in arrays])
+
+
+# The plain stacked epoch of the linear trainers: margins as `X @ W + B`
+# and fresh temporaries every step. The trainers fold the bias into one
+# product and compute in buffers, with the same bits, so these are
+# oracles for `np.array_equal`.
+
+
+def _ref_stack_jobs(n, jobs):
+    mask = np.zeros((n, len(jobs)))
+    for j, (rows, _) in enumerate(jobs):
+        mask[rows, j] = 1.0
+    lam = np.array([float(param) for _, param in jobs])
+    return mask, mask.sum(axis=0), lam
+
+
+def ref_fit_logistic_many(X, y, jobs, config):
+    """One logistic model per (rows, lam) job by full-batch Adam."""
+    mask, count, lam = _ref_stack_jobs(len(y), jobs)
+    y = y[:, None]
+    d, J = X.shape[1], len(jobs)
+    params = np.zeros(d * J + J)  # [W row-major, B]
+    W, B = params[: d * J].reshape(d, J), params[d * J:]
+    grad = np.empty_like(params)
+    dW, dB = grad[: d * J].reshape(d, J), grad[d * J:]
+    state = AdamState.for_params(params, alpha=config.learning_rate)
+    for _ in range(config.epochs):
+        diff = (ref_sigmoid(X @ W + B) - y) * mask
+        np.matmul(X.T, diff, out=dW)
+        dW /= count
+        dW += lam * W
+        np.add.reduce(diff, axis=0, out=dB)
+        dB /= count
+        ref_adam_step(params, grad, state)
+    return [
+        LinearModel(W[:, j].copy(), float(B[j]), "logistic", param, 0.5)
+        for j, (_, param) in enumerate(jobs)
+    ]
+
+
+def ref_fit_linear_svm_many(X, y01, jobs, config):
+    """One linear SVM per (rows, lam) job by Pegasos subgradient steps."""
+    mask, count, lam = _ref_stack_jobs(len(y01), jobs)
+    _check_svm_lambda(lam)
+    y = (2.0 * y01 - 1.0)[:, None]
+    y_train = y * mask
+    W = np.zeros((X.shape[1], len(jobs)))
+    B = np.zeros(len(jobs))
+    for t in range(1, config.epochs + 1):
+        yv = np.where(y * (X @ W + B) < 1.0, y_train, 0.0)
+        eta = 1.0 / (lam * t)
+        W = W - eta * (lam * W - X.T @ yv / count)
+        B = B - eta * (-yv.sum(axis=0) / count)
+    return [
+        LinearModel(W[:, j].copy(), float(B[j]), "linear-svm", param, 0.0)
+        for j, (_, param) in enumerate(jobs)
+    ]

@@ -528,6 +528,9 @@ def test_largest_seed_validates_but_not_past_it_with_seeds(config_path, tmp_path
      "TreeConfig.cv_folds must be <= 4 (training rows of the smaller class), got 5"),
     ({"hyperparams": {"knn": {"k": 500}}},
      "KnnConfig.k must be <= 300 (training rows), got 500"),
+    # fit_knn keeps k <= 300 - 300 // 5; an empty grid failed the cell.
+    ({"hyperparams": {"knn": {"k_grid": [400]}}},
+     "KnnConfig.k_grid must hold an entry <= 240 (training rows less one CV fold), got [400]"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bound_the_training_rows_cannot_meet_fails_before_training(
@@ -549,6 +552,7 @@ def test_bound_the_training_rows_cannot_meet_fails_before_training(
     # A pinned depth runs no CV.
     {"test_fraction": 0.97, "classifiers": ["tree"], "hyperparams": {"tree": {"max_depth": 3}}},
     {"hyperparams": {"knn": {"k": 300}}},
+    {"hyperparams": {"knn": {"k_grid": [240, 400]}}},
 ])
 def test_bound_the_training_rows_meet_validates(tmp_path, capsys, overrides):
     p = tmp_path / "cfg.json"

@@ -1,10 +1,13 @@
-"""KNN against a brute-force neighbor oracle."""
+"""KNN against a brute-force neighbor oracle, and the grouped CV trainer
+against one model per job."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from augbench.classifiers import predict_labels
-from augbench.classifiers.knn import DIST_EPS, KnnConfig, KnnModel, fit_knn
+from augbench.classifiers.cv import per_job
+from augbench.classifiers.knn import DIST_EPS, KnnConfig, KnnModel, _fit_knn_many, fit_knn
 from augbench.rng import RngStream
 
 
@@ -89,3 +92,48 @@ def test_hand_case_k3_uniform_and_inverse():
     w1 = 1 / (0.5 + DIST_EPS)
     assert inverse.decision_scores(query)[0] == pytest.approx(w1 / (w0 + w1))
     assert predict_labels(inverse, query)[0] == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 30),
+    duplicates=st.integers(0, 10),
+    folds=st.integers(2, 4),
+    ks=st.lists(st.integers(1, 45), min_size=1, max_size=6),
+    weighting=st.sampled_from(["uniform", "inverse"]),
+)
+def test_grouped_trainer_equals_one_model_per_job(seed, n, duplicates, folds, ks, weighting):
+    rng = np.random.default_rng(seed)
+    # Integer coordinates and repeated rows: many distance ties, which the
+    # stable order breaks by training-row index.
+    X = rng.integers(-3, 4, size=(n, 2)).astype(float)
+    X = np.vstack([X, X[rng.integers(0, n, size=duplicates)]])
+    y = rng.integers(0, 2, size=len(X))
+    fold_of = rng.permutation(len(X)) % folds
+    splits = [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(folds)]
+    # grid-major, then fold, as cross_validate lists them; k may exceed a fold's rows
+    jobs = [(tr, k) for k in ks for tr, _ in splits]
+    validation = [X[va] for _ in ks for _, va in splits]
+    fresh = [rng.integers(-4, 5, size=(7, 2)).astype(float)] * len(jobs)
+    grouped = _fit_knn_many(X, y, jobs, weighting)
+    per_model = per_job(lambda Xt, yt, k: KnnModel(Xt, yt, min(k, len(yt)), weighting))
+    # Validation rows, then a fresh query, then the validation rows again:
+    # each memo is reused, replaced and filled anew. The oracle models are
+    # new for every query, so no memo of theirs is ever reused.
+    for queries in (validation, fresh, validation):
+        for model, ref, Q, (rows, k) in zip(grouped, per_model(X, y, jobs), queries, jobs):
+            assert model.k == ref.k
+            scores = model.decision_scores(Q)
+            assert np.array_equal(scores, ref.decision_scores(Q))
+            # Integer coordinates make every distance exact, so the
+            # (distance, index) scan ranks ties as the stable order does.
+            np.testing.assert_allclose(
+                scores, oracle_scores(X[rows], y[rows], Q, ref.k, weighting), rtol=1e-12)
+    # One memo per training set, holding at most its largest k's columns.
+    memos = {id(m.memo): m.memo for m in grouped}
+    assert len(memos) == folds
+    for memo in memos.values():
+        ks_here = [m.k for m in grouped if m.memo is memo]
+        assert memo.k_max == max(ks_here)
+        assert memo.nearest.shape[1] == memo.sq_dist.shape[1] == memo.k_max

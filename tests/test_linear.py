@@ -1,8 +1,12 @@
 """Logistic regression and linear SVM: gradients, separable data,
-regularization, and the stacked trainers against per-model oracles."""
+regularization, and the stacked trainers against per-model oracles and,
+bit for bit, against the reference stacked epoch."""
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from augbench.classifiers import predict_labels
 from augbench.classifiers.cv import stratified_kfold
@@ -17,9 +21,16 @@ from augbench.classifiers.linear import (
     fit_logistic,
     logistic_loss_grad,
 )
+from augbench.harness import ExperimentConfig, prepare
 from augbench.nncore import AdamState, adam_step
 from augbench.rng import RngStream
-from conftest import central_difference, max_relative_error
+from conftest import (
+    REPO,
+    central_difference,
+    max_relative_error,
+    ref_fit_linear_svm_many,
+    ref_fit_logistic_many,
+)
 
 
 # Per-model oracles: one model, one (X, y, lambda), no mask. The stacked
@@ -207,3 +218,71 @@ def test_stacked_svm_rejects_nonpositive_lambda(bad):
         _fit_linear_svm_many(X, y, _fold_jobs(y, (1.0, bad)), LinearSvmConfig(epochs=5))
     with pytest.raises(ValueError, match="reg_lambda > 0"):
         fit_linear_svm(X, y, LinearSvmConfig(epochs=5, lambda_grid=(1.0, bad)))
+
+
+# ------------------------------------- the epoch against its reference, exactly
+
+STACKED = {
+    "logistic": (_fit_logistic_many, ref_fit_logistic_many, LogisticConfig),
+    "svm_linear": (_fit_linear_svm_many, ref_fit_linear_svm_many, LinearSvmConfig),
+}
+
+
+@functools.cache
+def _fixture_train():
+    """The bundled fixture's training rows, as `augbench run` fits them."""
+    data = prepare(ExperimentConfig.from_json(REPO / "configs" / "fixture.json"))
+    return data.X_train, data.y_train
+
+
+def _assert_same_bits(models, refs):
+    assert len(models) == len(refs)
+    for model, ref in zip(models, refs):
+        assert (model.kind, model.reg_lambda, model.threshold) == (
+            ref.kind, ref.reg_lambda, ref.threshold)
+        assert np.array_equal(model.weights, ref.weights)
+        assert model.bias == ref.bias
+
+
+@pytest.mark.parametrize("learner", sorted(STACKED))
+def test_cv_stack_equals_the_reference_epoch(learner):
+    many, ref, config_cls = STACKED[learner]
+    config = config_cls()
+    X, y = _fixture_train()
+    splits = stratified_kfold(y, config.cv_folds, RngStream(0, ("folds",)))
+    jobs = [(tr, lam) for lam in config.lambda_grid for tr, _ in splits]
+    assert len(jobs) == 20
+    _assert_same_bits(many(X, y, jobs, config), ref(X, y, jobs, config))
+
+
+@pytest.mark.parametrize("learner", sorted(STACKED))
+def test_all_rows_fit_equals_the_reference_epoch(learner):
+    # J = 1: numpy computes a one-column product as a matrix-vector product.
+    many, ref, config_cls = STACKED[learner]
+    config = config_cls()
+    X, y = _fixture_train()
+    for lam in config.lambda_grid:
+        jobs = [(np.arange(len(y)), lam)]
+        _assert_same_bits(many(X, y, jobs, config), ref(X, y, jobs, config))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    learner=st.sampled_from(sorted(STACKED)),
+    seed=st.integers(0, 2**32 - 1),
+    keep=st.floats(0.05, 1.0),
+    lams=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=1, max_size=6),
+    epochs=st.integers(0, 12),
+)
+def test_stacked_trainers_equal_the_reference_on_any_rows(learner, seed, keep, lams, epochs):
+    many, ref, config_cls = STACKED[learner]
+    if learner == "svm_linear":
+        lams = [lam or 1.0 for lam in lams]  # Pegasos needs lambda > 0
+    X, y = _fixture_train()
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for lam in lams:
+        rows = np.flatnonzero(rng.random(len(y)) < keep)
+        jobs.append((rows if len(rows) else np.array([0]), lam))
+    config = config_cls(epochs=epochs)
+    _assert_same_bits(many(X, y, jobs, config), ref(X, y, jobs, config))
