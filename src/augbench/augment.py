@@ -2,9 +2,11 @@
 
 Every generator is fit per class and sampled per class, with synthetic
 counts proportional to the training class frequencies (largest-remainder
-rounding so the total is exact). Synthetic rows are appended after the
-originals and tracked by a provenance record so the harness can assert
-the test set is never contaminated.
+rounding so the total is exact). A generator's fit function receives every
+class at once, so the VAE and GAN can train their classes in one loop;
+the GMM fits its classes one after the other. Synthetic rows are appended
+after the originals and tracked by a provenance record so the harness can
+assert the test set is never contaminated.
 """
 
 from __future__ import annotations
@@ -45,12 +47,15 @@ def augment_per_class(
     train_features: np.ndarray,
     train_labels: np.ndarray,
     n_synthetic: int,
-    fit_fn: Callable[[np.ndarray, RngStream], object],
+    fit_fn: Callable[[dict[int, np.ndarray], dict[int, RngStream]], dict[int, object]],
     sample_fn: Callable[[object, int, RngStream], np.ndarray],
     rng: RngStream,
     generator_id: str,
 ) -> tuple[np.ndarray, np.ndarray, SyntheticBatch]:
-    """Fit one generator per class and append proportional synthetic rows."""
+    """Fit one generator per class and append proportional synthetic rows.
+
+    `fit_fn(data, streams)` gets each class's training rows and fit stream,
+    keyed by class, and returns each class's model under the same key."""
     if n_synthetic < 0:
         raise ValueError("n_synthetic must be nonnegative")
     classes = np.unique(train_labels)
@@ -61,13 +66,12 @@ def augment_per_class(
     class_counts = {int(c): int(np.sum(train_labels == c)) for c in classes}
     counts = largest_remainder_counts(class_counts, n_synthetic)
 
-    synth_X, synth_y, models = [], [], {}
-    for c in sorted(class_counts):
-        data = train_features[train_labels == c]
-        model = fit_fn(data, rng.derive(f"fit-class{c}"))
-        models[c] = model
+    data = {c: train_features[train_labels == c] for c in sorted(class_counts)}
+    models = fit_fn(data, {c: rng.derive(f"fit-class{c}") for c in data})
+    synth_X, synth_y = [], []
+    for c in data:
         if counts[c] > 0:
-            rows = sample_fn(model, counts[c], rng.derive(f"sample-class{c}"))
+            rows = sample_fn(models[c], counts[c], rng.derive(f"sample-class{c}"))
             synth_X.append(rows)
             synth_y.append(np.full(counts[c], c, dtype=train_labels.dtype))
 

@@ -89,21 +89,17 @@ def _cmd_run(args) -> int:
 
 
 def _write_aggregate(bundles, outdir: Path):
-    """Mean metrics per cell across seeds; per-seed rows live in seed_*/."""
-    rows = {}
-    for b in bundles:
-        for r in b.results:
-            if not r.failed:
-                rows.setdefault((r.augmenter, r.classifier), []).append(
-                    (r.test_acc, r.test_f1, r.test_auc)
-                )
+    """Mean metrics per configured cell across seeds, in config order;
+    per-seed rows live in seed_*/. `n_seeds` counts the seeds where the
+    cell succeeded, and a cell that failed in every seed has no means."""
+    config = bundles[0].config
     lines = ["augmenter,classifier,n_seeds,mean_test_acc,mean_test_f1,mean_test_auc"]
-    for (aug, c), vals in rows.items():
-        arr = np.array(vals)
-        lines.append(
-            f"{aug},{c},{len(vals)},"
-            + ",".join(f"{m:.6f}" for m in arr.mean(axis=0))
-        )
+    for aug in config.augmenters:
+        for c in config.classifiers:
+            cells = [b.cell(aug, c) for b in bundles]
+            vals = [(r.test_acc, r.test_f1, r.test_auc) for r in cells if not r.failed]
+            means = ",".join(f"{m:.6f}" for m in np.array(vals).mean(axis=0)) if vals else ",,"
+            lines.append(f"{aug},{c},{len(vals)},{means}")
     (outdir / "aggregate.csv").write_text("\n".join(lines) + "\n")
 
 

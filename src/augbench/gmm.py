@@ -186,9 +186,11 @@ def augment_with_gmm(
     config = config or GmmConfig()
     rng = rng or RngStream(0, ("augment-gmm",))
     if config.select_k_bic:
-        fit = lambda data, stream: fit_gmm_bic(data, config.bic_k_max, config, stream)
+        fit_one = lambda data, stream: fit_gmm_bic(data, config.bic_k_max, config, stream)
     else:
-        fit = lambda data, stream: fit_gmm(data, config.n_components, config, stream)
+        fit_one = lambda data, stream: fit_gmm(data, config.n_components, config, stream)
+    # The classes' GMMs are fit one after the other.
+    fit = lambda data, streams: {c: fit_one(x, streams[c]) for c, x in data.items()}
     return augment_per_class(
         train_features, train_labels, n_synthetic, fit, sample_gmm, rng, "gmm"
     )

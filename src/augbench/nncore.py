@@ -16,6 +16,14 @@ updates the parameter vector and its moment vectors in place, through
 scratch vectors kept in its state, so a training step is a handful of
 whole-vector operations and never rebuilds a network or allocates.
 
+A pass takes row blocks. A single `MlpParams` reads the whole batch as
+one block. An `MlpStack` holds networks of one topology (one per class of
+a generator) whose parameters are consecutive blocks of one vector, and
+network k reads and writes row block k of a stacked batch. Every product
+and bias sum runs per block, on that block's own rows and weights, so its
+bits are those of the network's own pass; every elementwise operation
+runs once over all the rows, and one `adam_step` updates every network.
+
 Every step does only the work its caller reads, with the arithmetic of
 the plain formulas: activations and ReLU masks are applied in place on
 the step's own temporaries, and a one-output layer backpropagates
@@ -38,22 +46,23 @@ from .rng import RngStream
 ACTIVATIONS = ("relu", "sigmoid", "tanh", "identity")
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function of `x`, into `out` (which may be `x`) when given."""
     # exp(-|x|) never overflows; each sign takes the matching stable form,
     # 1/(1 + e) for x >= 0 and e/(1 + e) below.
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
     d = e + 1.0
-    return np.where(x >= 0, 1.0, e) / d
+    return np.divide(np.where(x >= 0, 1.0, e), d, out=out)
 
 
 def _activate(x: np.ndarray, kind: str) -> np.ndarray:
-    """The activation of the pre-activation `x`, which it may overwrite."""
+    """The activation of the pre-activation `x`, in place."""
     if kind == "relu":
         return np.maximum(x, 0.0, out=x)
     if kind == "sigmoid":
-        return sigmoid(x)
+        return sigmoid(x, out=x)
     if kind == "tanh":
         return np.tanh(x, out=x)
     if kind == "identity":
@@ -160,17 +169,87 @@ def init_mlp(sizes: list[int], activations: list[str], rng: RngStream) -> MlpPar
     return MlpParams(layers)
 
 
+class MlpStack:
+    """Networks of one topology, trained in lockstep on one stacked batch.
+
+    `rows[k]` is the number of rows of network k's block; the blocks are
+    stacked in the order of `nets`. The networks' values are copied into
+    consecutive blocks of `flat` (a new vector when None), and `nets` holds
+    them rebuilt as `MlpParams` views of their blocks. A pass writes each
+    layer's output, and each backward step its input gradient, into
+    buffers built here, so the activations a pass returns are valid until
+    the stack's next pass.
+    """
+
+    def __init__(self, nets: list[MlpParams], rows: list[int], flat: np.ndarray | None = None):
+        first = nets[0]
+        topology = [(layer.weights.shape, layer.activation) for layer in first.layers]
+        if any([(l.weights.shape, l.activation) for l in net.layers] != topology for net in nets):
+            raise ValueError("stacked networks must share one topology")
+        if len(rows) != len(nets):
+            raise ValueError("need one row count per stacked network")
+        size = first.flat.size
+        if flat is None:
+            flat = np.empty(len(nets) * size)
+        elif flat.shape != (len(nets) * size,):
+            raise ValueError(f"flat parameter vector must have shape ({len(nets) * size},)")
+        self.flat = flat
+        self.nets = [
+            MlpParams(net.layers, flat[k * size:(k + 1) * size]) for k, net in enumerate(nets)
+        ]
+        self.activations = [kind for _, kind in topology]
+        bounds = np.cumsum([0, *rows]).tolist()
+        self.blocks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.n_rows = bounds[-1]
+        # Each row's block size, the per-row `n` of a per-block mean.
+        self.counts = np.repeat(np.asarray(rows, dtype=float), rows)[:, None]
+        self.outputs = [np.empty((self.n_rows, shape[1])) for shape, _ in topology]
+        self.input_grads = [np.empty((self.n_rows, shape[0])) for shape, _ in topology]
+        # Per layer, one (rows, W, b, W.T, output rows, input-gradient rows)
+        # per network, built once: a pass spends its time in numpy.
+        self.lanes = [
+            [
+                (rows, net.layers[i].weights, net.layers[i].bias, net.layers[i].weights.T,
+                 out[rows], grad[rows])
+                for net, rows in zip(self.nets, self.blocks)
+            ]
+            for i, (out, grad) in enumerate(zip(self.outputs, self.input_grads))
+        ]
+
+    @property
+    def input_size(self) -> int:
+        return self.nets[0].input_size
+
+    def views(self, vector: np.ndarray) -> list[list[np.ndarray]]:
+        """`vector`, laid out like `flat`, as each network's `views`."""
+        size = self.nets[0].flat.size
+        return [net.views(vector[k * size:(k + 1) * size]) for k, net in enumerate(self.nets)]
+
+
+def row_blocks(
+    params: MlpParams | MlpStack, x: np.ndarray
+) -> tuple[list[tuple[slice, int]], np.ndarray | int]:
+    """The (rows, row count) of each block of the batch `x` for `params`,
+    and each row's block size: a stack's blocks and per-row column, or all
+    of `x` as one block and its length."""
+    if isinstance(params, MlpStack):
+        return [(rows, rows.stop - rows.start) for rows in params.blocks], params.counts
+    return [(slice(None), len(x))], len(x)
+
+
 class GradBuffer:
     """A gradient vector laid out like `params.flat` (a new one when None)
-    and its `arrays()`-order views, built once per training loop."""
+    and its `arrays()`-order views (for a stack, one such list per
+    network), built once per training loop."""
 
-    def __init__(self, params: MlpParams, flat: np.ndarray | None = None):
+    def __init__(self, params: MlpParams | MlpStack, flat: np.ndarray | None = None):
         self.flat = np.empty(params.flat.size) if flat is None else flat
         self.arrays = params.views(self.flat)
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
-    """Per-layer post-activations; entry 0 is the input, last is the output."""
+def mlp_forward(params: MlpParams | MlpStack, x: np.ndarray) -> list[np.ndarray]:
+    """Per-layer post-activations; entry 0 is the input, last is the output.
+    A stack's are its buffers."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.input_size:
         raise ValueError(
@@ -178,6 +257,16 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
             f"({params.input_size} inputs)"
         )
     activations = [x]
+    if isinstance(params, MlpStack):
+        if len(x) != params.n_rows:
+            raise ValueError(f"stacked batch has {len(x)} rows, the stack {params.n_rows}")
+        for out, kind, lanes in zip(params.outputs, params.activations, params.lanes):
+            for rows, weights, bias, _, y, _ in lanes:
+                np.dot(x[rows], weights, y)
+                y += bias
+            x = _activate(out, kind)
+            activations.append(x)
+        return activations
     for layer in params.layers:
         x = x @ layer.weights
         x += layer.bias
@@ -186,24 +275,55 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     return activations
 
 
+def _stack_backward(
+    stack: MlpStack,
+    activations: list[np.ndarray],
+    delta: np.ndarray,
+    grads: list[list[np.ndarray]] | None,
+    input_grad: bool,
+) -> np.ndarray | None:
+    """`mlp_backward` over a stack's row blocks; no parameter gradient when
+    `grads` is None. Returns the input gradient (a stack buffer) or None."""
+    last = len(stack.activations) - 1
+    for i in range(last, -1, -1):
+        delta = _backprop_activation(delta, activations[i + 1], stack.activations[i], i < last)
+        a = activations[i]
+        through = i > 0 or input_grad
+        # `_through_weights`: a one-output layer multiplies by W.T elementwise.
+        product = np.multiply if stack.outputs[i].shape[1] == 1 else np.dot
+        for k, (rows, _, _, weights_t, _, target) in enumerate(stack.lanes[i]):
+            d = delta[rows]
+            if grads is not None:
+                np.dot(a[rows].T, d, grads[k][2 * i])
+                np.add.reduce(d, axis=0, out=grads[k][2 * i + 1])
+            if through:
+                product(d, weights_t, target)
+        if not through:
+            return None
+        delta = stack.input_grads[i]
+    return delta
+
+
 def mlp_backward(
-    params: MlpParams,
+    params: MlpParams | MlpStack,
     activations: list[np.ndarray],
     output_gradient: np.ndarray,
     out: GradBuffer | None = None,
     input_grad: bool = True,
-) -> tuple[list[np.ndarray], np.ndarray | None]:
+) -> tuple[list, np.ndarray | None]:
     """Backprop a loss gradient through the network.
 
     `activations` must come from `mlp_forward` on the same params. The
     parameter gradient is written into `out`, a `GradBuffer` of `params`
-    (a new one when None). Returns (that gradient as `arrays()`-order
-    views, gradient w.r.t. the input batch); the input gradient is None,
-    and never computed, when `input_grad` is False.
+    (a new one when None). Returns (that gradient as `out.arrays`,
+    gradient w.r.t. the input batch); the input gradient is None, and
+    never computed, when `input_grad` is False.
     """
     if output_gradient.shape != activations[-1].shape:
         raise ValueError("output gradient shape mismatch")
     grads = (out or GradBuffer(params)).arrays
+    if isinstance(params, MlpStack):
+        return grads, _stack_backward(params, activations, output_gradient, grads, input_grad)
     delta = output_gradient
     last = len(params.layers) - 1
     for i in range(last, -1, -1):
@@ -218,12 +338,14 @@ def mlp_backward(
 
 
 def mlp_input_grad(
-    params: MlpParams, activations: list[np.ndarray], output_gradient: np.ndarray
+    params: MlpParams | MlpStack, activations: list[np.ndarray], output_gradient: np.ndarray
 ) -> np.ndarray:
     """The input-batch gradient of `mlp_backward`, without the parameter
     gradient (same operations, so the same bits)."""
     if output_gradient.shape != activations[-1].shape:
         raise ValueError("output gradient shape mismatch")
+    if isinstance(params, MlpStack):
+        return _stack_backward(params, activations, output_gradient, None, True)
     delta = output_gradient
     last = len(params.layers) - 1
     for i in range(last, -1, -1):

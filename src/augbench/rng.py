@@ -51,8 +51,9 @@ class RngStream:
     def uniform(self, low, high, size=None):
         return self.generator.uniform(low, high, size=size)
 
-    def normal(self, size=None):
-        return self.generator.standard_normal(size=size)
+    def normal(self, size=None, out=None):
+        # Into `out` when given: the values `size=out.shape` would draw.
+        return self.generator.standard_normal(size=size, out=out)
 
     def integers(self, low, high=None, size=None):
         return self.generator.integers(low, high, size=size)

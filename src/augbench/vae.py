@@ -9,6 +9,11 @@ reparameterization trick.
 
 Log-variances are clamped to [-10, 10] before use so the loss stays
 finite; gradients do not flow through a saturated clamp.
+
+`train_vae` trains one VAE per class in lockstep: the classes' rows are
+stacked, their encoders and decoders are `nncore.MlpStack`s over one
+parameter vector, and each class draws its noise from its own stream into
+its own rows. Every class's model has the bits of a VAE trained alone.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import numpy as np
 
 from .augment import SyntheticBatch, augment_per_class
 from .nncore import (
-    AdamState, GradBuffer, MlpParams, adam_step, init_mlp, mlp_backward, mlp_forward,
+    AdamState, GradBuffer, MlpParams, MlpStack, adam_step, init_mlp, mlp_backward,
+    mlp_forward, row_blocks,
 )
 from .rng import RngStream
 
@@ -37,8 +43,9 @@ class VaeConfig:
 
 @dataclass
 class VaeModel:
-    encoder: MlpParams  # output width 2*latent_dim: [mu | logvar]
-    decoder: MlpParams
+    # One class's networks, or (inside `train_vae`) every class's, as stacks.
+    encoder: MlpParams | MlpStack  # output width 2*latent_dim: [mu | logvar]
+    decoder: MlpParams | MlpStack
     latent_dim: int
     loss_history: list[tuple[int, float]]
 
@@ -83,11 +90,29 @@ def vae_loss(
     and returned as their views.
     """
     batch = np.asarray(batch, dtype=float)
-    n, d = batch.shape
+    if eps is None:
+        if rng is None:
+            raise ValueError("need either rng or explicit eps")
+        eps = rng.normal(size=(len(batch), model.latent_dim))
+    losses, grads = _vae_losses(model, batch, eps, beta, out)
+    return losses[0], grads
+
+
+def _vae_losses(
+    model: VaeModel,
+    batch: np.ndarray,
+    eps: np.ndarray,
+    beta: float,
+    out: tuple[GradBuffer, GradBuffer] | None,
+) -> tuple[list[float], tuple[list, list]]:
+    """`vae_loss` per row block, for a model of single networks (one block)
+    or of stacks (one block per class), with the noise `eps` given."""
+    d = batch.shape[1]
     if d != model.n_features:
         raise ValueError(f"batch has {d} columns, model expects {model.n_features}")
     L = model.latent_dim
     enc_out, dec_out = out or (GradBuffer(model.encoder), GradBuffer(model.decoder))
+    blocks, n = row_blocks(model.encoder, batch)
 
     enc_acts = mlp_forward(model.encoder, batch)
     heads = enc_acts[-1]
@@ -95,22 +120,21 @@ def vae_loss(
     clamp_ok = (logvar_raw > LOGVAR_MIN) & (logvar_raw < LOGVAR_MAX)
     logvar = np.minimum(np.maximum(logvar_raw, LOGVAR_MIN), LOGVAR_MAX)  # np.clip
     sigma = np.exp(0.5 * logvar)
-
-    if eps is None:
-        if rng is None:
-            raise ValueError("need either rng or explicit eps")
-        eps = rng.normal(size=(n, L))
     z = mu + sigma * eps
 
     dec_acts = mlp_forward(model.decoder, z)
     recon = dec_acts[-1]
     # Squared error summed over features (unit-variance Gaussian decoder
-    # up to constants), averaged over the batch; KL averaged over the batch.
-    residual = recon - batch
+    # up to constants), averaged over the block; KL averaged over the block.
     # np.mean as np.add.reduce / size: the same bits without the wrapper.
-    recon_loss = float(np.add.reduce(np.add.reduce(residual**2, axis=1)) / n)
+    residual = recon - batch
+    sq_error = np.add.reduce(residual**2, axis=1)
     kl = kl_divergence(mu, logvar)
-    loss = recon_loss + beta * float(np.add.reduce(kl) / n)
+    losses = [
+        float(np.add.reduce(sq_error[rows]) / size)
+        + beta * float(np.add.reduce(kl[rows]) / size)
+        for rows, size in blocks
+    ]
 
     # Backward: reconstruction path through the decoder into z.
     d_recon = 2.0 * residual / n
@@ -120,44 +144,57 @@ def vae_loss(
     d_logvar = dz * eps * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0) / n
     d_heads = np.concatenate([d_mu, d_logvar * clamp_ok], axis=1)
     enc_grads, _ = mlp_backward(model.encoder, enc_acts, d_heads, enc_out, input_grad=False)
-    return loss, (enc_grads, dec_grads)
+    return losses, (enc_grads, dec_grads)
 
 
 def train_vae(
-    data: np.ndarray,
-    config: VaeConfig | None = None,
-    rng: RngStream | None = None,
-) -> VaeModel:
-    """Full-batch Adam training; loss recorded once per epoch."""
+    data: dict[int, np.ndarray],
+    config: VaeConfig | None,
+    rngs: dict[int, RngStream],
+) -> dict[int, VaeModel]:
+    """One VAE per class of `data`, from the class's stream in `rngs`, by
+    full-batch Adam with every class in one loop; each model's loss is
+    recorded once per epoch."""
     config = config or VaeConfig()
-    rng = rng or RngStream(0, ("vae",))
-    data = np.asarray(data, dtype=float)
-    if data.shape[1] == 0:
-        raise ValueError("data has no features")
-    if data.shape[0] < 2:
-        raise ValueError("need at least 2 rows to train")
+    classes = list(data)
+    if not classes:
+        raise ValueError("need at least one class to train")
+    data = {c: np.asarray(data[c], dtype=float) for c in classes}
+    for c in classes:
+        if data[c].shape[1] == 0:
+            raise ValueError(f"class {c}: data has no features")
+        if data[c].shape[0] < 2:
+            raise ValueError(f"class {c}: need at least 2 rows to train")
 
-    model = init_vae(data.shape[1], config, rng.derive("init"))
-    noise = rng.derive("noise")
-    # Encoder and decoder step as one vector: rebuild both as views of it.
-    params = np.concatenate([model.encoder.flat, model.decoder.flat])
-    n_enc = model.encoder.flat.size
-    model.encoder = MlpParams(model.encoder.layers, params[:n_enc])
-    model.decoder = MlpParams(model.decoder.layers, params[n_enc:])
-    grad = np.empty_like(params)
-    grads = (GradBuffer(model.encoder, grad[:n_enc]), GradBuffer(model.decoder, grad[n_enc:]))
+    models = {c: init_vae(data[c].shape[1], config, rngs[c].derive("init")) for c in classes}
+    noise = [rngs[c].derive("noise") for c in classes]
+    rows = [len(data[c]) for c in classes]
+    # Every class's encoder, then every class's decoder, in one vector that
+    # one Adam step updates; each model's networks become views of it.
+    n_enc = len(classes) * models[classes[0]].encoder.flat.size
+    n_dec = len(classes) * models[classes[0]].decoder.flat.size
+    params, grad = np.empty(n_enc + n_dec), np.empty(n_enc + n_dec)
+    enc = MlpStack([models[c].encoder for c in classes], rows, params[:n_enc])
+    dec = MlpStack([models[c].decoder for c in classes], rows, params[n_enc:])
+    for c, enc_net, dec_net in zip(classes, enc.nets, dec.nets):
+        models[c].encoder, models[c].decoder = enc_net, dec_net
+    grads = (GradBuffer(enc, grad[:n_enc]), GradBuffer(dec, grad[n_enc:]))
     state = AdamState.for_params(params, alpha=config.learning_rate)
+    stacked = VaeModel(enc, dec, config.latent_dim, [])
+    batch = np.concatenate([data[c] for c in classes])
+    eps = np.empty((len(batch), config.latent_dim))
+    eps_blocks = [eps[block] for block in enc.blocks]
 
-    if config.epochs == 0:
-        loss, _ = vae_loss(model, data, rng=noise, beta=config.beta)
-        model.loss_history.append((0, loss))
-        return model
-
-    for epoch in range(config.epochs):
-        loss, _ = vae_loss(model, data, rng=noise, beta=config.beta, out=grads)
-        model.loss_history.append((epoch, loss))
-        adam_step(params, grad, state)
-    return model
+    # Zero epochs still record the initial loss, as epoch 0, and take no step.
+    for epoch in range(max(config.epochs, 1)):
+        for stream, block in zip(noise, eps_blocks):
+            stream.normal(out=block)
+        losses, _ = _vae_losses(stacked, batch, eps, config.beta, grads)
+        for c, loss in zip(classes, losses):
+            models[c].loss_history.append((epoch, loss))
+        if config.epochs:
+            adam_step(params, grad, state)
+    return models
 
 
 def sample_vae(model: VaeModel, n: int, rng: RngStream) -> np.ndarray:
@@ -182,5 +219,5 @@ def augment_with_vae(
     rng = rng or RngStream(0, ("augment-vae",))
     return augment_per_class(
         train_features, train_labels, n_synthetic,
-        lambda data, stream: train_vae(data, config, stream), sample_vae, rng, "vae",
+        lambda data, streams: train_vae(data, config, streams), sample_vae, rng, "vae",
     )

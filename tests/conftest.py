@@ -1,14 +1,18 @@
 """Shared fixtures and numeric-oracle helpers for the test suite."""
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from augbench.classifiers.linear import LinearModel, _check_svm_lambda
-from augbench.nncore import AdamState, Layer, MlpParams
+from augbench.gan import PROB_CLAMP
+from augbench.nncore import AdamState, Layer, MlpParams, init_mlp
+from augbench.rng import RngStream
+from augbench.vae import LOGVAR_MAX, LOGVAR_MIN, VaeModel, init_vae
 
 # GitHub Actions sets CI: a failing property there prints the blob that
 # replays it (`@reproduce_failure`), and a slow shared runner cannot fail
@@ -151,6 +155,97 @@ def ref_adam_step(params, grad, state):
 def flat(arrays):
     """[W0, b0, ...] as one vector in `MlpParams.flat` layout."""
     return np.concatenate([a.ravel() for a in arrays])
+
+
+@st.composite
+def class_datasets(draw):
+    """1-3 classes with distinct labels and unequal sizes (2-40 rows) of one
+    random width, and a fit stream per class: a lockstep trainer's input."""
+    labels = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
+    sizes = draw(st.lists(st.integers(2, 40), min_size=len(labels), max_size=len(labels),
+                          unique=True))
+    width = draw(st.integers(1, 4))
+    rng = RngStream(draw(st.integers(0, 2**32)), ("lockstep",))
+    data = {c: rng.derive(f"x{c}").normal(size=(n, width)) * 2.0 + c
+            for c, n in zip(sorted(labels), sizes)}
+    return data, {c: rng.derive(f"fit{c}") for c in data}
+
+
+# One class's VAE and GAN, trained alone on the plain formulas. The
+# trainers run every class in one loop with the same bits, so these are
+# per-class oracles for `np.array_equal`.
+
+
+def ref_train_vae(data, config, rng):
+    """One VAE by full-batch Adam on the plain formulas: np.clip, np.mean,
+    np.hstack, the reconstruction residual computed twice and a full
+    encoder backward. Returns the model, its encoder and decoder views of
+    one parameter vector."""
+    model = init_vae(data.shape[1], config, rng.derive("init"))
+    noise = rng.derive("noise")
+    n_enc = model.encoder.flat.size
+    params = np.concatenate([model.encoder.flat, model.decoder.flat])
+    enc = MlpParams(model.encoder.layers, params[:n_enc])
+    dec = MlpParams(model.decoder.layers, params[n_enc:])
+    state = AdamState.for_params(params, alpha=config.learning_rate)
+    n, L, beta = len(data), config.latent_dim, config.beta
+    history = []
+    for epoch in range(max(config.epochs, 1)):
+        enc_acts = ref_forward(enc, data)
+        mu, logvar_raw = enc_acts[-1][:, :L], enc_acts[-1][:, L:]
+        clamp_ok = (logvar_raw > LOGVAR_MIN) & (logvar_raw < LOGVAR_MAX)
+        logvar = np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX)
+        sigma = np.exp(0.5 * logvar)
+        eps = noise.normal(size=(n, L))
+        dec_acts = ref_forward(dec, mu + sigma * eps)
+        recon = dec_acts[-1]
+        recon_loss = float(np.mean(np.sum((recon - data) ** 2, axis=1)))
+        kl = 0.5 * np.sum(mu**2 + np.exp(logvar) - 1.0 - logvar, axis=1)
+        history.append((epoch, recon_loss + beta * float(kl.mean())))
+        if config.epochs == 0:  # the initial loss only
+            break
+        dec_grads, dz = ref_backward(dec, dec_acts, 2.0 * (recon - data) / n)
+        d_mu = dz + beta * mu / n
+        d_logvar = dz * eps * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0) / n
+        enc_grads, _ = ref_backward(enc, enc_acts, np.hstack([d_mu, d_logvar * clamp_ok]))
+        ref_adam_step(params, flat(enc_grads + dec_grads), state)
+    return VaeModel(enc, dec, L, history)
+
+
+def ref_train_gan(data, config, rng):
+    """One GAN, its VAE pretrained by `ref_train_vae`, and the adversarial
+    loop on the plain formulas: np.clip, np.mean, and a full backward pass
+    whose unread products are still computed. Returns (decoder vector,
+    discriminator vector, loss history)."""
+    n, d = data.shape
+    gen = ref_train_vae(data, replace(config.vae, epochs=config.pretrain_epochs),
+                        rng.derive("pretrain"))
+    disc = init_mlp([d, *config.disc_hidden, 1], ["relu", "relu", "sigmoid"],
+                    rng.derive("disc-init"))
+    dec = gen.decoder
+    gen_state = AdamState.for_params(dec.flat, alpha=config.learning_rate)
+    disc_state = AdamState.for_params(disc.flat, alpha=config.disc_learning_rate)
+    noise = rng.derive("noise")
+    history = []
+    for epoch in range(config.epochs):
+        fake = ref_forward(dec, noise.normal(size=(n, gen.latent_dim)))[-1]
+        acts_r, acts_f = ref_forward(disc, data), ref_forward(disc, fake)
+        p_r = np.clip(acts_r[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
+        p_f = np.clip(acts_f[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
+        d_loss = 0.5 * float(np.mean(-np.log(p_r)) + np.mean(-np.log(1.0 - p_f)))
+        grad_r, _ = ref_backward(disc, acts_r, -0.5 / (p_r * len(p_r)))
+        grad_f, _ = ref_backward(disc, acts_f, 0.5 / ((1.0 - p_f) * len(p_f)))
+        ref_adam_step(disc.flat, flat(grad_r) + flat(grad_f), disc_state)
+
+        dec_acts = ref_forward(dec, noise.normal(size=(n, gen.latent_dim)))
+        acts = ref_forward(disc, dec_acts[-1])
+        p = np.clip(acts[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
+        g_loss = float(np.mean(-np.log(p)))
+        _, d_fake = ref_backward(disc, acts, -1.0 / (p * len(p)))
+        dec_grad, _ = ref_backward(dec, dec_acts, d_fake)
+        ref_adam_step(dec.flat, flat(dec_grad), gen_state)
+        history.append((epoch, g_loss, d_loss))
+    return dec.flat, disc.flat, history
 
 
 # The plain stacked epoch of the linear trainers: margins as `X @ W + B`

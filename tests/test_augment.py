@@ -34,9 +34,9 @@ def test_augment_per_class_routes_streams_and_stacks_rows():
     y = np.array([0, 0, 0, 0, 1, 1])
     seen = {}
 
-    def fit(data, stream):
-        seen[stream.path] = len(data)
-        return data[0, 0]  # a "model" that names the class's first row
+    def fit(data, streams):
+        seen.update({streams[c].path: len(x) for c, x in data.items()})
+        return {c: x[0, 0] for c, x in data.items()}  # "models" naming each first row
 
     def sample(model, n, stream):
         return np.full((n, 2), model + 10.0)
@@ -55,7 +55,7 @@ def test_augment_per_class_zero_synthetic_copies_input():
     X = np.ones((4, 2))
     y = np.array([0, 0, 1, 1])
     Xa, ya, prov = augment_per_class(
-        X, y, 0, lambda d, s: None, lambda m, n, s: np.zeros((n, 2)),
+        X, y, 0, lambda d, s: dict.fromkeys(d), lambda m, n, s: np.zeros((n, 2)),
         RngStream(0), "vae",
     )
     np.testing.assert_array_equal(Xa, X)
@@ -68,6 +68,6 @@ def test_augment_per_class_requires_both_classes():
     with pytest.raises(ValueError):
         augment_per_class(
             np.ones((3, 1)), np.zeros(3, dtype=int), 5,
-            lambda d, s: None, lambda m, n, s: np.zeros((n, 1)),
+            lambda d, s: dict.fromkeys(d), lambda m, n, s: np.zeros((n, 1)),
             RngStream(0), "gmm",
         )

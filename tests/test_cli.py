@@ -306,6 +306,38 @@ def test_failing_generator_fails_only_its_row(tmp_path, capsys):
     assert alone_rows == [rows["none", "tree"]]
 
 
+DIVERGING_GAN = dict(
+    FAST, augmenters=["none", "gan"], classifiers=["tree"],
+    hyperparams={"gan": {"learning_rate": 1e300, "pretrain_epochs": 2, "epochs": 20}},
+)
+
+
+def test_failing_gan_fails_only_its_row(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(DIVERGING_GAN))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    rows = {(r["augmenter"], r["classifier"]): r
+            for r in csv.DictReader((out / "results.csv").open())}
+    assert rows["gan", "tree"]["error"].startswith("FloatingPointError: ")
+    assert rows["none", "tree"]["error"] == ""
+    assert "## Failed cells" in (out / "report.md").read_text()
+    assert json.loads((out / "run_meta.json").read_text())["contamination"] is False
+
+
+def test_aggregate_keeps_a_cell_that_failed_in_every_seed(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(DIVERGING_VAE))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out), "--seeds", "2"]) == 0
+    agg = list(csv.DictReader((out / "aggregate.csv").open()))
+    assert [(r["augmenter"], r["classifier"], r["n_seeds"]) for r in agg] == [
+        ("none", "tree", "2"), ("vae", "tree", "0"),
+    ]
+    assert float(agg[0]["mean_test_auc"]) > 0.5
+    assert (agg[1]["mean_test_acc"], agg[1]["mean_test_f1"], agg[1]["mean_test_auc"]) == ("", "", "")
+
+
 def test_augment_with_failing_generator_is_a_one_line_error(tmp_path, capsys):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(DIVERGING_VAE))

@@ -4,22 +4,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from augbench.gan import (
-    PROB_CLAMP, GanConfig, augment_with_gan, discriminator_loss, sample_gan, train_gan,
-)
-from augbench.nncore import AdamState, Layer, MlpParams, init_mlp, mlp_forward
+from augbench.gan import GanConfig, augment_with_gan, discriminator_loss, sample_gan, train_gan
+from augbench.nncore import Layer, MlpParams, init_mlp, mlp_forward
 from augbench.rng import RngStream
 from augbench.vae import VaeConfig, train_vae
 from conftest import (
-    central_difference, flat, max_relative_error, ref_adam_step, ref_backward, ref_forward,
-    with_arrays,
+    central_difference, class_datasets, max_relative_error, ref_train_gan, with_arrays,
 )
 
 TINY = GanConfig(
     pretrain_epochs=10, epochs=15, learning_rate=1e-3, disc_learning_rate=1e-3,
     disc_hidden=(6, 4), vae=VaeConfig(hidden_size=6, latent_dim=2, epochs=10),
 )
+
+
+def train_one(data, config, rng):
+    """`train_gan` on one class."""
+    return train_gan({0: data}, config, {0: rng})[0]
 
 
 def fresh_disc(seed=0, d=3):
@@ -70,8 +73,8 @@ def test_discriminator_loss_rejects_empty_batches():
 
 def test_train_gan_records_losses_and_is_deterministic():
     data = RngStream(3).normal(size=(30, 3)) + 1.0
-    a = train_gan(data, TINY, RngStream(9, ("gan",)))
-    b = train_gan(data, TINY, RngStream(9, ("gan",)))
+    a = train_one(data, TINY, RngStream(9, ("gan",)))
+    b = train_one(data, TINY, RngStream(9, ("gan",)))
     assert len(a.loss_history) == TINY.epochs
     epochs, g_losses, d_losses = zip(*a.loss_history)
     assert list(epochs) == list(range(TINY.epochs))
@@ -82,12 +85,12 @@ def test_train_gan_records_losses_and_is_deterministic():
 
 def test_train_gan_requires_rows():
     with pytest.raises(ValueError):
-        train_gan(np.zeros((1, 2)), TINY, RngStream(0))
+        train_one(np.zeros((1, 2)), TINY, RngStream(0))
 
 
 def test_sample_gan_uses_decoder_only():
     data = RngStream(4).normal(size=(20, 2))
-    model = train_gan(data, TINY, RngStream(4, ("gan",)))
+    model = train_one(data, TINY, RngStream(4, ("gan",)))
     s = sample_gan(model, 30, RngStream(5, ("s",)))
     assert s.shape == (30, 2)
     # Equals decoding the same latents directly: the encoder is not involved.
@@ -105,8 +108,8 @@ def test_adversarial_phase_moves_fakes_toward_data():
     long = GanConfig(pretrain_epochs=10, epochs=800, learning_rate=3e-3,
                      disc_learning_rate=3e-3, disc_hidden=(6, 4),
                      vae=VaeConfig(hidden_size=6, latent_dim=2))
-    before = sample_gan(train_gan(data, short, RngStream(6, ("g",))), 300, RngStream(7))
-    after = sample_gan(train_gan(data, long, RngStream(6, ("g",))), 300, RngStream(7))
+    before = sample_gan(train_one(data, short, RngStream(6, ("g",))), 300, RngStream(7))
+    after = sample_gan(train_one(data, long, RngStream(6, ("g",))), 300, RngStream(7))
     target = data.mean(axis=0)
     gap_before = np.linalg.norm(before.mean(axis=0) - target)
     gap_after = np.linalg.norm(after.mean(axis=0) - target)
@@ -136,11 +139,11 @@ def test_zero_adversarial_epochs_is_pretraining_only():
     data = RngStream(8).normal(size=(20, 2))
     cfg = GanConfig(pretrain_epochs=10, epochs=0, disc_hidden=(6, 4),
                     vae=VaeConfig(hidden_size=6, latent_dim=2))
-    model = train_gan(data, cfg, RngStream(8, ("gan",)))
+    model = train_one(data, cfg, RngStream(8, ("gan",)))
     assert model.loss_history == []
     vae_cfg = VaeConfig(hidden_size=6, latent_dim=2, epochs=10,
                         learning_rate=cfg.vae.learning_rate, beta=cfg.vae.beta)
-    ref_gen = train_vae(data, vae_cfg, RngStream(8, ("gan",)).derive("pretrain"))
+    ref_gen = train_vae({0: data}, vae_cfg, {0: RngStream(8, ("gan",)).derive("pretrain")})[0]
     for a, b in zip(model.generator.decoder.arrays(), ref_gen.decoder.arrays()):
         np.testing.assert_array_equal(a, b)
     ref_disc = init_mlp([2, 6, 4, 1], ["relu", "relu", "sigmoid"],
@@ -161,7 +164,7 @@ def test_near_equilibrium_discriminator_on_toy_data():
                     vae=VaeConfig(hidden_size=8, latent_dim=2))
     accs = []
     for seed in range(5):
-        model = train_gan(data, cfg, RngStream(40 + seed, ("equil",)))
+        model = train_one(data, cfg, RngStream(40 + seed, ("equil",)))
         fake = sample_gan(model, len(data), RngStream(90 + seed, ("held",)))
         p_real = fwd(model.discriminator, data)[-1][:, 0]
         p_fake = fwd(model.discriminator, fake)[-1][:, 0]
@@ -169,45 +172,52 @@ def test_near_equilibrium_discriminator_on_toy_data():
     assert 0.3 <= float(np.mean(accs)) <= 0.7
 
 
-def _reference_train_gan(data, config, rng):
-    """The adversarial loop on the plain formulas: np.clip, np.mean, and a
-    full backward pass whose unread products are still computed. Returns
-    (decoder vector, discriminator vector, loss history)."""
-    n, d = data.shape
-    gen = train_vae(data, replace(config.vae, epochs=config.pretrain_epochs),
-                    rng.derive("pretrain"))
-    disc = init_mlp([d, *config.disc_hidden, 1], ["relu", "relu", "sigmoid"],
-                    rng.derive("disc-init"))
-    dec = gen.decoder
-    gen_state = AdamState.for_params(dec.flat, alpha=config.learning_rate)
-    disc_state = AdamState.for_params(disc.flat, alpha=config.disc_learning_rate)
-    noise = rng.derive("noise")
-    history = []
-    for epoch in range(config.epochs):
-        fake = ref_forward(dec, noise.normal(size=(n, gen.latent_dim)))[-1]
-        acts_r, acts_f = ref_forward(disc, data), ref_forward(disc, fake)
-        p_r = np.clip(acts_r[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
-        p_f = np.clip(acts_f[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
-        d_loss = 0.5 * float(np.mean(-np.log(p_r)) + np.mean(-np.log(1.0 - p_f)))
-        grad_r, _ = ref_backward(disc, acts_r, -0.5 / (p_r * len(p_r)))
-        grad_f, _ = ref_backward(disc, acts_f, 0.5 / ((1.0 - p_f) * len(p_f)))
-        ref_adam_step(disc.flat, flat(grad_r) + flat(grad_f), disc_state)
-
-        dec_acts = ref_forward(dec, noise.normal(size=(n, gen.latent_dim)))
-        acts = ref_forward(disc, dec_acts[-1])
-        p = np.clip(acts[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
-        g_loss = float(np.mean(-np.log(p)))
-        _, d_fake = ref_backward(disc, acts, -1.0 / (p * len(p)))
-        dec_grad, _ = ref_backward(dec, dec_acts, d_fake)
-        ref_adam_step(dec.flat, flat(dec_grad), gen_state)
-        history.append((epoch, g_loss, d_loss))
-    return dec.flat, disc.flat, history
-
-
 def test_train_gan_equals_the_plain_formula_loop_bit_for_bit():
     data = RngStream(10).normal(size=(30, 3)) + 1.0
-    model = train_gan(data, TINY, RngStream(11, ("gan",)))
-    dec, disc, history = _reference_train_gan(data, TINY, RngStream(11, ("gan",)))
+    model = train_one(data, TINY, RngStream(11, ("gan",)))
+    dec, disc, history = ref_train_gan(data, TINY, RngStream(11, ("gan",)))
     assert np.array_equal(model.generator.decoder.flat, dec)
     assert np.array_equal(model.discriminator.flat, disc)
     assert model.loss_history == history
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    datasets=class_datasets(),
+    pretrain_epochs=st.integers(0, 6),
+    epochs=st.integers(0, 6),
+    hidden=st.integers(1, 6),
+    latent=st.integers(1, 3),
+    disc_hidden=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+)
+def test_lockstep_gans_equal_each_class_trained_alone(
+    datasets, pretrain_epochs, epochs, hidden, latent, disc_hidden
+):
+    data, rngs = datasets
+    config = GanConfig(
+        pretrain_epochs=pretrain_epochs, epochs=epochs, learning_rate=3e-3,
+        disc_learning_rate=2e-3, disc_hidden=disc_hidden,
+        vae=VaeConfig(hidden_size=hidden, latent_dim=latent, learning_rate=5e-3),
+    )
+    models = train_gan(data, config, rngs)
+    assert list(models) == list(data)
+    for c, model in models.items():
+        dec, disc, history = ref_train_gan(data[c], config, rngs[c])
+        assert np.array_equal(model.generator.decoder.flat, dec)
+        assert np.array_equal(model.discriminator.flat, disc)
+        assert np.array_equal(np.array(model.loss_history).reshape(-1, 3),
+                              np.array(history).reshape(-1, 3))
+
+
+def test_non_finite_loss_names_its_class():
+    good = RngStream(14, ("good",)).normal(size=(10, 2))
+    bad = RngStream(14, ("bad",)).normal(size=(12, 2))
+    bad[3, 1] = np.nan
+    config = replace(TINY, pretrain_epochs=0)
+    rngs = {2: RngStream(1), 7: RngStream(2)}
+    with np.errstate(invalid="ignore"), pytest.raises(
+        FloatingPointError, match="discriminator loss for class 7 at epoch 0"
+    ):
+        train_gan({2: good, 7: bad}, config, rngs)
+    with pytest.raises(ValueError, match="class 7: need at least 2 rows"):
+        train_gan({2: good, 7: bad[:1]}, config, rngs)

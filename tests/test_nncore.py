@@ -9,6 +9,7 @@ from augbench.nncore import (
     GradBuffer,
     Layer,
     MlpParams,
+    MlpStack,
     adam_step,
     init_mlp,
     mlp_backward,
@@ -376,3 +377,66 @@ def test_adam_step_equals_the_plain_formula_over_several_steps():
         assert np.array_equal(params, ref)
         assert np.array_equal(state.m, ref_state.m) and np.array_equal(state.v, ref_state.v)
         assert np.array_equal(grad, grad_before)
+
+
+@pytest.mark.parametrize("sizes, kinds", LEAN_NETS)
+def test_stacked_pass_equals_each_network_alone_bit_for_bit(sizes, kinds):
+    rng = RngStream(33, ("stack", *kinds))
+    nets = [init_mlp(sizes, kinds, rng.derive(f"init{k}")) for k in range(3)]
+    for k, net in enumerate(nets):
+        net.flat[:] += 0.5 * rng.derive(f"shift{k}").normal(size=net.flat.size)
+    rows = [5, 11, 2]
+    stack = MlpStack(nets, rows)
+    x = rng.derive("x").normal(size=(sum(rows), sizes[0]))
+    g = rng.derive("g").normal(size=(sum(rows), sizes[-1]))
+    grads, d_in = mlp_backward(stack, mlp_forward(stack, x), g)
+    d_in = d_in.copy()  # a stack buffer, which the next backward step rewrites
+    acts = mlp_forward(stack, x)
+    lean, no_input = mlp_backward(stack, acts, g, GradBuffer(stack), input_grad=False)
+    assert no_input is None
+    only_input = mlp_input_grad(stack, acts, g)
+    for k, (net, block, rows_k) in enumerate(zip(nets, stack.blocks, rows)):
+        assert np.array_equal(stack.nets[k].flat, net.flat)
+        assert np.shares_memory(stack.nets[k].flat, stack.flat)
+        alone = mlp_forward(net, x[block])
+        assert len(alone[0]) == rows_k
+        for a, b in zip(acts, alone):
+            assert np.array_equal(a[block], b)
+        ref_grads, ref_d_in = mlp_backward(net, alone, g[block])
+        for a, b, r in zip(grads[k], lean[k], ref_grads):
+            assert np.array_equal(a, r) and np.array_equal(b, r)
+        assert np.array_equal(d_in[block], ref_d_in)
+        assert np.array_equal(only_input[block], ref_d_in)
+
+
+def test_stack_gradient_buffer_and_adam_step_cover_every_network():
+    rng = RngStream(34, ("stack-adam",))
+    nets = [init_mlp([2, 3, 1], ["relu", "sigmoid"], rng.derive(f"n{k}")) for k in range(2)]
+    stack = MlpStack(nets, [4, 6])
+    buffer = GradBuffer(stack)
+    for k, net in enumerate(stack.nets):
+        size = net.flat.size
+        for view in buffer.arrays[k]:
+            assert np.shares_memory(view, buffer.flat[k * size:(k + 1) * size])
+    grad = rng.derive("g").normal(size=stack.flat.size)
+    state = AdamState.for_params(stack.flat, alpha=0.01)
+    alone = [net.flat.copy() for net in nets]
+    states = [AdamState.for_params(a, alpha=0.01) for a in alone]
+    adam_step(stack.flat, grad, state)
+    for k, (net, a, st) in enumerate(zip(stack.nets, alone, states)):
+        adam_step(a, grad[k * a.size:(k + 1) * a.size], st)
+        assert np.array_equal(net.flat, a)
+
+
+def test_stack_rejects_mixed_topologies_and_wrong_row_counts():
+    rng = RngStream(35, ("stack-bad",))
+    a = init_mlp([2, 3, 1], ["relu", "sigmoid"], rng.derive("a"))
+    with pytest.raises(ValueError, match="one topology"):
+        MlpStack([a, init_mlp([2, 4, 1], ["relu", "sigmoid"], rng.derive("b"))], [2, 2])
+    with pytest.raises(ValueError, match="one topology"):
+        MlpStack([a, init_mlp([2, 3, 1], ["tanh", "sigmoid"], rng.derive("c"))], [2, 2])
+    with pytest.raises(ValueError, match="one row count"):
+        MlpStack([a, a], [2])
+    stack = MlpStack([a, a], [2, 3])
+    with pytest.raises(ValueError, match="5"):
+        mlp_forward(stack, np.zeros((4, 2)))

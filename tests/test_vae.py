@@ -2,12 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from augbench.nncore import AdamState, MlpParams
 from augbench.rng import RngStream
 from augbench.vae import (
-    LOGVAR_MAX,
-    LOGVAR_MIN,
     VaeConfig,
     augment_with_vae,
     init_vae,
@@ -17,9 +15,13 @@ from augbench.vae import (
     vae_loss,
 )
 from conftest import (
-    central_difference, flat, max_relative_error, ref_adam_step, ref_backward, ref_forward,
-    with_arrays,
+    central_difference, class_datasets, max_relative_error, ref_train_vae, with_arrays,
 )
+
+
+def train_one(data, config, rng):
+    """`train_vae` on one class."""
+    return train_vae({0: data}, config, {0: rng})[0]
 
 
 def small_model(seed=0, d=3, hidden=4, latent=2):
@@ -85,7 +87,7 @@ def test_training_reduces_loss():
     rng = RngStream(3, ("train",))
     data = rng.derive("x").normal(size=(60, 3)) + np.array([2.0, -1.0, 0.5])
     cfg = VaeConfig(epochs=300)
-    model = train_vae(data, cfg, rng.derive("fit"))
+    model = train_one(data, cfg, rng.derive("fit"))
     assert len(model.loss_history) == 300
     first = model.loss_history[0][1]
     last = model.loss_history[-1][1]
@@ -95,8 +97,8 @@ def test_training_reduces_loss():
 def test_training_is_deterministic():
     data = RngStream(4).normal(size=(20, 2))
     cfg = VaeConfig(epochs=20)
-    a = train_vae(data, cfg, RngStream(7, ("fit",)))
-    b = train_vae(data, cfg, RngStream(7, ("fit",)))
+    a = train_one(data, cfg, RngStream(7, ("fit",)))
+    b = train_one(data, cfg, RngStream(7, ("fit",)))
     for x, y in zip(a.decoder.arrays(), b.decoder.arrays()):
         np.testing.assert_array_equal(x, y)
 
@@ -114,9 +116,11 @@ def test_sampling_shapes_and_determinism():
 
 def test_train_vae_input_validation():
     with pytest.raises(ValueError):
-        train_vae(np.zeros((1, 3)), VaeConfig(epochs=1), RngStream(0))
+        train_one(np.zeros((1, 3)), VaeConfig(epochs=1), RngStream(0))
     with pytest.raises(ValueError):
-        train_vae(np.zeros((5, 0)), VaeConfig(epochs=1), RngStream(0))
+        train_one(np.zeros((5, 0)), VaeConfig(epochs=1), RngStream(0))
+    with pytest.raises(ValueError, match="at least one class"):
+        train_vae({}, VaeConfig(epochs=1), {})
 
 
 def test_augment_with_vae_counts():
@@ -138,7 +142,7 @@ def test_kl_unit_case():
 def test_zero_epochs_returns_initialization_with_one_loss_entry():
     data = RngStream(10).normal(size=(10, 3))
     cfg = VaeConfig(epochs=0)
-    model = train_vae(data, cfg, RngStream(10, ("fit",)))
+    model = train_one(data, cfg, RngStream(10, ("fit",)))
     ref = init_vae(3, cfg, RngStream(10, ("fit",)).derive("init"))
     for a, b in zip(model.encoder.arrays() + model.decoder.arrays(),
                     ref.encoder.arrays() + ref.decoder.arrays()):
@@ -158,48 +162,37 @@ def test_zero_weight_decoder_samples_equal_bias():
 def test_trained_sampler_tracks_the_data_location():
     rng = RngStream(12, ("loc",))
     data = 0.1 * rng.derive("x").normal(size=(100, 1))  # concentrated near 0
-    model = train_vae(data, VaeConfig(epochs=200), rng.derive("fit"))
+    model = train_one(data, VaeConfig(epochs=200), rng.derive("fit"))
     samples = sample_vae(model, 1000, rng.derive("sample"))
     assert abs(samples.mean()) < 0.5
-
-
-def _reference_train_vae(data, config, rng):
-    """`train_vae` on the plain formulas: np.clip, np.mean, np.hstack, the
-    reconstruction residual computed twice and a full encoder backward.
-    Returns (encoder and decoder vector, loss history)."""
-    model = init_vae(data.shape[1], config, rng.derive("init"))
-    noise = rng.derive("noise")
-    n_enc = model.encoder.flat.size
-    params = np.concatenate([model.encoder.flat, model.decoder.flat])
-    enc = MlpParams(model.encoder.layers, params[:n_enc])
-    dec = MlpParams(model.decoder.layers, params[n_enc:])
-    state = AdamState.for_params(params, alpha=config.learning_rate)
-    n, L, beta = len(data), config.latent_dim, config.beta
-    history = []
-    for epoch in range(config.epochs):
-        enc_acts = ref_forward(enc, data)
-        mu, logvar_raw = enc_acts[-1][:, :L], enc_acts[-1][:, L:]
-        clamp_ok = (logvar_raw > LOGVAR_MIN) & (logvar_raw < LOGVAR_MAX)
-        logvar = np.clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX)
-        sigma = np.exp(0.5 * logvar)
-        eps = noise.normal(size=(n, L))
-        dec_acts = ref_forward(dec, mu + sigma * eps)
-        recon = dec_acts[-1]
-        recon_loss = float(np.mean(np.sum((recon - data) ** 2, axis=1)))
-        kl = 0.5 * np.sum(mu**2 + np.exp(logvar) - 1.0 - logvar, axis=1)
-        history.append((epoch, recon_loss + beta * float(kl.mean())))
-        dec_grads, dz = ref_backward(dec, dec_acts, 2.0 * (recon - data) / n)
-        d_mu = dz + beta * mu / n
-        d_logvar = dz * eps * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0) / n
-        enc_grads, _ = ref_backward(enc, enc_acts, np.hstack([d_mu, d_logvar * clamp_ok]))
-        ref_adam_step(params, flat(enc_grads + dec_grads), state)
-    return params, history
 
 
 def test_train_vae_equals_the_plain_formula_loop_bit_for_bit():
     data = RngStream(12).normal(size=(25, 3)) * 2.0 + 1.0
     config = VaeConfig(hidden_size=6, latent_dim=2, epochs=40, beta=0.8)
-    model = train_vae(data, config, RngStream(13, ("vae",)))
-    params, history = _reference_train_vae(data, config, RngStream(13, ("vae",)))
-    assert np.array_equal(np.concatenate([model.encoder.flat, model.decoder.flat]), params)
-    assert model.loss_history == history
+    model = train_one(data, config, RngStream(13, ("vae",)))
+    ref = ref_train_vae(data, config, RngStream(13, ("vae",)))
+    assert np.array_equal(model.encoder.flat, ref.encoder.flat)
+    assert np.array_equal(model.decoder.flat, ref.decoder.flat)
+    assert model.loss_history == ref.loss_history
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    datasets=class_datasets(),
+    epochs=st.integers(0, 6),
+    hidden=st.integers(1, 6),
+    latent=st.integers(1, 3),
+    beta=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+)
+def test_lockstep_vaes_equal_each_class_trained_alone(datasets, epochs, hidden, latent, beta):
+    data, rngs = datasets
+    config = VaeConfig(hidden_size=hidden, latent_dim=latent, epochs=epochs,
+                       learning_rate=5e-3, beta=beta)
+    models = train_vae(data, config, rngs)
+    assert list(models) == list(data)
+    for c, model in models.items():
+        ref = ref_train_vae(data[c], config, rngs[c])
+        assert np.array_equal(model.encoder.flat, ref.encoder.flat)
+        assert np.array_equal(model.decoder.flat, ref.decoder.flat)
+        assert np.array_equal(np.array(model.loss_history), np.array(ref.loss_history))
