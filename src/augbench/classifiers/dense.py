@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..nncore import (
-    AdamState, GradBuffer, MlpParams, adam_step, init_mlp, mlp_backward, mlp_forward,
+    AdamState, GradBuffer, MlpParams, MlpStack, adam_step, init_mlp, mlp_backward,
+    mlp_forward,
 )
 from ..rng import RngStream
 
@@ -49,19 +50,20 @@ def fit_dense_net(
     if len(np.unique(y)) < 2:
         raise ValueError("both classes must be present")
 
-    params = init_mlp(
+    n = len(y)
+    # One network over all the rows, built once: its buffers serve every epoch.
+    stack = MlpStack([init_mlp(
         [X.shape[1], *config.hidden, 1],
         ["relu", "relu", "sigmoid"],
         rng.derive("init"),
-    )
-    state = AdamState.for_params(params.flat, alpha=config.learning_rate)
-    grad = GradBuffer(params)
-    model = DenseNetModel(params)
-    n = len(y)
+    )], [n])
+    state = AdamState.for_params(stack.flat, alpha=config.learning_rate)
+    grad = GradBuffer(stack)
+    model = DenseNetModel(stack.nets[0])
     not_y = 1 - y
 
     for epoch in range(config.epochs):
-        acts = mlp_forward(params, X)
+        acts = mlp_forward(stack, X)
         p = np.minimum(np.maximum(acts[-1], PROB_CLAMP), 1.0 - PROB_CLAMP)  # np.clip
         not_p = 1.0 - p
         # -np.mean(...), as np.add.reduce / size: the same bits without the wrapper.
@@ -70,6 +72,6 @@ def fit_dense_net(
             raise FloatingPointError(f"non-finite loss at epoch {epoch}")
         model.loss_history.append(loss)
         d_out = (p - y) / (n * p * not_p)  # dBCE/d(sigmoid output)
-        mlp_backward(params, acts, d_out, grad, input_grad=False)
-        adam_step(params.flat, grad.flat, state)
+        mlp_backward(stack, acts, d_out, grad, input_grad=False)
+        adam_step(stack.flat, grad.flat, state)
     return model

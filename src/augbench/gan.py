@@ -117,12 +117,10 @@ def _generator_loss(
     return _neg_mean_logs(np.log(p), blocks), d_fake
 
 
-def _check_finite(losses: list[float], classes: list[int], what: str, epoch: int) -> None:
+def _check_finite(losses: list[float], classes: list[int]) -> None:
     for c, loss in zip(classes, losses):
         if not math.isfinite(loss):
-            raise FloatingPointError(
-                f"non-finite GAN {what} loss for class {c} at epoch {epoch}: {loss}"
-            )
+            raise FloatingPointError(f"non-finite loss for class {c}: {loss}")
 
 
 def train_gan(
@@ -173,22 +171,25 @@ def train_gan(
             stream.normal(out=block)
         return z
 
-    for epoch in range(config.epochs):
-        # Discriminator step on real vs a fresh fake batch.
-        fake = mlp_forward(dec, latents())[-1]
-        d_losses, _ = _discriminator_losses(disc, real, fake, disc_grad, fake_grad)
-        _check_finite(d_losses, classes, "discriminator", epoch)
-        adam_step(disc.flat, disc_grad.flat, disc_state)
+    try:
+        for epoch in range(config.epochs):
+            step = "discriminator"  # on real vs a fresh fake batch
+            fake = mlp_forward(dec, latents())[-1]
+            d_losses, _ = _discriminator_losses(disc, real, fake, disc_grad, fake_grad)
+            _check_finite(d_losses, classes)
+            adam_step(disc.flat, disc_grad.flat, disc_state)
 
-        # Generator step against the just-updated discriminator.
-        dec_acts = mlp_forward(dec, latents())
-        g_losses, d_fake = _generator_loss(disc, dec_acts[-1])
-        _check_finite(g_losses, classes, "generator", epoch)
-        mlp_backward(dec, dec_acts, d_fake, dec_grad, input_grad=False)
-        adam_step(dec.flat, dec_grad.flat, gen_state)
+            step = "generator"  # against the just-updated discriminator
+            dec_acts = mlp_forward(dec, latents())
+            g_losses, d_fake = _generator_loss(disc, dec_acts[-1])
+            _check_finite(g_losses, classes)
+            mlp_backward(dec, dec_acts, d_fake, dec_grad, input_grad=False)
+            adam_step(dec.flat, dec_grad.flat, gen_state)
 
-        for c, g_loss, d_loss in zip(classes, g_losses, d_losses):
-            models[c].loss_history.append((epoch, g_loss, d_loss))
+            for c, g_loss, d_loss in zip(classes, g_losses, d_losses):
+                models[c].loss_history.append((epoch, g_loss, d_loss))
+    except FloatingPointError as e:  # e.g. an overflow that np.errstate raises
+        raise FloatingPointError(f"{e} (GAN {step} step, epoch {epoch})") from e
     return models
 
 

@@ -127,10 +127,12 @@ def _check(where: str, value, hint):
 class ExperimentConfig:
     dataset: str
     schema: dict[str, str]
-    seed: int = 0
-    test_fraction: float = 0.25
+    # RngStream takes a seed modulo 2**64, so one outside the range would
+    # draw what another seed draws.
+    seed: int = field(default=0, metadata={"ge": 0, "le": SEED_MAX})
+    test_fraction: float = field(default=0.25, metadata={"gt": 0, "lt": 1})
     augmenters: tuple[Literal[AUGMENTER_IDS], ...] = AUGMENTER_IDS
-    n_synthetic: int = 200
+    n_synthetic: int = field(default=200, metadata={"ge": 0})
     classifiers: tuple[Literal[CLASSIFIER_IDS], ...] = CLASSIFIER_IDS
     hyperparams: dict[str, dict] = field(default_factory=dict)
     output_dir: str = "out"
@@ -146,16 +148,9 @@ class ExperimentConfig:
             for k, x in enumerate(ids):
                 if x in ids[:k]:
                     raise ConfigError(f"{name} lists {x!r} more than once")
-        # RngStream takes a seed modulo 2**64, so one outside the range
-        # would draw what another seed draws.
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        if self.seed > SEED_MAX:
-            raise ConfigError(f"seed must be <= {SEED_MAX}, got {self.seed!r}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must lie in (0, 1)")
-        if self.n_synthetic < 0:
-            raise ConfigError("n_synthetic must be nonnegative")
+        for f in dataclasses.fields(self):
+            if f.metadata:
+                _check_bounds(f.name, getattr(self, f.name), f.metadata)
         for section in self.hyperparams:
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown hyperparams section {section!r}")
@@ -191,13 +186,16 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_BOUNDS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">=")}
+_BOUNDS = {
+    "gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
+    "lt": (operator.lt, "<"), "le": (operator.le, "<="),
+}
 
 
 def _check_bounds(where: str, value, bounds: dict) -> None:
     """Raise one ConfigError unless the number `value`, or each element of
-    the non-empty grid `value`, meets the field's `ge`/`gt` bounds; "auto"
-    and None are not numbers and pass."""
+    the non-empty grid `value`, meets the field's `gt`/`ge`/`lt`/`le`
+    bounds; "auto" and None are not numbers and pass."""
     if isinstance(value, tuple):
         if not value:
             raise ConfigError(f"{where} must be a non-empty list, got []")

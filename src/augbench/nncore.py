@@ -16,13 +16,15 @@ updates the parameter vector and its moment vectors in place, through
 scratch vectors kept in its state, so a training step is a handful of
 whole-vector operations and never rebuilds a network or allocates.
 
-A pass takes row blocks. A single `MlpParams` reads the whole batch as
-one block. An `MlpStack` holds networks of one topology (one per class of
-a generator) whose parameters are consecutive blocks of one vector, and
-network k reads and writes row block k of a stacked batch. Every product
-and bias sum runs per block, on that block's own rows and weights, so its
-bits are those of the network's own pass; every elementwise operation
-runs once over all the rows, and one `adam_step` updates every network.
+Every pass runs over an `MlpStack`: networks of one topology (one per
+class of a generator) whose parameters are consecutive blocks of one
+vector, where network k reads and writes row block k of a stacked batch.
+Every product and bias sum runs per block, on that block's own rows and
+weights, so its bits are those of the network's own pass; every
+elementwise operation runs once over all the rows, and one `adam_step`
+updates every network. A single `MlpParams` passed to a pass runs as a
+one-network stack over its own vector, built for that call; a training
+loop builds its stack once and trains `stack.nets`.
 
 Every step does only the work its caller reads, with the arithmetic of
 the plain formulas: activations and ReLU masks are applied in place on
@@ -87,14 +89,6 @@ def _backprop_activation(
     else:
         raise ValueError(f"unknown activation {kind!r}")
     return np.multiply(delta, factor, out=delta if own else None)
-
-
-def _through_weights(delta: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """`delta @ weights.T`; for a one-output layer the same products
-    without the one-term sum."""
-    if weights.shape[1] == 1:
-        return delta * weights.T
-    return delta @ weights.T
 
 
 @dataclass
@@ -247,35 +241,37 @@ class GradBuffer:
         self.arrays = params.views(self.flat)
 
 
+def _as_stack(params: MlpParams | MlpStack, n_rows: int) -> MlpStack:
+    """`params` if it is a stack, else a one-network stack of `n_rows`
+    rows over the network's own vector."""
+    if isinstance(params, MlpStack):
+        return params
+    return MlpStack([params], [n_rows], params.flat)
+
+
 def mlp_forward(params: MlpParams | MlpStack, x: np.ndarray) -> list[np.ndarray]:
     """Per-layer post-activations; entry 0 is the input, last is the output.
-    A stack's are its buffers."""
+    The others are buffers of the stack (valid until its next pass)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.input_size:
         raise ValueError(
             f"input width {x.shape} incompatible with first layer "
             f"({params.input_size} inputs)"
         )
+    stack = _as_stack(params, len(x))
+    if len(x) != stack.n_rows:
+        raise ValueError(f"stacked batch has {len(x)} rows, the stack {stack.n_rows}")
     activations = [x]
-    if isinstance(params, MlpStack):
-        if len(x) != params.n_rows:
-            raise ValueError(f"stacked batch has {len(x)} rows, the stack {params.n_rows}")
-        for out, kind, lanes in zip(params.outputs, params.activations, params.lanes):
-            for rows, weights, bias, _, y, _ in lanes:
-                np.dot(x[rows], weights, y)
-                y += bias
-            x = _activate(out, kind)
-            activations.append(x)
-        return activations
-    for layer in params.layers:
-        x = x @ layer.weights
-        x += layer.bias
-        x = _activate(x, layer.activation)
+    for out, kind, lanes in zip(stack.outputs, stack.activations, stack.lanes):
+        for rows, weights, bias, _, y, _ in lanes:
+            np.dot(x[rows], weights, y)
+            y += bias
+        x = _activate(out, kind)
         activations.append(x)
     return activations
 
 
-def _stack_backward(
+def _backward(
     stack: MlpStack,
     activations: list[np.ndarray],
     delta: np.ndarray,
@@ -289,7 +285,8 @@ def _stack_backward(
         delta = _backprop_activation(delta, activations[i + 1], stack.activations[i], i < last)
         a = activations[i]
         through = i > 0 or input_grad
-        # `_through_weights`: a one-output layer multiplies by W.T elementwise.
+        # A one-output layer multiplies by W.T elementwise: the products of
+        # `delta @ W.T` without the one-term sum.
         product = np.multiply if stack.outputs[i].shape[1] == 1 else np.dot
         for k, (rows, _, _, weights_t, _, target) in enumerate(stack.lanes[i]):
             d = delta[rows]
@@ -322,19 +319,9 @@ def mlp_backward(
     if output_gradient.shape != activations[-1].shape:
         raise ValueError("output gradient shape mismatch")
     grads = (out or GradBuffer(params)).arrays
-    if isinstance(params, MlpStack):
-        return grads, _stack_backward(params, activations, output_gradient, grads, input_grad)
-    delta = output_gradient
-    last = len(params.layers) - 1
-    for i in range(last, -1, -1):
-        layer = params.layers[i]
-        delta = _backprop_activation(delta, activations[i + 1], layer.activation, i < last)
-        np.matmul(activations[i].T, delta, out=grads[2 * i])
-        np.add.reduce(delta, axis=0, out=grads[2 * i + 1])
-        if i == 0 and not input_grad:
-            return grads, None
-        delta = _through_weights(delta, layer.weights)
-    return grads, delta
+    stack = _as_stack(params, len(output_gradient))
+    per_net = grads if stack is params else [grads]
+    return grads, _backward(stack, activations, output_gradient, per_net, input_grad)
 
 
 def mlp_input_grad(
@@ -344,15 +331,8 @@ def mlp_input_grad(
     gradient (same operations, so the same bits)."""
     if output_gradient.shape != activations[-1].shape:
         raise ValueError("output gradient shape mismatch")
-    if isinstance(params, MlpStack):
-        return _stack_backward(params, activations, output_gradient, None, True)
-    delta = output_gradient
-    last = len(params.layers) - 1
-    for i in range(last, -1, -1):
-        layer = params.layers[i]
-        delta = _backprop_activation(delta, activations[i + 1], layer.activation, i < last)
-        delta = _through_weights(delta, layer.weights)
-    return delta
+    stack = _as_stack(params, len(output_gradient))
+    return _backward(stack, activations, output_gradient, None, True)
 
 
 @dataclass

@@ -77,23 +77,17 @@ def init_vae(n_features: int, config: VaeConfig, rng: RngStream) -> VaeModel:
 def vae_loss(
     model: VaeModel,
     batch: np.ndarray,
-    rng: RngStream | None = None,
-    eps: np.ndarray | None = None,
+    eps: np.ndarray,
     beta: float = 1.0,
     out: tuple[GradBuffer, GradBuffer] | None = None,
 ) -> tuple[float, tuple[list[np.ndarray], list[np.ndarray]]]:
     """ELBO-style loss and gradients (encoder list, decoder list).
 
-    `eps` fixes the reparameterization noise (used by gradient checks);
-    otherwise it is drawn from `rng`. The gradients are written into
-    `out`, the encoder's and the decoder's buffer (new ones when None),
-    and returned as their views.
+    `eps` is the reparameterization noise, one latent row per batch row.
+    The gradients are written into `out`, the encoder's and the decoder's
+    buffer (new ones when None), and returned as their views.
     """
     batch = np.asarray(batch, dtype=float)
-    if eps is None:
-        if rng is None:
-            raise ValueError("need either rng or explicit eps")
-        eps = rng.normal(size=(len(batch), model.latent_dim))
     losses, grads = _vae_losses(model, batch, eps, beta, out)
     return losses[0], grads
 
@@ -186,14 +180,17 @@ def train_vae(
     eps_blocks = [eps[block] for block in enc.blocks]
 
     # Zero epochs still record the initial loss, as epoch 0, and take no step.
-    for epoch in range(max(config.epochs, 1)):
-        for stream, block in zip(noise, eps_blocks):
-            stream.normal(out=block)
-        losses, _ = _vae_losses(stacked, batch, eps, config.beta, grads)
-        for c, loss in zip(classes, losses):
-            models[c].loss_history.append((epoch, loss))
-        if config.epochs:
-            adam_step(params, grad, state)
+    try:
+        for epoch in range(max(config.epochs, 1)):
+            for stream, block in zip(noise, eps_blocks):
+                stream.normal(out=block)
+            losses, _ = _vae_losses(stacked, batch, eps, config.beta, grads)
+            for c, loss in zip(classes, losses):
+                models[c].loss_history.append((epoch, loss))
+            if config.epochs:
+                adam_step(params, grad, state)
+    except FloatingPointError as e:  # e.g. an overflow that np.errstate raises
+        raise FloatingPointError(f"{e} (VAE step, epoch {epoch})") from e
     return models
 
 

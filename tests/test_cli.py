@@ -296,6 +296,7 @@ def test_failing_generator_fails_only_its_row(tmp_path, capsys):
     rows = {(r["augmenter"], r["classifier"]): r
             for r in csv.DictReader((out / "results.csv").open())}
     assert rows["vae", "tree"]["error"].startswith("FloatingPointError: ")
+    assert rows["vae", "tree"]["error"].endswith(" (VAE step, epoch 1)")
     assert "## Failed cells" in (out / "report.md").read_text()
     assert json.loads((out / "run_meta.json").read_text())["contamination"] is False
 
@@ -319,7 +320,10 @@ def test_failing_gan_fails_only_its_row(tmp_path, capsys):
     assert main(["run", "--config", str(p), "--out", str(out)]) == 0
     rows = {(r["augmenter"], r["classifier"]): r
             for r in csv.DictReader((out / "results.csv").open())}
-    assert rows["gan", "tree"]["error"].startswith("FloatingPointError: ")
+    error = rows["gan", "tree"]["error"]
+    # The learning rate of 1e300 overflows on the first pass after Adam's first step.
+    assert error.startswith("FloatingPointError: ")
+    assert error.endswith(" (GAN discriminator step, epoch 1)")
     assert rows["none", "tree"]["error"] == ""
     assert "## Failed cells" in (out / "report.md").read_text()
     assert json.loads((out / "run_meta.json").read_text())["contamination"] is False
@@ -537,6 +541,18 @@ def test_seed_outside_64_bits_is_rejected_everywhere(
     assert main(["validate", "--config", str(config_path)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("test_fraction", 0, "test_fraction must be > 0, got 0"),
+    ("test_fraction", 1.0, "test_fraction must be < 1, got 1.0"),
+    ("n_synthetic", -1, "n_synthetic must be >= 0, got -1"),
+])
+def test_validate_rejects_out_of_range_top_level_value(tmp_path, capsys, key, value, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, **{key: value})))
+    assert main(["validate", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_largest_seed_validates_but_not_past_it_with_seeds(config_path, tmp_path, capsys):

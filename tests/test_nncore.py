@@ -3,7 +3,10 @@ Adam against hand oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from augbench.classifiers.dense import DenseNetConfig, fit_dense_net
+from augbench.gan import PROB_CLAMP as GAN_PROB_CLAMP, discriminator_loss
 from augbench.nncore import (
     AdamState,
     GradBuffer,
@@ -21,6 +24,7 @@ from augbench.rng import RngStream
 
 from conftest import (
     central_difference,
+    flat,
     max_relative_error,
     ref_adam_step,
     ref_backward,
@@ -321,36 +325,6 @@ LEAN_NETS = [
 ]
 
 
-@pytest.mark.parametrize("sizes, kinds", LEAN_NETS)
-def test_lean_step_equals_the_plain_formulas_bit_for_bit(sizes, kinds):
-    rng = RngStream(31, ("lean", *kinds))
-    params = init_mlp(sizes, kinds, rng.derive("init"))
-    params.flat[:] += 0.5 * rng.derive("shift").normal(size=params.flat.size)
-    x = rng.derive("x").normal(size=(9, sizes[0]))
-    g = rng.derive("g").normal(size=(9, sizes[-1]))
-    x_before, g_before = x.copy(), g.copy()
-
-    acts = mlp_forward(params, x)
-    ref_acts = ref_forward(params, x)
-    for a, r in zip(acts, ref_acts):
-        assert np.array_equal(a, r)
-    ref_grads, ref_d_in = ref_backward(params, ref_acts, g)
-
-    grads, d_in = mlp_backward(params, acts, g)
-    buffer = GradBuffer(params)
-    lean, no_input = mlp_backward(params, acts, g, buffer, input_grad=False)
-    assert no_input is None
-    for a, b, r, view in zip(grads, lean, ref_grads, buffer.arrays):
-        assert np.array_equal(a, r) and np.array_equal(b, r)
-        assert b is view
-    assert np.array_equal(d_in, ref_d_in)
-    assert np.array_equal(mlp_input_grad(params, acts, g), ref_d_in)
-    # The caller's arrays are read, never written.
-    assert np.array_equal(x, x_before) and np.array_equal(g, g_before)
-    for a, r in zip(acts, ref_acts):
-        assert np.array_equal(a, r)
-
-
 def test_sigmoid_equals_the_plain_formula_across_the_exp_range():
     x = np.concatenate([
         np.linspace(-745.0, 745.0, 5961),
@@ -379,34 +353,98 @@ def test_adam_step_equals_the_plain_formula_over_several_steps():
         assert np.array_equal(grad, grad_before)
 
 
+@pytest.mark.parametrize("n_nets", [1, 3])
 @pytest.mark.parametrize("sizes, kinds", LEAN_NETS)
-def test_stacked_pass_equals_each_network_alone_bit_for_bit(sizes, kinds):
+def test_pass_equals_the_plain_formulas_bit_for_bit(sizes, kinds, n_nets):
+    """One network (a one-network stack inside each pass) or a stack of
+    three, each network's row block against the plain formulas."""
     rng = RngStream(33, ("stack", *kinds))
-    nets = [init_mlp(sizes, kinds, rng.derive(f"init{k}")) for k in range(3)]
+    nets = [init_mlp(sizes, kinds, rng.derive(f"init{k}")) for k in range(n_nets)]
     for k, net in enumerate(nets):
         net.flat[:] += 0.5 * rng.derive(f"shift{k}").normal(size=net.flat.size)
-    rows = [5, 11, 2]
-    stack = MlpStack(nets, rows)
-    x = rng.derive("x").normal(size=(sum(rows), sizes[0]))
-    g = rng.derive("g").normal(size=(sum(rows), sizes[-1]))
-    grads, d_in = mlp_backward(stack, mlp_forward(stack, x), g)
+    if n_nets == 1:
+        params, blocks = nets[0], [slice(None)]
+        flat_before = params.flat.copy()
+        n_rows = 9
+    else:
+        params = MlpStack(nets, [5, 11, 2])
+        blocks, n_rows = params.blocks, params.n_rows
+    x = rng.derive("x").normal(size=(n_rows, sizes[0]))
+    g = rng.derive("g").normal(size=(n_rows, sizes[-1]))
+    x_before, g_before = x.copy(), g.copy()
+
+    grads, d_in = mlp_backward(params, mlp_forward(params, x), g)
     d_in = d_in.copy()  # a stack buffer, which the next backward step rewrites
-    acts = mlp_forward(stack, x)
-    lean, no_input = mlp_backward(stack, acts, g, GradBuffer(stack), input_grad=False)
+    acts = mlp_forward(params, x)
+    buffer = GradBuffer(params)
+    lean, no_input = mlp_backward(params, acts, g, buffer, input_grad=False)
     assert no_input is None
-    only_input = mlp_input_grad(stack, acts, g)
-    for k, (net, block, rows_k) in enumerate(zip(nets, stack.blocks, rows)):
-        assert np.array_equal(stack.nets[k].flat, net.flat)
-        assert np.shares_memory(stack.nets[k].flat, stack.flat)
-        alone = mlp_forward(net, x[block])
-        assert len(alone[0]) == rows_k
-        for a, b in zip(acts, alone):
-            assert np.array_equal(a[block], b)
-        ref_grads, ref_d_in = mlp_backward(net, alone, g[block])
-        for a, b, r in zip(grads[k], lean[k], ref_grads):
+    only_input = mlp_input_grad(params, acts, g)
+    if n_nets == 1:
+        grads, lean, views = [grads], [lean], [buffer.arrays]
+        assert np.array_equal(params.flat, flat_before)
+    else:
+        views = buffer.arrays
+        for net, stacked in zip(nets, params.nets):
+            assert np.array_equal(stacked.flat, net.flat)
+            assert np.shares_memory(stacked.flat, params.flat)
+    for k, (net, block) in enumerate(zip(nets, blocks)):
+        ref_acts = ref_forward(net, x[block])
+        for a, r in zip(acts, ref_acts):
+            assert np.array_equal(a[block], r)
+        ref_grads, ref_d_in = ref_backward(net, ref_acts, g[block])
+        for a, b, r, view in zip(grads[k], lean[k], ref_grads, views[k]):
             assert np.array_equal(a, r) and np.array_equal(b, r)
+            assert b is view
         assert np.array_equal(d_in[block], ref_d_in)
         assert np.array_equal(only_input[block], ref_d_in)
+    # The caller's arrays are read, never written.
+    assert np.array_equal(x, x_before) and np.array_equal(g, g_before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40), m=st.integers(1, 40), net=st.sampled_from(LEAN_NETS),
+    seed=st.integers(0, 2**32),
+)
+def test_single_network_passes_equal_the_plain_formulas_at_any_row_count(n, m, net, seed):
+    """The one-network stack a pass builds for an `MlpParams`, as the
+    dense net and `discriminator_loss` reach it, at row counts the
+    network was never trained on."""
+    sizes, kinds = net
+    rng = RngStream(seed, ("one-network",))
+    params = init_mlp(sizes, kinds, rng.derive("init"))
+    params.flat[:] += 0.5 * rng.derive("shift").normal(size=params.flat.size)
+    x = rng.derive("x").normal(size=(n, sizes[0]))
+    g = rng.derive("g").normal(size=(n, sizes[-1]))
+    ref_acts = ref_forward(params, x)
+    for a, r in zip(mlp_forward(params, x), ref_acts):
+        assert np.array_equal(a, r)
+    ref_grads, ref_d_in = ref_backward(params, ref_acts, g)
+    grads, d_in = mlp_backward(params, mlp_forward(params, x), g)
+    for a, r in zip(grads, ref_grads):
+        assert np.array_equal(a, r)
+    assert np.array_equal(d_in, ref_d_in)
+    assert np.array_equal(mlp_input_grad(params, mlp_forward(params, x), g), ref_d_in)
+
+    # The discriminator's loss on real and fake batches of unequal sizes.
+    disc = init_mlp([2, 5, 3, 1], ["relu", "relu", "sigmoid"], rng.derive("disc"))
+    real = rng.derive("real").normal(size=(n, 2))
+    fake = rng.derive("fake").normal(size=(m, 2)) + 1.0
+    loss, d_grads = discriminator_loss(disc, real, fake)
+    acts_r, acts_f = ref_forward(disc, real), ref_forward(disc, fake)
+    p_r = np.clip(acts_r[-1], GAN_PROB_CLAMP, 1.0 - GAN_PROB_CLAMP)
+    p_f = np.clip(acts_f[-1], GAN_PROB_CLAMP, 1.0 - GAN_PROB_CLAMP)
+    assert loss == 0.5 * float(np.mean(-np.log(p_r)) + np.mean(-np.log(1.0 - p_f)))
+    grad_r, _ = ref_backward(disc, acts_r, -0.5 / (p_r * len(p_r)))
+    grad_f, _ = ref_backward(disc, acts_f, 0.5 / ((1.0 - p_f) * len(p_f)))
+    assert np.array_equal(flat(d_grads), flat(grad_r) + flat(grad_f))
+
+    # A dense net scores a batch of another size than the one it fit.
+    y = np.arange(m) % 2
+    model = fit_dense_net(rng.derive("train").normal(size=(m + 1, 2)), np.append(y, 1),
+                          DenseNetConfig(hidden=(4, 3), epochs=3), rng.derive("dense"))
+    assert np.array_equal(model.decision_scores(real), ref_forward(model.params, real)[-1][:, 0])
 
 
 def test_stack_gradient_buffer_and_adam_step_cover_every_network():
