@@ -1,14 +1,15 @@
 """Stratified k-fold cross-validation for hyperparameter grids.
 
-Every tuned learner has one trainer, `fit_many(X, y, jobs)`: each job is
-`(train_rows, param)` and it returns one model per job, in order. The CV
-models, the refit on all rows and a pinned hyperparameter all go through
-it. The linear learners train their jobs as one stacked problem; the
-tree grows one tree per distinct row set and reads it at each job's
-depth; KNN gives the models of one row set a shared neighbour memo, so
-a fold's validation rows are ranked once for every k; the RBF SVM wraps
-a fixed-parameter fitter with `per_job`, which fits each job on
-`X[rows]` in turn.
+Every tuned learner has one trainer, `fit_many(X, y, groups)`: each group
+is `(train_rows, [param, ...])` and it returns one model per (group,
+param), group by group, in order. `cross_validate` passes one group per
+fold, each holding the whole grid; the refit on all rows and a pinned
+hyperparameter pass the one group `(all_rows, [param])`. The linear
+learners train every (group, param) as one stacked problem; the tree
+grows one tree per group and reads it at each depth; KNN gives each
+group one neighbour memo, so a fold's validation rows are ranked once
+for every k; the RBF SVM wraps a fixed-parameter fitter with `per_job`,
+which fits each (rows, param) on `X[rows]` in turn.
 
 The grid is evaluated in order and ties in mean validation accuracy go
 to the earliest entry, so callers list grids simplest-setting-first
@@ -39,40 +40,42 @@ class CvResult:
     table: list[tuple[object, float, list[float]]]
 
 
-# fit_many(X, y, [(train_rows, param), ...]) -> one model per job
-FitMany = Callable[[np.ndarray, np.ndarray, list[tuple[np.ndarray, object]]], list]
+# fit_many(X, y, [(train_rows, [param, ...]), ...]) -> one model per
+# (group, param), group-major
+FitMany = Callable[[np.ndarray, np.ndarray, list[tuple[np.ndarray, list]]], list]
 
 
 def stratified_kfold(
-    labels: np.ndarray, folds: int, rng: RngStream, max_attempts: int = 5
+    labels: np.ndarray, folds: int, rng: RngStream
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-class shuffle, deal round-robin; every fold keeps both classes."""
+    """Per-class shuffle, deal round-robin; every fold keeps both classes.
+
+    Dealing puts a class in every fold exactly when it has at least
+    `folds` rows, whatever the shuffle, so the rows are dealt once."""
     if folds < 2:
         raise CvError("need at least 2 folds")
     labels = np.asarray(labels)
-    classes = np.unique(labels)
-
-    for attempt in range(max_attempts):
-        assignment = np.empty(len(labels), dtype=int)
-        for c in classes:
-            idx = np.flatnonzero(labels == c)
-            order = idx[rng.derive(f"attempt{attempt}-class{c}").permutation(len(idx))]
-            assignment[order] = np.arange(len(order)) % folds
-        ok = all(
-            len(np.unique(labels[assignment == f])) == len(classes)
-            for f in range(folds)
-        )
-        if ok:
-            return [
-                (np.flatnonzero(assignment != f), np.flatnonzero(assignment == f))
-                for f in range(folds)
-            ]
-    raise CvError(f"could not build {folds} stratified folds with both classes")
+    classes, counts = np.unique(labels, return_counts=True)
+    if len(labels) == 0 or counts.min() < folds:
+        raise CvError(f"could not build {folds} stratified folds with both classes")
+    assignment = np.empty(len(labels), dtype=int)
+    for c in classes:
+        idx = np.flatnonzero(labels == c)
+        # The label keys every fold's stream: renaming it moves every fold.
+        order = idx[rng.derive(f"attempt0-class{c}").permutation(len(idx))]
+        assignment[order] = np.arange(len(order)) % folds
+    return [
+        (np.flatnonzero(assignment != f), np.flatnonzero(assignment == f))
+        for f in range(folds)
+    ]
 
 
 def per_job(fit_fixed: Callable[[np.ndarray, np.ndarray, object], object]) -> FitMany:
-    """A `fit_many` that calls `fit_fixed(X[rows], y[rows], param)` per job."""
-    return lambda X, y, jobs: [fit_fixed(X[rows], y[rows], p) for rows, p in jobs]
+    """A `fit_many` that calls `fit_fixed(X[rows], y[rows], param)` for
+    every param of every group."""
+    return lambda X, y, groups: [
+        fit_fixed(X[rows], y[rows], p) for rows, params in groups for p in params
+    ]
 
 
 def cross_validate(
@@ -85,17 +88,17 @@ def cross_validate(
 ) -> CvResult:
     """Mean validation accuracy per grid point; first-best wins ties.
 
-    One `fit_many(X, y, jobs)` call trains every (grid entry, fold)
-    model: `jobs` lists `(train_rows, param)` grid-major, then fold.
+    One `fit_many` call trains every (fold, grid entry) model: one group
+    `(train_rows, grid)` per fold.
     """
     if not grid:
         raise CvError("empty hyperparameter grid")
     splits = stratified_kfold(labels, folds, rng.derive("folds"))
-    models = fit_many(features, labels, [(tr, param) for param in grid for tr, _ in splits])
+    models = fit_many(features, labels, [(tr, grid) for tr, _ in splits])
     table = []
     for gi, param in enumerate(grid):
         fold_accs = [
-            accuracy(labels[va], predict_labels(models[gi * len(splits) + fi], features[va]))
+            accuracy(labels[va], predict_labels(models[fi * len(grid) + gi], features[va]))
             for fi, (_, va) in enumerate(splits)
         ]
         table.append((param, float(np.mean(fold_accs)), fold_accs))
@@ -117,8 +120,8 @@ def fit_with_cv(
     `cv_result` attached."""
     all_rows = np.arange(len(y))
     if param != "auto":
-        return fit_many(X, y, [(all_rows, param)])[0]
+        return fit_many(X, y, [(all_rows, [param])])[0]
     cv = cross_validate(fit_many, X, y, folds, list(grid), rng)
-    model = fit_many(X, y, [(all_rows, cv.best_param)])[0]
+    model = fit_many(X, y, [(all_rows, [cv.best_param])])[0]
     model.cv_result = cv
     return model

@@ -91,22 +91,17 @@ class KnnModel:
 
 
 def _fit_knn_many(
-    X: np.ndarray, y: np.ndarray, jobs, weighting: str
+    X: np.ndarray, y: np.ndarray, groups, weighting: str
 ) -> list[KnnModel]:
-    """One model per (rows, k) job, scoring as `KnnModel(X[rows], y[rows],
-    min(k, len(rows)), weighting)` does; the models of one row set share
-    one memo, sized for the largest k among them."""
-    groups: dict[bytes, list[int]] = {}
-    for j, (rows, _) in enumerate(jobs):
-        groups.setdefault(rows.tobytes(), []).append(j)
-    models: list = [None] * len(jobs)
-    for members in groups.values():
-        rows = jobs[members[0]][0]
+    """One model per (rows, k) of each group, scoring as `KnnModel(X[rows],
+    y[rows], min(k, len(rows)), weighting)` does; a group's models share
+    one memo, sized for their largest k."""
+    models = []
+    for rows, ks in groups:
         # A CV training fold can hold fewer rows than the grid filter assumes.
-        ks = [min(jobs[j][1], len(rows)) for j in members]
+        ks = [min(k, len(rows)) for k in ks]
         memo, labels = NeighbourMemo(X[rows], max(ks)), y[rows]
-        for j, k in zip(members, ks):
-            models[j] = KnnModel(memo.train_features, labels, k, weighting, memo=memo)
+        models += [KnnModel(memo.train_features, labels, k, weighting, memo=memo) for k in ks]
     return models
 
 
@@ -130,6 +125,6 @@ def fit_knn(
     elif not 1 <= config.k <= len(y):
         raise ValueError(f"k={config.k} outside [1, {len(y)}]")
     return fit_with_cv(
-        lambda Xt, yt, jobs: _fit_knn_many(Xt, yt, jobs, config.weighting),
+        lambda Xt, yt, groups: _fit_knn_many(Xt, yt, groups, config.weighting),
         X, y, config.k, grid, config.cv_folds, rng,
     )

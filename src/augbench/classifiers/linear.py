@@ -8,15 +8,16 @@ lambda*||w||^2/2 plus mean hinge loss by subgradient descent with the
 at 0. Regularization strength is chosen by stratified CV with ties to
 the stronger regularizer (grids are listed largest-lambda first).
 
-Each learner has one trainer, `_fit_*_many(X, y, jobs, config)`, which
-trains every `(train_rows, lambda)` job as one stacked problem: column j
-of a d x J weight matrix is job j's model, a 0/1 row mask keeps each
-column to its job's training rows, and every epoch is one pass of matrix
-products over all J columns. It trains the J = 20 fold x lambda models
-of CV, and then the refit or a pinned lambda as a J = 1 problem on all
-rows. `logistic_loss_grad` is the per-model loss and gradient that the
-tests check by finite differences; the trainers do not call it, so no
-loss is computed on the training path.
+Each learner has one trainer, `_fit_*_many(X, y, groups, config)`, which
+trains every lambda of its `(train_rows, [lambda, ...])` groups as one
+stacked problem: column j of a d x J weight matrix is the j-th model,
+group by group, a 0/1 row mask keeps each column to its group's training
+rows, and every epoch is one pass of matrix products over all J columns.
+It trains the J = 20 fold x lambda models of CV, and then the refit or a
+pinned lambda as a J = 1 problem on all rows. `logistic_loss_grad` is
+the per-model loss and gradient that the tests check by finite
+differences; the trainers do not call it, so no loss is computed on the
+training path.
 
 The bias is the last row of one (d+1) x J array `[W; B]` (for logistic
 regression, a view of Adam's parameter vector), so an epoch's margins
@@ -102,10 +103,12 @@ def logistic_loss_grad(
     return loss, dw, db
 
 
-def _stack_jobs(X: np.ndarray, jobs):
+def _stack_jobs(X: np.ndarray, groups):
     """`[X | 1]`, the n x J 0/1 train-row mask, each column's row count,
-    each column's lambda, and the (d+1) x J `[lam; 0]` that scales
-    `[W; B]` (the bias is not regularized)."""
+    param and lambda, and the (d+1) x J `[lam; 0]` that scales `[W; B]`
+    (the bias is not regularized). Column j is the j-th (rows, param) of
+    the groups, group by group."""
+    jobs = [(rows, lam) for rows, lams in groups for lam in lams]
     (n, d), J = X.shape, len(jobs)
     Xb = np.empty((n, d + 1))
     Xb[:, :d] = X
@@ -113,19 +116,20 @@ def _stack_jobs(X: np.ndarray, jobs):
     mask = np.zeros((n, J))
     for j, (rows, _) in enumerate(jobs):
         mask[rows, j] = 1.0
-    lam = np.array([float(param) for _, param in jobs])
+    lambdas = [lam for _, lam in jobs]
+    lam = np.array(lambdas, dtype=float)
     reg = np.zeros((d + 1, J))
     reg[:d] = lam
-    return Xb, mask, mask.sum(axis=0), lam, reg
+    return Xb, mask, mask.sum(axis=0), lambdas, lam, reg
 
 
 def _fit_logistic_many(
-    X: np.ndarray, y: np.ndarray, jobs, config: LogisticConfig
+    X: np.ndarray, y: np.ndarray, groups, config: LogisticConfig
 ) -> list[LinearModel]:
-    """One logistic model per (rows, lam) job, fit on `X[rows]` with
-    full-batch Adam, trained together."""
-    Xb, mask, count, _, reg = _stack_jobs(X, jobs)
-    (n, d), J = X.shape, len(jobs)
+    """One logistic model per (rows, lam) of each group, fit on `X[rows]`
+    with full-batch Adam, trained together."""
+    Xb, mask, count, lambdas, _, reg = _stack_jobs(X, groups)
+    (n, d), J = X.shape, len(lambdas)
     Y = np.ascontiguousarray(np.broadcast_to(y[:, None], (n, J)), dtype=float)
     params = np.zeros((d + 1) * J)
     WB = params.reshape(d + 1, J)  # [W; B]
@@ -152,7 +156,7 @@ def _fit_logistic_many(
         adam_step(params, grad, state)
     return [
         LinearModel(WB[:d, j].copy(), float(WB[d, j]), "logistic", param, 0.5)
-        for j, (_, param) in enumerate(jobs)
+        for j, param in enumerate(lambdas)
     ]
 
 
@@ -167,7 +171,7 @@ def fit_logistic(
     y = np.asarray(y, dtype=int)
     _check_two_classes(y)
     return fit_with_cv(
-        lambda Xt, yt, jobs: _fit_logistic_many(Xt, yt, jobs, config),
+        lambda Xt, yt, groups: _fit_logistic_many(Xt, yt, groups, config),
         X, y, config.reg_lambda, config.lambda_grid, config.cv_folds, rng,
     )
 
@@ -178,13 +182,13 @@ def _check_svm_lambda(reg_lambda):
 
 
 def _fit_linear_svm_many(
-    X: np.ndarray, y01: np.ndarray, jobs, config: LinearSvmConfig
+    X: np.ndarray, y01: np.ndarray, groups, config: LinearSvmConfig
 ) -> list[LinearModel]:
-    """One linear SVM per (rows, lam) job, fit on `X[rows]` by Pegasos
-    subgradient steps, trained together."""
-    Xb, mask, count, lam, reg = _stack_jobs(X, jobs)
+    """One linear SVM per (rows, lam) of each group, fit on `X[rows]` by
+    Pegasos subgradient steps, trained together."""
+    Xb, mask, count, lambdas, lam, reg = _stack_jobs(X, groups)
     _check_svm_lambda(lam)
-    (n, d), J = X.shape, len(jobs)
+    (n, d), J = X.shape, len(lambdas)
     y = 2.0 * y01 - 1.0
     # y * ([X | 1] @ [W; B]) in one product: y is +-1, so the sign moves
     # into the rows exactly.
@@ -207,7 +211,7 @@ def _fit_linear_svm_many(
         WB -= G
     return [
         LinearModel(WB[:d, j].copy(), float(WB[d, j]), "linear-svm", param, 0.0)
-        for j, (_, param) in enumerate(jobs)
+        for j, param in enumerate(lambdas)
     ]
 
 
@@ -222,6 +226,6 @@ def fit_linear_svm(
     y = np.asarray(y, dtype=int)
     _check_two_classes(y)
     return fit_with_cv(
-        lambda Xt, yt, jobs: _fit_linear_svm_many(Xt, yt, jobs, config),
+        lambda Xt, yt, groups: _fit_linear_svm_many(Xt, yt, groups, config),
         X, y, config.reg_lambda, config.lambda_grid, config.cv_folds, rng,
     )

@@ -9,8 +9,8 @@ A greedily grown tree limited to depth d is the depth-d truncation of a
 deeper tree on the same rows: `_grow`'s choices above the limit do not
 depend on it. So every node keeps its class counts, a model reads its
 tree down to its own `max_depth` (a node at the limit scores as a leaf),
-and the CV trainer grows one tree per fold, to the deepest depth its
-jobs ask for, and reads it at each grid depth.
+and the CV trainer grows one tree per fold, to the deepest depth of the
+grid, and reads it at each grid depth.
 """
 
 from __future__ import annotations
@@ -159,21 +159,17 @@ def fit_tree_fixed_depth(
 
 
 def _fit_tree_many(
-    X: np.ndarray, y: np.ndarray, jobs, config: TreeConfig
+    X: np.ndarray, y: np.ndarray, groups, config: TreeConfig
 ) -> list[DecisionTreeModel]:
-    """One model per (rows, max_depth) job, scoring as
+    """One model per (rows, max_depth) of each group, scoring as
     `fit_tree_fixed_depth(X[rows], y[rows], max_depth)` does: one tree per
-    distinct row set, grown to the deepest depth its jobs ask for."""
-    depths: dict[bytes, list] = {}
-    for rows, max_depth in jobs:
-        depths.setdefault(rows.tobytes(), []).append(max_depth)
-    roots = {}
-    for rows, _ in jobs:
-        key = rows.tobytes()
-        if key not in roots:
-            deepest = None if None in depths[key] else max(depths[key])
-            roots[key] = fit_tree_fixed_depth(X[rows], y[rows], deepest, config).root
-    return [DecisionTreeModel(roots[rows.tobytes()], max_depth) for rows, max_depth in jobs]
+    group, grown to the deepest depth the group asks for."""
+    models = []
+    for rows, depths in groups:
+        deepest = None if None in depths else max(depths)
+        root = fit_tree_fixed_depth(X[rows], y[rows], deepest, config).root
+        models += [DecisionTreeModel(root, max_depth) for max_depth in depths]
+    return models
 
 
 def fit_decision_tree(
@@ -185,7 +181,7 @@ def fit_decision_tree(
     config = config or TreeConfig()
     rng = rng or RngStream(0, ("tree",))
     return fit_with_cv(
-        lambda Xt, yt, jobs: _fit_tree_many(Xt, yt, jobs, config),
+        lambda Xt, yt, groups: _fit_tree_many(Xt, yt, groups, config),
         np.asarray(X, dtype=float), np.asarray(y, dtype=int),
         config.max_depth, config.depth_grid, config.cv_folds, rng,
     )

@@ -31,6 +31,7 @@ from .harness import (
     export_synthetic_csv,
     module_configs,
     prepare,
+    render_aggregate_csv,
     run_experiment,
 )
 from .rng import SEED_MAX
@@ -83,24 +84,9 @@ def _cmd_run(args) -> int:
         all_bundles.append(bundle)
 
     if len(seeds) > 1:
-        _write_aggregate(all_bundles, Path(config.output_dir))
+        (root / "aggregate.csv").write_text(render_aggregate_csv(all_bundles))
     print(f"wrote {len(all_bundles)} run(s) to {config.output_dir}")
     return 0
-
-
-def _write_aggregate(bundles, outdir: Path):
-    """Mean metrics per configured cell across seeds, in config order;
-    per-seed rows live in seed_*/. `n_seeds` counts the seeds where the
-    cell succeeded, and a cell that failed in every seed has no means."""
-    config = bundles[0].config
-    lines = ["augmenter,classifier,n_seeds,mean_test_acc,mean_test_f1,mean_test_auc"]
-    for aug in config.augmenters:
-        for c in config.classifiers:
-            cells = [b.cell(aug, c) for b in bundles]
-            vals = [(r.test_acc, r.test_f1, r.test_auc) for r in cells if not r.failed]
-            means = ",".join(f"{m:.6f}" for m in np.array(vals).mean(axis=0)) if vals else ",,"
-            lines.append(f"{aug},{c},{len(vals)},{means}")
-    (outdir / "aggregate.csv").write_text("\n".join(lines) + "\n")
 
 
 def _cmd_augment(args) -> int:

@@ -89,19 +89,10 @@ def _discriminator_losses(
 
 
 def discriminator_loss(
-    disc: MlpParams,
-    real: np.ndarray,
-    fake: np.ndarray,
-    out: GradBuffer | None = None,
-    fake_out: GradBuffer | None = None,
+    disc: MlpParams, real: np.ndarray, fake: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
-    """BCE with real->1, fake->0; returns (loss, gradients w.r.t. disc params).
-
-    The gradient is written into `out` (new when None) and returned as
-    its `arrays()`-order views. The fake batch's half goes through
-    `fake_out` first.
-    """
-    losses, grads = _discriminator_losses(disc, real, fake, out, fake_out)
+    """BCE with real->1, fake->0; returns (loss, gradients w.r.t. disc params)."""
+    losses, grads = _discriminator_losses(disc, real, fake)
     return losses[0], grads
 
 

@@ -26,7 +26,7 @@ class GmmConfig:
     tol: float = field(default=1e-6, metadata={"ge": 0})  # relative log-likelihood change
     max_iter: int = field(default=200, metadata={"ge": 1})
     cov_floor: float = field(default=1e-6, metadata={"gt": 0})
-    select_k_bic: bool = False  # pick K in 1..n_components by BIC
+    select_k_bic: bool = False  # pick K in 1..bic_k_max by BIC; n_components unused
     bic_k_max: int = field(default=5, metadata={"ge": 1})
 
 

@@ -530,6 +530,21 @@ def render_results_csv(bundle: ReportBundle) -> str:
     return buf.getvalue()
 
 
+def render_aggregate_csv(bundles: list[ReportBundle]) -> str:
+    """Mean metrics per configured cell across seeds, in config order;
+    per-seed rows live in seed_*/. `n_seeds` counts the seeds where the
+    cell succeeded, and a cell that failed in every seed has no means."""
+    config = bundles[0].config
+    lines = ["augmenter,classifier,n_seeds,mean_test_acc,mean_test_f1,mean_test_auc"]
+    for aug in config.augmenters:
+        for c in config.classifiers:
+            cells = [b.cell(aug, c) for b in bundles]
+            vals = [(r.test_acc, r.test_f1, r.test_auc) for r in cells if not r.failed]
+            means = ",".join(f"{m:.6f}" for m in np.array(vals).mean(axis=0)) if vals else ",,"
+            lines.append(f"{aug},{c},{len(vals)},{means}")
+    return "\n".join(lines) + "\n"
+
+
 def export_synthetic_csv(
     features: np.ndarray, labels: np.ndarray, plan: PreprocessPlan
 ) -> str:

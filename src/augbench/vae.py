@@ -79,16 +79,13 @@ def vae_loss(
     batch: np.ndarray,
     eps: np.ndarray,
     beta: float = 1.0,
-    out: tuple[GradBuffer, GradBuffer] | None = None,
 ) -> tuple[float, tuple[list[np.ndarray], list[np.ndarray]]]:
     """ELBO-style loss and gradients (encoder list, decoder list).
 
     `eps` is the reparameterization noise, one latent row per batch row.
-    The gradients are written into `out`, the encoder's and the decoder's
-    buffer (new ones when None), and returned as their views.
     """
     batch = np.asarray(batch, dtype=float)
-    losses, grads = _vae_losses(model, batch, eps, beta, out)
+    losses, grads = _vae_losses(model, batch, eps, beta, None)
     return losses[0], grads
 
 

@@ -248,6 +248,12 @@ def ref_train_gan(data, config, rng):
     return dec.flat, disc.flat, history
 
 
+def flat_jobs(groups):
+    """The (rows, param) pairs of `fit_many` groups, group by group: the
+    order of the models a trainer returns."""
+    return [(rows, param) for rows, params in groups for param in params]
+
+
 # The plain stacked epoch of the linear trainers: margins as `X @ W + B`
 # and fresh temporaries every step. The trainers fold the bias into one
 # product and compute in buffers, with the same bits, so these are

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from augbench import cli, harness
 from augbench.cli import main
+from augbench.rng import SEED_MAX
 from conftest import FIXTURE_CSV, REPO, SCHEMA
 
 FAST = {
@@ -485,6 +486,87 @@ def test_validate_ends_in_ok_or_one_error_line(overrides, hyperparams):
         assert stdout.getvalue().startswith("ok: ") and stderr.getvalue() == ""
     else:
         assert code == 1 and _one_line_error(stderr.getvalue())
+
+
+def _grid(elements):
+    return st.lists(elements, min_size=1, max_size=3)
+
+
+_POSITIVE = st.floats(1e-3, 10.0)
+_FOLDS = st.integers(2, 8)
+_AUTO = st.just("auto")
+_PAIR = st.lists(st.integers(1, 8), min_size=2, max_size=2)
+
+# Every section, with the fields that set a run's cost drawn from small
+# ranges (epochs, layer sizes, iteration caps) and any other field from a
+# bounded range or left at its default.
+RUN_HYPERPARAMS = st.fixed_dictionaries({
+    "gmm": st.fixed_dictionaries({"max_iter": st.integers(1, 20)}, optional={
+        "n_components": st.integers(1, 4), "tol": st.floats(0.0, 1e-2),
+        "cov_floor": st.floats(1e-9, 1.0), "select_k_bic": st.booleans(),
+        "bic_k_max": st.integers(1, 3)}),
+    "vae": st.fixed_dictionaries({
+        "epochs": st.integers(0, 5), "hidden_size": st.integers(1, 8),
+        "latent_dim": st.integers(1, 4)}, optional={
+        "learning_rate": _POSITIVE, "beta": st.floats(0.0, 2.0)}),
+    "gan": st.fixed_dictionaries({
+        "pretrain_epochs": st.integers(0, 5), "epochs": st.integers(0, 5), "disc_hidden": _PAIR,
+        "vae": st.fixed_dictionaries({"hidden_size": st.integers(1, 8),
+                                      "latent_dim": st.integers(1, 4)})}, optional={
+        "learning_rate": _POSITIVE, "disc_learning_rate": st.none() | _POSITIVE}),
+    "tree": st.fixed_dictionaries({}, optional={
+        "max_depth": _AUTO | st.none() | st.integers(0, 6),
+        "depth_grid": _grid(st.none() | st.integers(0, 6)),
+        "min_samples_split": st.integers(2, 10), "cv_folds": _FOLDS}),
+    "knn": st.fixed_dictionaries({}, optional={
+        "k": _AUTO | st.integers(1, 400), "k_grid": _grid(st.integers(1, 400)),
+        "weighting": st.sampled_from(["uniform", "inverse"]), "cv_folds": _FOLDS}),
+    "logistic": st.fixed_dictionaries({"epochs": st.integers(0, 10)}, optional={
+        "reg_lambda": _AUTO | st.floats(0.0, 10.0), "lambda_grid": _grid(st.floats(0.0, 10.0)),
+        "learning_rate": _POSITIVE, "cv_folds": _FOLDS}),
+    "svm_linear": st.fixed_dictionaries({"epochs": st.integers(0, 10)}, optional={
+        "reg_lambda": _AUTO | _POSITIVE, "lambda_grid": _grid(_POSITIVE), "cv_folds": _FOLDS}),
+    "svm_rbf": st.fixed_dictionaries({"max_iter": st.integers(1, 200)}, optional={
+        "C": _AUTO | _POSITIVE, "c_grid": _grid(_POSITIVE), "gamma": st.none() | _POSITIVE,
+        "kkt_tol": _POSITIVE, "cv_folds": _FOLDS}),
+    "dense": st.fixed_dictionaries({"epochs": st.integers(0, 10), "hidden": _PAIR}, optional={
+        "learning_rate": _POSITIVE}),
+})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    augmenters=st.lists(st.sampled_from(harness.AUGMENTER_IDS), min_size=1, max_size=4,
+                        unique=True),
+    classifiers=st.lists(st.sampled_from(harness.CLASSIFIER_IDS), min_size=1, max_size=6,
+                         unique=True),
+    n_synthetic=st.integers(0, 100),
+    test_fraction=st.floats(0.05, 0.95),
+    seed=st.integers(0, SEED_MAX - 1),
+    seeds=st.integers(1, 2),
+    hyperparams=RUN_HYPERPARAMS,
+)
+def test_run_of_a_validated_config_exits_0_or_1(augmenters, classifiers, n_synthetic,
+                                                test_fraction, seed, seeds, hyperparams):
+    fixture = REPO / "configs" / "fixture.json"
+    config = json.loads(fixture.read_text())
+    config.update(
+        dataset=str((fixture.parent / config["dataset"]).resolve()), augmenters=augmenters,
+        classifiers=classifiers, n_synthetic=n_synthetic, test_fraction=test_fraction,
+        seed=seed, hyperparams=hyperparams,
+    )
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "cfg.json"
+        p.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            if main(["validate", "--config", str(p)]) != 0:
+                return
+            code = main(["run", "--config", str(p), "--out", str(Path(tmp) / "out"),
+                         "--seeds", str(seeds)])
+    assert code in (0, 1)
+    if code == 1:
+        assert _one_line_error(stderr.getvalue())
 
 
 def _no_work(*args, **kwargs):

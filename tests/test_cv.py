@@ -3,6 +3,7 @@ shared pinned-or-CV fit path of the tuned classifiers."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from augbench.classifiers import (
     KnnConfig,
@@ -52,6 +53,30 @@ def test_folds_errors():
     with pytest.raises(CvError):
         # 2 positives cannot cover 5 folds.
         stratified_kfold(np.array([0] * 20 + [1] * 2), 5, RngStream(0))
+    with pytest.raises(CvError):
+        stratified_kfold(np.array([], dtype=int), 2, RngStream(0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    counts=st.lists(st.integers(0, 12), min_size=1, max_size=3),
+    folds=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_folds_exist_exactly_when_every_class_covers_every_fold(counts, folds, seed):
+    y = np.repeat(np.arange(len(counts)), counts)
+    present = [c for c in counts if c]
+    if not present or min(present) < folds:
+        with pytest.raises(CvError):
+            stratified_kfold(y, folds, RngStream(seed, ("folds",)))
+        return
+    splits = stratified_kfold(y, folds, RngStream(seed, ("folds",)))
+    assert len(splits) == folds
+    np.testing.assert_array_equal(np.sort(np.concatenate([va for _, va in splits])),
+                                  np.arange(len(y)))
+    for tr, va in splits:
+        np.testing.assert_array_equal(np.sort(np.concatenate([tr, va])), np.arange(len(y)))
+        assert set(y[va]) == set(y)
 
 
 class ConstantModel:

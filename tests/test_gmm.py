@@ -11,6 +11,7 @@ from augbench.gmm import (
     fit_gmm_bic,
     sample_gmm,
 )
+from augbench import gmm as gmm_module
 from augbench.rng import RngStream
 
 
@@ -78,6 +79,26 @@ def test_bic_prefers_two_components_on_two_blobs():
     data = two_blob_data(RngStream(5, ("blobs",)), n=200, sep=8.0)
     model = fit_gmm_bic(data, 4, GmmConfig(), RngStream(5, ("bic",)))
     assert model.n_components == 2
+
+
+@pytest.mark.parametrize("n_components, bic_k_max, expected", [(1, 3, 2), (3, 1, 1)])
+def test_augment_with_bic_searches_up_to_bic_k_max(n_components, bic_k_max, expected,
+                                                   monkeypatch):
+    # Class 1 is two blobs. With select_k_bic, each class is fit at every K
+    # in 1..bic_k_max, whatever n_components says, and keeps the lowest BIC.
+    asked = []
+    fit = gmm_module.fit_gmm
+    monkeypatch.setattr(gmm_module, "fit_gmm",
+                        lambda data, k, *args: asked.append(k) or fit(data, k, *args))
+    rng = RngStream(7, ("aug-bic",))
+    X = np.vstack([rng.derive("x0").normal(size=(100, 2)),
+                   two_blob_data(rng.derive("x1"), n=200, sep=8.0)])
+    y = np.array([0] * 100 + [1] * 200)
+    config = GmmConfig(n_components=n_components, select_k_bic=True, bic_k_max=bic_k_max)
+    _, _, prov = augment_with_gmm(X, y, 12, config, rng.derive("run"))
+    assert asked == [*range(1, bic_k_max + 1)] * 2
+    assert prov.models[0].n_components == 1
+    assert prov.models[1].n_components == expected
 
 
 def test_augment_with_gmm_counts_and_mask():

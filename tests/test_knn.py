@@ -9,6 +9,7 @@ from augbench.classifiers import predict_labels
 from augbench.classifiers.cv import per_job
 from augbench.classifiers.knn import DIST_EPS, KnnConfig, KnnModel, _fit_knn_many, fit_knn
 from augbench.rng import RngStream
+from conftest import flat_jobs
 
 
 def oracle_scores(train_X, train_y, X, k, weighting):
@@ -112,17 +113,18 @@ def test_grouped_trainer_equals_one_model_per_job(seed, n, duplicates, folds, ks
     y = rng.integers(0, 2, size=len(X))
     fold_of = rng.permutation(len(X)) % folds
     splits = [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)) for f in range(folds)]
-    # grid-major, then fold, as cross_validate lists them; k may exceed a fold's rows
-    jobs = [(tr, k) for k in ks for tr, _ in splits]
-    validation = [X[va] for _ in ks for _, va in splits]
+    # one group per fold, as cross_validate passes them; k may exceed a fold's rows
+    groups = [(tr, ks) for tr, _ in splits]
+    jobs = flat_jobs(groups)
+    validation = [X[va] for _, va in splits for _ in ks]
     fresh = [rng.integers(-4, 5, size=(7, 2)).astype(float)] * len(jobs)
-    grouped = _fit_knn_many(X, y, jobs, weighting)
+    grouped = _fit_knn_many(X, y, groups, weighting)
     per_model = per_job(lambda Xt, yt, k: KnnModel(Xt, yt, min(k, len(yt)), weighting))
     # Validation rows, then a fresh query, then the validation rows again:
     # each memo is reused, replaced and filled anew. The oracle models are
     # new for every query, so no memo of theirs is ever reused.
     for queries in (validation, fresh, validation):
-        for model, ref, Q, (rows, k) in zip(grouped, per_model(X, y, jobs), queries, jobs):
+        for model, ref, Q, (rows, k) in zip(grouped, per_model(X, y, groups), queries, jobs):
             assert model.k == ref.k
             scores = model.decision_scores(Q)
             assert np.array_equal(scores, ref.decision_scores(Q))

@@ -27,6 +27,7 @@ from augbench.rng import RngStream
 from conftest import (
     REPO,
     central_difference,
+    flat_jobs,
     max_relative_error,
     ref_fit_linear_svm_many,
     ref_fit_logistic_many,
@@ -171,9 +172,9 @@ def test_logistic_zero_weights_scores_half():
 
 # ------------------------------------------------ stacked fold x lambda CV
 
-def _fold_jobs(y, grid, folds=4):
+def _fold_groups(y, grid, folds=4):
     splits = stratified_kfold(y, folds, RngStream(8, ("folds",)))
-    return [(tr, lam) for lam in grid for tr, _ in splits]
+    return [(tr, list(grid)) for tr, _ in splits]
 
 
 @pytest.mark.parametrize("learner", ["logistic", "svm_linear"])
@@ -186,10 +187,10 @@ def test_stacked_cv_models_match_per_model_fits(learner):
     else:
         config, grid = LinearSvmConfig(epochs=300), (1.0, 0.01, 0.001)
         fixed, many = _fit_linear_svm_fixed, _fit_linear_svm_many
-    jobs = _fold_jobs(y, grid)
-    models = many(X, y, jobs, config)
-    assert len(models) == len(jobs)
-    for model, (rows, lam) in zip(models, jobs):
+    groups = _fold_groups(y, grid)
+    models = many(X, y, groups, config)
+    assert len(models) == 4 * len(grid)
+    for model, (rows, lam) in zip(models, flat_jobs(groups)):
         _assert_matches_oracle(model, fixed(X[rows], y[rows], lam, config))
 
 
@@ -215,7 +216,7 @@ def test_pinned_and_refit_models_match_the_all_rows_oracle(learner):
 def test_stacked_svm_rejects_nonpositive_lambda(bad):
     X, y = separable(seed=9)
     with pytest.raises(ValueError, match="reg_lambda > 0"):
-        _fit_linear_svm_many(X, y, _fold_jobs(y, (1.0, bad)), LinearSvmConfig(epochs=5))
+        _fit_linear_svm_many(X, y, _fold_groups(y, (1.0, bad)), LinearSvmConfig(epochs=5))
     with pytest.raises(ValueError, match="reg_lambda > 0"):
         fit_linear_svm(X, y, LinearSvmConfig(epochs=5, lambda_grid=(1.0, bad)))
 
@@ -250,9 +251,10 @@ def test_cv_stack_equals_the_reference_epoch(learner):
     config = config_cls()
     X, y = _fixture_train()
     splits = stratified_kfold(y, config.cv_folds, RngStream(0, ("folds",)))
-    jobs = [(tr, lam) for lam in config.lambda_grid for tr, _ in splits]
+    groups = [(tr, list(config.lambda_grid)) for tr, _ in splits]
+    jobs = flat_jobs(groups)
     assert len(jobs) == 20
-    _assert_same_bits(many(X, y, jobs, config), ref(X, y, jobs, config))
+    _assert_same_bits(many(X, y, groups, config), ref(X, y, jobs, config))
 
 
 @pytest.mark.parametrize("learner", sorted(STACKED))
@@ -262,8 +264,8 @@ def test_all_rows_fit_equals_the_reference_epoch(learner):
     config = config_cls()
     X, y = _fixture_train()
     for lam in config.lambda_grid:
-        jobs = [(np.arange(len(y)), lam)]
-        _assert_same_bits(many(X, y, jobs, config), ref(X, y, jobs, config))
+        groups = [(np.arange(len(y)), [lam])]
+        _assert_same_bits(many(X, y, groups, config), ref(X, y, flat_jobs(groups), config))
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,9 +282,9 @@ def test_stacked_trainers_equal_the_reference_on_any_rows(learner, seed, keep, l
         lams = [lam or 1.0 for lam in lams]  # Pegasos needs lambda > 0
     X, y = _fixture_train()
     rng = np.random.default_rng(seed)
-    jobs = []
+    groups = []
     for lam in lams:
         rows = np.flatnonzero(rng.random(len(y)) < keep)
-        jobs.append((rows if len(rows) else np.array([0]), lam))
+        groups.append((rows if len(rows) else np.array([0]), [lam]))
     config = config_cls(epochs=epochs)
-    _assert_same_bits(many(X, y, jobs, config), ref(X, y, jobs, config))
+    _assert_same_bits(many(X, y, groups, config), ref(X, y, flat_jobs(groups), config))

@@ -14,6 +14,7 @@ from augbench.classifiers.tree import (
     gini,
 )
 from augbench.rng import RngStream
+from conftest import flat_jobs
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -121,15 +122,14 @@ def test_one_tree_per_row_set_scores_as_a_tree_grown_at_each_depth(data):
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     subset = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
     config = TreeConfig(min_samples_split=data.draw(st.integers(2, 5)))
-    grid = (*DEFAULT_DEPTH_GRID, 0, 1)
-    row_sets = (np.arange(n), subset)
-    jobs = [(rows, depth) for depth in grid for rows in row_sets]
+    grid = [*DEFAULT_DEPTH_GRID, 0, 1]
+    groups = [(np.arange(n), grid), (subset, grid)]
 
-    models = _fit_tree_many(X, y, jobs, config)
+    models = _fit_tree_many(X, y, groups, config)
     queries = np.vstack([X, np.array(np.meshgrid(*[np.arange(-0.5, 5.0)] * 3)).reshape(3, -1).T])
-    for (rows, depth), model in zip(jobs, models):
+    for (rows, depth), model in zip(flat_jobs(groups), models):
         expected = fit_tree_fixed_depth(X[rows], y[rows], depth, config)
         assert model.max_depth == depth
         assert np.array_equal(model.decision_scores(queries), expected.decision_scores(queries))
-    # One tree per distinct row set.
-    assert len({id(m.root) for m in models}) == len({rows.tobytes() for rows in row_sets})
+    # One tree per group.
+    assert len({id(m.root) for m in models}) == len(groups)
