@@ -4,12 +4,21 @@ Every tuned learner has one trainer, `fit_many(X, y, groups)`: each group
 is `(train_rows, [param, ...])` and it returns one model per (group,
 param), group by group, in order. `cross_validate` passes one group per
 fold, each holding the whole grid; the refit on all rows and a pinned
-hyperparameter pass the one group `(all_rows, [param])`. The linear
-learners train every (group, param) as one stacked problem; the tree
-grows one tree per group and reads it at each depth; KNN gives each
-group one neighbour memo, so a fold's validation rows are ranked once
-for every k; the RBF SVM wraps a fixed-parameter fitter with `per_job`,
-which fits each (rows, param) on `X[rows]` in turn.
+hyperparameter pass the one group `(all_rows, [param])`. The tree grows
+one tree per group and reads it at each depth; KNN gives each group one
+neighbour memo, so a fold's validation rows are ranked once for every k;
+the RBF SVM wraps a fixed-parameter fitter with `per_job`, which fits
+each (rows, param) on `X[rows]` in turn.
+
+The linear learners train many training sets at once through
+`fit_sets(sets)`, which takes one `(X, y, groups)` per set and returns
+each set's `fit_many` models. `fit_sets_with_cv` builds each set's folds
+from that set's stream, trains every set's CV models in one
+`cross_validate_sets` call, and every set's refit or pinned model in one
+more call. `base.fit_jointly` retrains each set alone when a joint call
+raises, so a set that fails, at its checks, its folds or its fit, gets
+its error in place of its result while every other set keeps its model.
+`cross_validate` is `cross_validate_sets` on one set.
 
 The grid is evaluated in order and ties in mean validation accuracy go
 to the earliest entry, so callers list grids simplest-setting-first
@@ -25,7 +34,7 @@ import numpy as np
 
 from ..metrics import accuracy
 from ..rng import RngStream
-from .base import predict_labels
+from .base import attempt, fit_jointly, only, predict_labels
 
 
 class CvError(Exception):
@@ -43,6 +52,8 @@ class CvResult:
 # fit_many(X, y, [(train_rows, [param, ...]), ...]) -> one model per
 # (group, param), group-major
 FitMany = Callable[[np.ndarray, np.ndarray, list[tuple[np.ndarray, list]]], list]
+# fit_sets([(X, y, groups), ...]) -> fit_many's models for each set, in order
+FitSets = Callable[[list[tuple[np.ndarray, np.ndarray, list]]], list[list]]
 
 
 def stratified_kfold(
@@ -91,10 +102,45 @@ def cross_validate(
     One `fit_many` call trains every (fold, grid entry) model: one group
     `(train_rows, grid)` per fold.
     """
+    return only(cross_validate_sets(
+        lambda sets: [fit_many(*s) for s in sets], [(features, labels)], folds, grid, [rng]
+    ))
+
+
+def _live(entries: list) -> list[int]:
+    """The indices of the entries that are not exceptions."""
+    return [k for k, e in enumerate(entries) if not isinstance(e, Exception)]
+
+
+def cross_validate_sets(
+    fit_sets: FitSets,
+    sets: list,
+    folds: int,
+    grid: Sequence[object],
+    rngs: list[RngStream],
+) -> list:
+    """`cross_validate` for every `(features, labels)` of `sets`, each with
+    folds from its own stream in `rngs`, in one `fit_sets` call (see
+    `fit_jointly`). An entry of `sets` that is an exception (a failed
+    input check) stays its result; a set whose folds cannot be built, or
+    whose fit raises, gets its error as its result."""
     if not grid:
         raise CvError("empty hyperparameter grid")
-    splits = stratified_kfold(labels, folds, rng.derive("folds"))
-    models = fit_many(features, labels, [(tr, grid) for tr, _ in splits])
+    results = [
+        s if isinstance(s, Exception) else attempt(stratified_kfold, s[1], folds, rng.derive("folds"))
+        for s, rng in zip(sets, rngs)
+    ]
+    live = _live(results)
+    fitted = fit_jointly(fit_sets, [(*sets[k], [(tr, grid) for tr, _ in results[k]]) for k in live])
+    for k, models in zip(live, fitted):
+        results[k] = models if isinstance(models, Exception) else _grid_table(
+            models, results[k], grid, *sets[k]
+        )
+    return results
+
+
+def _grid_table(models: list, splits, grid, features, labels) -> CvResult:
+    """The CvResult of a set's fold-major `models`."""
     table = []
     for gi, param in enumerate(grid):
         fold_accs = [
@@ -125,3 +171,32 @@ def fit_with_cv(
     model = fit_many(X, y, [(all_rows, [cv.best_param])])[0]
     model.cv_result = cv
     return model
+
+
+def fit_sets_with_cv(
+    fit_sets: FitSets,
+    sets: list,
+    param: object,
+    grid: Sequence[object],
+    folds: int,
+    rngs: list[RngStream],
+) -> list:
+    """`fit_with_cv` for every `(X, y)` of `sets`, each with its stream in
+    `rngs`: with `param == "auto"`, one `cross_validate_sets` call, then
+    one `fit_sets` call for every refit or pinned fit. An entry of `sets`
+    that is an exception stays its result, and a set whose CV or fit
+    fails gets its error in place of its model."""
+    auto = param == "auto"
+    results = cross_validate_sets(fit_sets, sets, folds, list(grid), rngs) if auto else list(sets)
+    live = _live(results)
+    fitted = fit_jointly(fit_sets, [
+        (*sets[k], [(np.arange(len(sets[k][1])), [results[k].best_param if auto else param])])
+        for k in live
+    ])
+    for k, models in zip(live, fitted):
+        if not isinstance(models, Exception):
+            [model] = models
+            model.cv_result = results[k] if auto else None
+            models = model
+        results[k] = models
+    return results

@@ -13,6 +13,13 @@ Computation 2001); at the returned bias no sample then violates its KKT
 condition by more than `kkt_tol`. The bias is the mean of -y_t G_t over
 free alphas, or the midpoint of [M, m] when none is free. C is chosen by
 stratified CV (ties to the smallest C), gamma defaults to 1/d.
+
+A step computes in work vectors allocated once per solve, with `2 K`
+computed once, and calls the ufunc methods (`.argmax()`,
+`np.maximum.reduce`) without numpy's Python wrappers. I_up and I_low
+are kept as penalty vectors, 0 on the set and inf off it, which a step
+updates at i and j, so a masked score is one subtraction. Each step has
+the bits of the plain `np.where` formulas (`ref_smo` in the tests).
 """
 
 from __future__ import annotations
@@ -81,19 +88,28 @@ def _smo(
     # starts at -y*(-e) = y.
     score = y.copy()
     diag = np.diag(K).copy()
+    K2 = 2.0 * K
     pos = y > 0
     # I_up: y_t alpha_t can grow; I_low: it can shrink. Within 1e-12 of a
-    # bound counts as at it.
-    up, low = pos.copy(), ~pos
+    # bound counts as at it. Each set is a penalty vector, 0 on the set
+    # and inf off it: `v - penalty` is `np.where(in_set, v, -inf)`, bit for
+    # bit (v - 0.0 is v, even for v = -0.0).
+    up_pen, low_pen = np.where(pos, 0.0, np.inf), np.where(pos, np.inf, 0.0)
+    w, b, a, gain = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+    ok, curved = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     for iterations in range(max_iter + 1):
-        i = int(np.argmax(np.where(up, score, -np.inf)))
-        b = score[i] - np.where(low, score, np.inf)  # b_it; -inf off I_low
-        gap = b.max()  # m - M
+        i = int(np.subtract(score, up_pen, out=w).argmax())
+        np.subtract(score[i], score, out=b)
+        b -= low_pen  # b_it; -inf off I_low
+        gap = np.maximum.reduce(b)  # m - M
         if gap <= tol or iterations == max_iter:
             break
-        a = diag[i] + diag - 2.0 * K[i]
-        ok = (b > 0.0) & (a > 1e-12)
-        j = int(np.argmax(np.where(ok, b * b / np.where(ok, a, 1.0), -np.inf)))
+        np.add(diag, diag[i], out=a)
+        a -= K2[i]  # a_it = K_ii + K_tt - 2 K_it
+        np.logical_and(np.greater(b, 0.0, out=ok), np.greater(a, 1e-12, out=curved), out=ok)
+        gain.fill(-np.inf)
+        np.divide(np.multiply(b, b, out=w), a, out=gain, where=ok)
+        j = int(gain.argmax())
         if not ok[j]:
             break  # only zero-curvature pairs violate; no pair makes progress
 
@@ -104,10 +120,13 @@ def _smo(
                 alpha[j] if pos[j] else C - alpha[j])
         alpha[i] = min(max(alpha[i] + y[i] * t, 0.0), C)
         alpha[j] = min(max(alpha[j] - y[j] * t, 0.0), C)
-        score -= t * (K[i] - K[j])
+        np.subtract(K[i], K[j], out=w)
+        w *= t
+        score -= w
         for k in (i, j):
             below_c, above_0 = alpha[k] < C - 1e-12, alpha[k] > 1e-12
-            up[k], low[k] = (below_c, above_0) if pos[k] else (above_0, below_c)
+            up, low = (below_c, above_0) if pos[k] else (above_0, below_c)
+            up_pen[k], low_pen[k] = (0.0 if up else np.inf), (0.0 if low else np.inf)
 
     free = (alpha > 1e-12) & (alpha < C - 1e-12)
     # Every free score lies in [M, m], so the bias does too.

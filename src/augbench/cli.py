@@ -77,11 +77,9 @@ def _cmd_run(args) -> int:
     outdirs = [root / f"seed_{s}" if len(seeds) > 1 else root for s in seeds]
     for outdir in outdirs:
         _make_output_dir(outdir)
-    all_bundles = []
-    for s, outdir in zip(seeds, outdirs):
-        bundle = run_experiment(dataclasses.replace(config, seed=s))
+    all_bundles = run_experiment(config, args.seeds)
+    for bundle, outdir in zip(all_bundles, outdirs):
         emit_report(bundle, outdir)
-        all_bundles.append(bundle)
 
     if len(seeds) > 1:
         (root / "aggregate.csv").write_text(render_aggregate_csv(all_bundles))

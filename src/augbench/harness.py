@@ -1,9 +1,13 @@
 """Experiment orchestration: augmenter x classifier grid and reports.
 
-One dataset load, one stratified split, one augmented training set per
-augmenter (the test set is never augmented), every classifier trained on
-every training set. Each grid cell draws from an RngStream keyed by
-(seed, augmenter, classifier), so execution order cannot change results.
+Per seed: one dataset load, one stratified split, one augmented training
+set per augmenter (the test set is never augmented). Then every classifier
+is trained on every training set of every seed, classifier by classifier:
+the logistic, linear-SVM and dense-net set trainers train all of a
+classifier's (seed, augmenter) cells in one loop, and the tree, KNN and
+RBF SVM fit each cell in turn. Each grid cell draws from an RngStream
+keyed by (seed, augmenter, classifier), so execution order cannot change
+results, and each cell's model has the bits of a fit on its set alone.
 
 Report files: report.md (Acc/F1 and AUC tables), results.csv (one row
 per cell), roc_<augmenter>_<classifier>.csv, synthetic_<generator>.csv
@@ -33,6 +37,7 @@ import numpy as np
 
 from . import classifiers as clf
 from .augment import SyntheticBatch
+from .classifiers.base import attempt
 from .dataio import (
     PreprocessPlan,
     apply_preprocess,
@@ -242,13 +247,17 @@ def module_configs(config: ExperimentConfig) -> dict:
     return cfgs
 
 
+# Fit one training set; `run_experiment` calls each once per cell.
 _FITTERS = {
     "tree": clf.fit_decision_tree,
     "knn": clf.fit_knn,
-    "logistic": clf.fit_logistic,
-    "svm_linear": clf.fit_linear_svm,
     "svm_rbf": clf.fit_rbf_svm,
-    "dense": clf.fit_dense_net,
+}
+# Fit every cell's training set in one call, one model or error per set.
+_SET_FITTERS = {
+    "logistic": clf.fit_logistic_sets,
+    "svm_linear": clf.fit_linear_svm_sets,
+    "dense": clf.fit_dense_net_sets,
 }
 
 
@@ -385,20 +394,40 @@ def build_augmented_sets(
     return sets
 
 
-def _run_cell(
+def _fit_cells(classifier: str, sets: list, clf_config, rngs: list) -> list:
+    """`(model or error, fit milliseconds)` for each `(X, y)` of `sets`,
+    set k with `rngs[k]`. A lockstepped fit's time is split evenly across
+    its sets."""
+    if classifier in _SET_FITTERS:
+        start = time.perf_counter()
+        models = _SET_FITTERS[classifier](sets, clf_config, rngs)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        return [(model, elapsed_ms / len(models)) for model in models]
+    fitted = []
+    for (X, y), rng in zip(sets, rngs):
+        start = time.perf_counter()
+        model = attempt(_FITTERS[classifier], X, y, clf_config, rng)
+        fitted.append((model, (time.perf_counter() - start) * 1000.0))
+    return fitted
+
+
+def _score_cell(
     augmenter: str,
     classifier: str,
+    model,
+    fit_ms: float,
     X_aug: np.ndarray,
     y_aug: np.ndarray,
     X_test: np.ndarray,
     y_test: np.ndarray,
-    clf_config,
-    rng: RngStream,
 ) -> EvalResult:
+    """The cell's result from its fitted model, or from the error its fit
+    raised; its duration is `fit_ms` plus the scoring time."""
     result = EvalResult(augmenter=augmenter, classifier=classifier)
     start = time.perf_counter()
     try:
-        model = _FITTERS[classifier](X_aug, y_aug, clf_config, rng)
+        if isinstance(model, Exception):
+            raise model
         test_scores = model.decision_scores(X_test)
         test_pred = (test_scores >= model.threshold).astype(int)
         curve = roc_auc(y_test, test_scores)
@@ -410,44 +439,68 @@ def _run_cell(
         result.roc = curve
     except Exception as e:  # cell failures must not abort the grid
         result.error = f"{type(e).__name__}: {e}"
-    result.duration_ms = (time.perf_counter() - start) * 1000.0
+    result.duration_ms = fit_ms + (time.perf_counter() - start) * 1000.0
     return result
 
 
-def run_experiment(config: ExperimentConfig) -> ReportBundle:
-    """Execute the full augmenter x classifier grid for one seed; a cell
-    whose classifier raises (say, on a bound `check_data_bounds` rejects)
-    fails alone."""
+def run_experiment(config: ExperimentConfig, n_seeds: int = 1) -> list[ReportBundle]:
+    """Execute the full augmenter x classifier grid for the `n_seeds`
+    seeds from `config.seed` up, one ReportBundle per seed.
+
+    Every seed is prepared and augmented first. Then each classifier
+    trains all of its (seed, augmenter) cells in one call, so the
+    logistic, linear-SVM and dense-net trainers run every cell in one
+    loop. A cell whose classifier raises (say, on a bound
+    `check_data_bounds` rejects) fails alone."""
     cfgs = module_configs(config)
-    data = prepare(config)
-    X_train, y_train = data.X_train, data.y_train
-    X_test, y_test = data.X_test, data.y_test
+    seeds = [replace(config, seed=seed) for seed in range(config.seed, config.seed + n_seeds)]
+    prepared = [prepare(seed_config) for seed_config in seeds]
+    aug_sets = [
+        build_augmented_sets(seed_config, data.X_train, data.y_train, cfgs)
+        for seed_config, data in zip(seeds, prepared)
+    ]
 
-    aug_sets = build_augmented_sets(config, X_train, y_train, cfgs)
+    # (seed index, augmenter) of every cell whose generator built its
+    # training set; the other cells fail with their generator's error.
+    cells = [
+        (k, aug) for k, sets in enumerate(aug_sets) for aug in config.augmenters
+        if not isinstance(sets[aug], GeneratorError)
+    ]
+    scored = [{} for _ in seeds]  # per seed, (augmenter, classifier) -> EvalResult
+    for c in config.classifiers:
+        fitted = _fit_cells(
+            c, [aug_sets[k][aug][:2] for k, aug in cells], cfgs[c],
+            [RngStream(seeds[k].seed, ("cell", aug, c)) for k, aug in cells],
+        )
+        for (k, aug), (model, fit_ms) in zip(cells, fitted):
+            X_aug, y_aug, _ = aug_sets[k][aug]
+            scored[k][aug, c] = _score_cell(
+                aug, c, model, fit_ms, X_aug, y_aug, prepared[k].X_test, prepared[k].y_test
+            )
+    return list(map(_bundle, seeds, prepared, aug_sets, scored))
+
+
+def _bundle(
+    config: ExperimentConfig, data: PreparedData, aug_sets: dict, scored: dict
+) -> ReportBundle:
+    """One seed's ReportBundle from its augmented sets and its scored
+    cells, keyed by (augmenter, classifier)."""
     built = {a: s for a, s in aug_sets.items() if not isinstance(s, GeneratorError)}
-
+    y_train = data.y_train
     # Test purity: the test set comes straight from the original split and
     # no augmented set may mark an original row as synthetic.
     contamination = bool(np.intersect1d(data.train_indices, data.test_indices).size) or any(
         prov.synthetic_mask[: len(y_train)].any() or len(ya) != len(y_train) + prov.n_synthetic
         for _, ya, prov in built.values() if prov is not None
     )
-
-    results = []
-    for aug in config.augmenters:
-        for c in config.classifiers:
-            if aug in built:  # else its generator failed, and so does the cell
-                X_aug, y_aug, _ = built[aug]
-                cell_rng = RngStream(config.seed, ("cell", aug, c))
-                results.append(_run_cell(aug, c, X_aug, y_aug, X_test, y_test, cfgs[c], cell_rng))
-            else:
-                results.append(EvalResult(aug, c, error=str(aug_sets[aug])))
-
     return ReportBundle(
         config=config,
-        results=results,
+        results=[
+            scored[aug, c] if aug in built else EvalResult(aug, c, error=str(aug_sets[aug]))
+            for aug in config.augmenters for c in config.classifiers
+        ],
         n_train=len(y_train),
-        n_test=len(y_test),
+        n_test=len(data.y_test),
         plan=data.plan,
         provenances={a: s[2] for a, s in built.items()},
         synthetic={

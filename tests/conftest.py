@@ -309,3 +309,53 @@ def ref_fit_linear_svm_many(X, y01, jobs, config):
         LinearModel(W[:, j].copy(), float(B[j]), "linear-svm", param, 0.0)
         for j, (_, param) in enumerate(jobs)
     ]
+
+
+# The SMO solve before its step worked in preallocated vectors and penalty
+# vectors; the lean solve must give the same bits, so this is an oracle for
+# `np.array_equal`.
+
+
+def ref_smo(
+    K: np.ndarray, y: np.ndarray, C: float, tol: float, max_iter: int
+) -> tuple[np.ndarray, float, bool, int, float]:
+    """`svm_rbf._smo` on np.where masks and fresh temporaries every step:
+    (alpha, bias, converged, pair updates made, final gap m - M)."""
+    n = len(y)
+    alpha = np.zeros(n)
+    # The gradient G = Q alpha - e, kept as -y*G (exact, as y is +-1); it
+    # starts at -y*(-e) = y.
+    score = y.copy()
+    diag = np.diag(K).copy()
+    pos = y > 0
+    # I_up: y_t alpha_t can grow; I_low: it can shrink. Within 1e-12 of a
+    # bound counts as at it.
+    up, low = pos.copy(), ~pos
+    for iterations in range(max_iter + 1):
+        i = int(np.argmax(np.where(up, score, -np.inf)))
+        b = score[i] - np.where(low, score, np.inf)  # b_it; -inf off I_low
+        gap = b.max()  # m - M
+        if gap <= tol or iterations == max_iter:
+            break
+        a = diag[i] + diag - 2.0 * K[i]
+        ok = (b > 0.0) & (a > 1e-12)
+        j = int(np.argmax(np.where(ok, b * b / np.where(ok, a, 1.0), -np.inf)))
+        if not ok[j]:
+            break  # only zero-curvature pairs violate; no pair makes progress
+
+        # Move alpha_i by y_i t and alpha_j by -y_j t: y'alpha is unchanged,
+        # and G changes by y * t * (K_i - K_j).
+        t = min(b[j] / a[j],
+                C - alpha[i] if pos[i] else alpha[i],
+                alpha[j] if pos[j] else C - alpha[j])
+        alpha[i] = min(max(alpha[i] + y[i] * t, 0.0), C)
+        alpha[j] = min(max(alpha[j] - y[j] * t, 0.0), C)
+        score -= t * (K[i] - K[j])
+        for k in (i, j):
+            below_c, above_0 = alpha[k] < C - 1e-12, alpha[k] > 1e-12
+            up[k], low[k] = (below_c, above_0) if pos[k] else (above_0, below_c)
+
+    free = (alpha > 1e-12) & (alpha < C - 1e-12)
+    # Every free score lies in [M, m], so the bias does too.
+    bias = float(np.mean(score[free])) if free.any() else float(score[i] - gap / 2.0)
+    return alpha, bias, bool(gap <= tol), iterations, float(gap)

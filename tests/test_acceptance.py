@@ -242,12 +242,13 @@ def test_criterion_6_paper_shape_reproduction():
     start = time.perf_counter()
     tree_wins = 0
     auc_gains = []
-    for seed in range(10):
-        cfg = ExperimentConfig(
-            dataset=str(FIXTURE_CSV), schema=dict(SCHEMA), seed=seed,
-            test_fraction=0.25, n_synthetic=200,
-        )
-        bundle = run_experiment(cfg)
+    cfg = ExperimentConfig(
+        dataset=str(FIXTURE_CSV), schema=dict(SCHEMA), seed=0,
+        test_fraction=0.25, n_synthetic=200,
+    )
+    bundles = run_experiment(cfg, 10)
+    assert [b.config.seed for b in bundles] == list(range(10))
+    for bundle in bundles:
 
         # (a) Table shape: 4 boost rows x 6 classifiers with Acc+F1, plus AUC.
         assert len(bundle.results) == 24

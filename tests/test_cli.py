@@ -92,9 +92,9 @@ def test_run_exports_the_synthetic_rows_the_grid_trained_on(tmp_path, monkeypatc
     bundles, aug_sets = [], []
     real_run, real_build = cli.run_experiment, harness.build_augmented_sets
 
-    def run_spy(config):
-        bundles.append(real_run(config))
-        return bundles[-1]
+    def run_spy(*args):
+        bundles.extend(real_run(*args))
+        return bundles
 
     def build_spy(*args, **kwargs):
         aug_sets.append(real_build(*args, **kwargs))
@@ -689,3 +689,27 @@ def test_bound_the_training_rows_meet_validates(tmp_path, capsys, overrides):
     p.write_text(json.dumps(dict(FAST, **overrides)))
     assert main(["validate", "--config", str(p)]) == 0
     assert capsys.readouterr().out.startswith("ok: ")
+
+
+def test_run_over_seeds_writes_what_each_seed_writes_alone(tmp_path):
+    # Every classifier trains all seeds' cells at once; no seed's artifacts
+    # may depend on the others.
+    config = dict(
+        FAST, classifiers=list(harness.CLASSIFIER_IDS), export_synthetic=True,
+        hyperparams={"gmm": {"n_components": 2}, "logistic": {"epochs": 30},
+                     "svm_linear": {"epochs": 30}, "dense": {"epochs": 20}},
+    )
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    together = tmp_path / "together"
+    assert main(["run", "--config", str(p), "--out", str(together), "--seeds", "3"]) == 0
+    for seed in range(3):
+        alone = tmp_path / f"alone_{seed}"
+        assert main(["run", "--config", str(p), "--out", str(alone), "--seed", str(seed)]) == 0
+        names = sorted(f.name for f in alone.iterdir() if f.name != "run_meta.json")
+        assert names == sorted(
+            f.name for f in (together / f"seed_{seed}").iterdir() if f.name != "run_meta.json"
+        )
+        assert "synthetic_gmm.csv" in names and "roc_gmm_dense.csv" in names
+        for name in names:
+            assert (together / f"seed_{seed}" / name).read_bytes() == (alone / name).read_bytes()

@@ -178,7 +178,7 @@ def test_experiment_config_defaults_pass_their_own_check():
 
 
 def test_grid_shape_and_metric_ranges():
-    bundle = run_experiment(fast_config())
+    [bundle] = run_experiment(fast_config())
     assert len(bundle.results) == 4  # 2 augmenters x 2 classifiers
     for r in bundle.results:
         assert not r.failed
@@ -193,7 +193,7 @@ def test_grid_shape_and_metric_ranges():
 def test_none_cell_equals_direct_training():
     """The no-boost cell must match running the pipeline by hand."""
     cfg = fast_config(augmenters=("none",), classifiers=("tree",))
-    bundle = run_experiment(cfg)
+    [bundle] = run_experiment(cfg)
     cell = bundle.cell("none", "tree")
 
     table = load_table(cfg.dataset, cfg.schema)
@@ -235,7 +235,7 @@ def test_gan_vae_epochs_points_to_pretrain_epochs():
 
 def test_failed_cell_does_not_abort_grid():
     cfg = fast_config(hyperparams={**FAST_GMM, "knn": {"k": 100000}})
-    bundle = run_experiment(cfg)
+    [bundle] = run_experiment(cfg)
     failed = [r for r in bundle.results if r.failed]
     assert {(r.augmenter, r.classifier) for r in failed} == {
         ("none", "knn"), ("gmm", "knn")
@@ -247,9 +247,29 @@ def test_failed_cell_does_not_abort_grid():
     assert "failed" in report  # failed metrics render as 'failed'
 
 
+def test_seeds_of_different_widths_train_together_as_alone(tmp_path):
+    # One row's category is rare, so a seed whose split puts it in the
+    # training rows has one more feature column than a seed that does not.
+    lines = FIXTURE_CSV.read_text().splitlines()
+    lines[1] = lines[1].replace(",Male,", ",Other,")
+    dataset = tmp_path / "rare_category.csv"
+    dataset.write_text("\n".join(lines) + "\n")
+    cfg = fast_config(
+        dataset=str(dataset), classifiers=("tree", "logistic", "svm_linear", "dense"),
+        hyperparams={**FAST_GMM, "logistic": {"epochs": 20}, "svm_linear": {"epochs": 20},
+                     "dense": {"epochs": 10}},
+    )
+    bundles = run_experiment(cfg, 6)
+    assert {len(b.plan.feature_order) for b in bundles} == {4, 5}
+    for bundle in bundles:
+        [alone] = run_experiment(dataclasses.replace(cfg, seed=bundle.config.seed))
+        assert render_results_csv(bundle) == render_results_csv(alone)
+        assert [r.roc for r in bundle.results] == [r.roc for r in alone.results]
+
+
 def test_rerun_is_byte_identical():
-    a = run_experiment(fast_config())
-    b = run_experiment(fast_config())
+    [a] = run_experiment(fast_config())
+    [b] = run_experiment(fast_config())
     assert render_results_csv(a) == render_results_csv(b)
     assert render_report_md(a) == render_report_md(b)
 
@@ -258,7 +278,7 @@ def test_rerun_is_byte_identical():
 
 
 def test_report_md_structure():
-    bundle = run_experiment(fast_config())
+    [bundle] = run_experiment(fast_config())
     lines = render_report_md(bundle).splitlines()
     acc_header = next(l for l in lines if l.startswith("| Boost Option") and "Acc" in l)
     assert "Decision Tree Acc | Decision Tree F1" in acc_header
@@ -270,7 +290,7 @@ def test_report_md_structure():
 
 
 def test_results_csv_round_trips():
-    bundle = run_experiment(fast_config())
+    [bundle] = run_experiment(fast_config())
     text = render_results_csv(bundle)
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == len(bundle.results)
@@ -285,7 +305,7 @@ def test_results_csv_round_trips():
 
 
 def test_emit_report_writes_expected_files(tmp_path):
-    bundle = run_experiment(fast_config())
+    [bundle] = run_experiment(fast_config())
     written = emit_report(bundle, tmp_path)
     names = {p.name for p in written}
     assert {"report.md", "results.csv", "run_meta.json"} <= names
@@ -301,7 +321,7 @@ def test_emit_report_writes_expected_files(tmp_path):
 
 
 def test_durations_never_reach_deterministic_artifacts(tmp_path):
-    bundle = run_experiment(fast_config())
+    [bundle] = run_experiment(fast_config())
     assert "duration" not in render_results_csv(bundle)
     assert "duration" not in render_report_md(bundle)
 
@@ -327,7 +347,7 @@ def test_full_id_sets_are_the_published_grid():
 
 def test_fixture_split_sizes_and_default_synthetic_count():
     cfg = fast_config()
-    bundle = run_experiment(cfg)
+    [bundle] = run_experiment(cfg)
     assert bundle.n_train == 300 and bundle.n_test == 100  # 400 rows at 0.25
     defaults = ExperimentConfig(dataset=str(FIXTURE_CSV), schema=dict(SCHEMA))
     assert defaults.n_synthetic == 200
@@ -336,7 +356,7 @@ def test_fixture_split_sizes_and_default_synthetic_count():
 def test_all_cells_failed_still_writes_report(tmp_path):
     cfg = fast_config(classifiers=("knn",),
                       hyperparams={**FAST_GMM, "knn": {"k": 100000}})
-    bundle = run_experiment(cfg)
+    [bundle] = run_experiment(cfg)
     assert all(r.failed for r in bundle.results)
     emit_report(bundle, tmp_path)
     report = (tmp_path / "report.md").read_text()

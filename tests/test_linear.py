@@ -15,8 +15,8 @@ from augbench.classifiers.linear import (
     LinearSvmConfig,
     LogisticConfig,
     _check_svm_lambda,
-    _fit_linear_svm_many,
-    _fit_logistic_many,
+    _fit_linear_svm_stack,
+    _fit_logistic_stack,
     fit_linear_svm,
     fit_logistic,
     logistic_loss_grad,
@@ -67,6 +67,15 @@ def _fit_linear_svm_fixed(
         w = w - eta * gw
         b = b - eta * gb
     return LinearModel(w, b, "linear-svm", reg_lambda, 0.0)
+
+
+# The stacked trainers on one set: its models, group by group.
+def _fit_logistic_many(X, y, groups, config):
+    return _fit_logistic_stack([(X, y, groups)], config)[0]
+
+
+def _fit_linear_svm_many(X, y, groups, config):
+    return _fit_linear_svm_stack([(X, y, groups)], config)[0]
 
 
 def _assert_matches_oracle(model, ref):

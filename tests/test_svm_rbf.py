@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from augbench.classifiers import predict_labels
 from augbench.classifiers.svm_rbf import (
@@ -12,6 +13,7 @@ from augbench.classifiers.svm_rbf import (
     rbf_kernel,
 )
 from augbench.rng import RngStream
+from conftest import ref_smo
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -212,3 +214,27 @@ def test_smo_meets_kkt_and_matches_projected_gradient_optimum(seed, C):
     best = _projected_gradient_optimum(Q, y, C)
     assert abs(y @ best) < 1e-9
     assert _dual_objective(alpha, Q) - _dual_objective(best, Q) <= tol * n
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    width=st.integers(1, 4),
+    gamma=st.floats(0.05, 5.0),
+    C=st.floats(1e-2, 100.0),
+    max_iter=st.integers(1, 400),
+    duplicate=st.booleans(),
+)
+def test_lean_smo_equals_the_reference_solve(seed, n, width, gamma, C, max_iter, duplicate):
+    rng = RngStream(seed, ("smo-ref",))
+    X = rng.derive("x").normal(size=(n, width))
+    if duplicate:  # repeated rows give zero-curvature pairs
+        X[n // 2:] = X[: n - n // 2]
+    y = np.where(rng.derive("y").uniform(0.0, 1.0, size=n) < 0.5, 1.0, -1.0)
+    y[0], y[-1] = 1.0, -1.0  # both classes
+    K = rbf_kernel(X, X, gamma)
+    alpha, bias, converged, iterations, gap = _smo(K, y, C, 1e-3, max_iter)
+    ref_alpha, ref_bias, ref_converged, ref_iterations, ref_gap = ref_smo(K, y, C, 1e-3, max_iter)
+    assert np.array_equal(alpha, ref_alpha)
+    assert (bias, converged, iterations, gap) == (ref_bias, ref_converged, ref_iterations, ref_gap)
