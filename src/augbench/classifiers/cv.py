@@ -18,7 +18,9 @@ from that set's stream, trains every set's CV models in one
 more call. `base.fit_jointly` retrains each set alone when a joint call
 raises, so a set that fails, at its checks, its folds or its fit, gets
 its error in place of its result while every other set keeps its model.
-`cross_validate` is `cross_validate_sets` on one set.
+`cross_validate` and `fit_with_cv` are `cross_validate_sets` and
+`fit_sets_with_cv` on one set, the tree's, KNN's or RBF SVM's
+`fit_many`.
 
 The grid is evaluated in order and ties in mean validation accuracy go
 to the earliest entry, so callers list grids simplest-setting-first
@@ -163,14 +165,10 @@ def fit_with_cv(
 ):
     """The model `fit_many` trains on all rows at `param`, or with
     `param == "auto"` at the `grid` entry stratified CV picks, with
-    `cv_result` attached."""
-    all_rows = np.arange(len(y))
-    if param != "auto":
-        return fit_many(X, y, [(all_rows, [param])])[0]
-    cv = cross_validate(fit_many, X, y, folds, list(grid), rng)
-    model = fit_many(X, y, [(all_rows, [cv.best_param])])[0]
-    model.cv_result = cv
-    return model
+    `cv_result` attached: `fit_sets_with_cv` on one set."""
+    return only(fit_sets_with_cv(
+        lambda sets: [fit_many(*s) for s in sets], [(X, y)], param, grid, folds, [rng]
+    ))
 
 
 def fit_sets_with_cv(
@@ -181,9 +179,11 @@ def fit_sets_with_cv(
     folds: int,
     rngs: list[RngStream],
 ) -> list:
-    """`fit_with_cv` for every `(X, y)` of `sets`, each with its stream in
-    `rngs`: with `param == "auto"`, one `cross_validate_sets` call, then
-    one `fit_sets` call for every refit or pinned fit. An entry of `sets`
+    """For every `(X, y)` of `sets`, the model `fit_sets` trains on all
+    rows at `param`, or with `param == "auto"` at the `grid` entry
+    stratified CV picks (folds from the set's stream in `rngs`), with
+    `cv_result` attached: one `cross_validate_sets` call, then one
+    `fit_sets` call for every refit or pinned fit. An entry of `sets`
     that is an exception stays its result, and a set whose CV or fit
     fails gets its error in place of its model."""
     auto = param == "auto"

@@ -32,8 +32,7 @@ one batched `np.matmul` per batch of same-shape sets, each set on its
 own blocks, and so are the bias row's column sums. The sigmoid, masks,
 scaling, regularization, Pegasos and Adam steps run once over the flat
 buffers, elementwise, so each set's models have the bits of its one-set
-fit. y is broadcast to (n, J)
-once; the linear SVM multiplies y into the rows of `[X | 1]`, which is
+fit. y is broadcast to (n, J) once; the linear SVM multiplies y into the rows of `[X | 1]`, which is
 exact for y = +-1. With J >= 2, every value is the one the plain
 formulas give (`ref_fit_*_many` in the tests), up to the sign of an
 exact zero. A one-column fit's margins come from numpy's matrix-vector
@@ -123,17 +122,13 @@ class _SetStack:
     every product of a batch is one `np.matmul` over (B, ...) views: a
     batched product runs numpy's per-matrix routine on each set's own
     arrays, so it has each set's own bits. A batch's (n, J) arrays fill
-    one block of flat "row" buffers, and its `[W; B]`-shaped (d+1, J)
-    arrays one block of flat "parameter" buffers. Where n, d and J are all
-    at least 2, every product is matrix by matrix, and the sets' arrays
-    are the column blocks of an (n, B J) and a (d+1, B J) block, side by
-    side: the batch's column sums are then one `np.add.reduce(axis=0)`,
-    row by row like each set's own. Otherwise (a product with one row or
-    column goes to gemv, whose bits change with the stride of its
-    vectors) the sets' arrays follow each other, each contiguous.
-    Elementwise steps run once over every set. `count` and `reg` are
-    parameter buffers, each entry's column row count and `[lam; 0]` (the
-    bias is not regularized), `lam` each entry's lambda.
+    one (B, n, J) block of flat "row" buffers, and its `[W; B]`-shaped
+    (d+1, J) arrays one (B, d+1, J) block of flat "parameter" buffers,
+    each set's array contiguous as in its one-set fit; a batch's column
+    sums are one `np.add.reduce(axis=1)`. Elementwise steps run once over
+    every set. `count` and `reg` are parameter buffers, each entry's
+    column row count and `[lam; 0]` (the bias is not regularized), `lam`
+    each entry's lambda.
     """
 
     def __init__(self, sets):
@@ -173,28 +168,15 @@ class _SetStack:
     def params(self) -> np.ndarray:
         return np.empty(self._sizes[1])
 
-    def _blocks(self, buffer: np.ndarray, params: bool) -> list[tuple]:
-        """Each batch's (B, h, J) view of a row (h = n) or parameter
-        (h = d+1) buffer, and its (h, B J) block when side by side, else
-        None."""
-        blocks = []
-        for n, d, J, B, row_start, param_start in self.batches:
-            h, start = (d + 1, param_start) if params else (n, row_start)
-            flat = buffer[start:start + B * h * J]
-            if min(n, d, J) >= 2:
-                side = flat.reshape(h, B * J)
-                blocks.append((side.reshape(h, B, J).transpose(1, 0, 2), side))
-            else:
-                blocks.append((flat.reshape(B, h, J), None))
-        return blocks
-
     def batch_rows(self, buffer: np.ndarray) -> list[np.ndarray]:
         """A row buffer as each batch's (B, n, J) view."""
-        return [view for view, _ in self._blocks(buffer, False)]
+        return [buffer[start:start + B * n * J].reshape(B, n, J)
+                for n, d, J, B, start, _ in self.batches]
 
     def batch_params(self, buffer: np.ndarray) -> list[np.ndarray]:
         """A parameter buffer as each batch's (B, d+1, J) view."""
-        return [view for view, _ in self._blocks(buffer, True)]
+        return [buffer[start:start + B * (d + 1) * J].reshape(B, d + 1, J)
+                for n, d, J, B, _, start in self.batches]
 
     def row_views(self, buffer: np.ndarray) -> list[np.ndarray]:
         """A row buffer as each set's (n_k, J_k) array."""
@@ -213,14 +195,10 @@ class _SetStack:
         return out
 
     def bias_sums(self, diff: np.ndarray, grad: np.ndarray) -> list[tuple]:
-        """`np.add.reduce` arguments that write each batch's column sums of
-        the row buffer `diff` into the bias row of `grad`."""
-        return [
-            (side, grad_side[-1], 0) if side is not None else (view, grad_view[:, -1], 1)
-            for (view, side), (grad_view, grad_side) in zip(
-                self._blocks(diff, False), self._blocks(grad, True)
-            )
-        ]
+        """Each batch's (B, n, J) view of the row buffer `diff` and the
+        bias rows of `grad` that its column sums go to."""
+        return [(view, grad_view[:, -1])
+                for view, grad_view in zip(self.batch_rows(diff), self.batch_params(grad))]
 
     def models(self, WB: np.ndarray, kind: str, threshold: float) -> list[list[LinearModel]]:
         """Each set's models, column by column, from the parameter buffer `WB`."""
@@ -275,8 +253,8 @@ def _fit_logistic_stack(sets, config: LogisticConfig) -> list[list[LinearModel]]
         np.multiply(E, stack.mask, out=E)
         for _, _, _, Xt, diff, dW in lanes:
             np.matmul(Xt, diff, out=dW)
-        for diff, dB, axis in bias_sums:
-            np.add.reduce(diff, axis=axis, out=dB)
+        for diff, dB in bias_sums:
+            np.add.reduce(diff, axis=1, out=dB)
         grad /= stack.count
         grad += np.multiply(stack.reg, params, out=R)  # lam * W; the bias row adds 0
         adam_step(params, grad, state)
@@ -354,8 +332,8 @@ def _fit_linear_svm_stack(sets, config: LinearSvmConfig) -> list[list[LinearMode
         # [W; B] -= eta * ([lam W; 0] - [X.T @ yv; sum(yv)] / count)
         for _, _, yv, Xt, dW in lanes:
             np.matmul(Xt, yv, out=dW)
-        for yv, dB, axis in bias_sums:
-            np.add.reduce(yv, axis=axis, out=dB)
+        for yv, dB in bias_sums:
+            np.add.reduce(yv, axis=1, out=dB)
         grad /= stack.count
         np.subtract(np.multiply(stack.reg, WB, out=R), grad, out=grad)
         grad *= eta

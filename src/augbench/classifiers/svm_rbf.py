@@ -14,8 +14,8 @@ condition by more than `kkt_tol`. The bias is the mean of -y_t G_t over
 free alphas, or the midpoint of [M, m] when none is free. C is chosen by
 stratified CV (ties to the smallest C), gamma defaults to 1/d.
 
-A step computes in work vectors allocated once per solve, with `2 K`
-computed once, and calls the ufunc methods (`.argmax()`,
+A step computes in work vectors allocated once per solve (no n x n
+array beside K), and calls the ufunc methods (`.argmax()`,
 `np.maximum.reduce`) without numpy's Python wrappers. I_up and I_low
 are kept as penalty vectors, 0 on the set and inf off it, which a step
 updates at i and j, so a masked score is one subtraction. Each step has
@@ -88,7 +88,6 @@ def _smo(
     # starts at -y*(-e) = y.
     score = y.copy()
     diag = np.diag(K).copy()
-    K2 = 2.0 * K
     pos = y > 0
     # I_up: y_t alpha_t can grow; I_low: it can shrink. Within 1e-12 of a
     # bound counts as at it. Each set is a penalty vector, 0 on the set
@@ -105,7 +104,7 @@ def _smo(
         if gap <= tol or iterations == max_iter:
             break
         np.add(diag, diag[i], out=a)
-        a -= K2[i]  # a_it = K_ii + K_tt - 2 K_it
+        a -= np.multiply(K[i], 2.0, out=w)  # a_it = K_ii + K_tt - 2 K_it
         np.logical_and(np.greater(b, 0.0, out=ok), np.greater(a, 1e-12, out=curved), out=ok)
         gain.fill(-np.inf)
         np.divide(np.multiply(b, b, out=w), a, out=gain, where=ok)

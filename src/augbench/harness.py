@@ -4,7 +4,8 @@ Per seed: one dataset load, one stratified split, one augmented training
 set per augmenter (the test set is never augmented). Then every classifier
 is trained on every training set of every seed, classifier by classifier:
 the logistic, linear-SVM and dense-net set trainers train all of a
-classifier's (seed, augmenter) cells in one loop, and the tree, KNN and
+classifier's (seed, augmenter) cells in one loop (in several, each of at
+most JOINT_ROWS training rows, on a larger grid), and the tree, KNN and
 RBF SVM fit each cell in turn. Each grid cell draws from an RngStream
 keyed by (seed, augmenter, classifier), so execution order cannot change
 results, and each cell's model has the bits of a fit on its set alone.
@@ -394,16 +395,37 @@ def build_augmented_sets(
     return sets
 
 
+# The most training rows one lockstepped fit takes. A set trainer's
+# buffers hold each of its sets' rows x 20 CV columns at once (about 33
+# bytes per row and column for the logistic trainer), so a grid with
+# more rows than this trains in several calls, each of about 7 MB.
+JOINT_ROWS = 10_000
+
+
+def _joint_calls(sets: list) -> list[slice]:
+    """Consecutive runs of `sets` of at most JOINT_ROWS rows each (a
+    larger set alone)."""
+    calls, start, rows = [], 0, 0
+    for k, (_, y) in enumerate(sets):
+        if rows and rows + len(y) > JOINT_ROWS:
+            calls.append(slice(start, k))
+            start, rows = k, 0
+        rows += len(y)
+    return calls + [slice(start, len(sets))]
+
+
 def _fit_cells(classifier: str, sets: list, clf_config, rngs: list) -> list:
     """`(model or error, fit milliseconds)` for each `(X, y)` of `sets`,
     set k with `rngs[k]`. A lockstepped fit's time is split evenly across
     its sets."""
-    if classifier in _SET_FITTERS:
-        start = time.perf_counter()
-        models = _SET_FITTERS[classifier](sets, clf_config, rngs)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return [(model, elapsed_ms / len(models)) for model in models]
     fitted = []
+    if classifier in _SET_FITTERS:
+        for call in _joint_calls(sets):
+            start = time.perf_counter()
+            models = _SET_FITTERS[classifier](sets[call], clf_config, rngs[call])
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            fitted += [(model, elapsed_ms / len(models)) for model in models]
+        return fitted
     for (X, y), rng in zip(sets, rngs):
         start = time.perf_counter()
         model = attempt(_FITTERS[classifier], X, y, clf_config, rng)
@@ -448,9 +470,9 @@ def run_experiment(config: ExperimentConfig, n_seeds: int = 1) -> list[ReportBun
     seeds from `config.seed` up, one ReportBundle per seed.
 
     Every seed is prepared and augmented first. Then each classifier
-    trains all of its (seed, augmenter) cells in one call, so the
-    logistic, linear-SVM and dense-net trainers run every cell in one
-    loop. A cell whose classifier raises (say, on a bound
+    trains all of its (seed, augmenter) cells, so the logistic,
+    linear-SVM and dense-net trainers run every cell in one loop, or in
+    one loop per JOINT_ROWS training rows. A cell whose classifier raises (say, on a bound
     `check_data_bounds` rejects) fails alone."""
     cfgs = module_configs(config)
     seeds = [replace(config, seed=seed) for seed in range(config.seed, config.seed + n_seeds)]

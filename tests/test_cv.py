@@ -136,15 +136,6 @@ TUNED = {
                    "lambda_grid", 0.1),
     "svm_rbf": (fit_rbf_svm, RbfSvmConfig, {}, "C", "c_grid", 1.0),
 }
-# The learners whose set trainers run CV through `cross_validate_sets`;
-# the others call `cross_validate`.
-SET_TRAINED = {"logistic", "svm_linear"}
-
-
-def _cv_name(name):
-    return "cross_validate_sets" if name in SET_TRAINED else "cross_validate"
-
-
 def _two_blobs():
     rng = RngStream(7, ("blobs",))
     X = np.vstack([rng.derive("a").normal(size=(20, 2)),
@@ -159,7 +150,6 @@ def test_pinned_param_skips_cv(name, monkeypatch):
     def no_cv(*args, **kwargs):
         raise AssertionError("a pinned hyperparameter must not run CV")
 
-    monkeypatch.setattr(cv_module, "cross_validate", no_cv)
     monkeypatch.setattr(cv_module, "cross_validate_sets", no_cv)
     X, y = _two_blobs()
     model = fitter(X, y, config_cls(**extra, **{field: value}), RngStream(0, (name,)))
@@ -170,13 +160,13 @@ def test_pinned_param_skips_cv(name, monkeypatch):
 def test_auto_with_one_entry_grid_matches_pinned_fit(name, monkeypatch):
     fitter, config_cls, extra, field, grid_field, value = TUNED[name]
     calls = []
-    real = getattr(cv_module, _cv_name(name))
+    real = cv_module.cross_validate_sets
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cv_module, _cv_name(name), spy)
+    monkeypatch.setattr(cv_module, "cross_validate_sets", spy)
     X, y = _two_blobs()
     rng = RngStream(0, (name,))
     auto = fitter(X, y, config_cls(**extra, **{field: "auto", grid_field: (value,)}), rng)
@@ -204,22 +194,18 @@ PER_MODEL = {
 def test_stacked_cv_hook_chooses_like_the_per_model_loop(name, monkeypatch):
     fitter, config_cls, extra, field, _, _ = TUNED[name]
     calls = []
-    real = getattr(cv_module, _cv_name(name))
+    real = cv_module.cross_validate_sets
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cv_module, _cv_name(name), spy)
+    monkeypatch.setattr(cv_module, "cross_validate_sets", spy)
     X, y = _two_blobs()
     config = config_cls(**extra, **{field: "auto"})
     fitter(X, y, config, RngStream(0, (name,)))
-    if name in SET_TRAINED:
-        ((fit_sets, ((X_cv, y_cv),), folds, grid, (rng,)),) = calls
-        [given] = real(fit_sets, [(X_cv, y_cv)], folds, grid, [rng])
-    else:
-        ((fit_many, X_cv, y_cv, folds, grid, rng),) = calls
-        given = real(fit_many, X_cv, y_cv, folds, grid, rng)
+    ((fit_sets, ((X_cv, y_cv),), folds, grid, (rng,)),) = calls
+    [given] = real(fit_sets, [(X_cv, y_cv)], folds, grid, [rng])
     oracle = per_job(lambda Xt, yt, param: PER_MODEL[name](Xt, yt, param, config))
     loop = cross_validate(oracle, X_cv, y_cv, folds, grid, rng)
     assert given.best_index == loop.best_index

@@ -267,6 +267,27 @@ def test_seeds_of_different_widths_train_together_as_alone(tmp_path):
         assert [r.roc for r in bundle.results] == [r.roc for r in alone.results]
 
 
+@pytest.mark.parametrize("joint_rows, calls", [(700, [2, 2, 2]), (320, [1] * 6)])
+def test_a_grid_over_joint_rows_trains_in_several_calls_as_in_one(monkeypatch, joint_rows, calls):
+    # Each seed has a 300-row "none" set and a 340-row "gmm" set.
+    cfg = fast_config(classifiers=("logistic", "svm_linear", "dense"),
+                      hyperparams={**FAST_GMM, "logistic": {"epochs": 20},
+                                   "svm_linear": {"epochs": 20}, "dense": {"epochs": 10}})
+    sizes = []
+    for c, fit_sets in list(harness._SET_FITTERS.items()):
+        monkeypatch.setitem(harness._SET_FITTERS, c, lambda sets, *a, fit_sets=fit_sets: (
+            sizes.append(len(sets)) or fit_sets(sets, *a)))
+    one_call = run_experiment(cfg, 3)
+    assert sizes == [6] * 3
+    sizes.clear()
+    monkeypatch.setattr(harness, "JOINT_ROWS", joint_rows)
+    several = run_experiment(cfg, 3)
+    assert sizes == calls * 3
+    for a, b in zip(one_call, several):
+        assert render_results_csv(a) == render_results_csv(b)
+        assert [r.roc for r in a.results] == [r.roc for r in b.results]
+
+
 def test_rerun_is_byte_identical():
     [a] = run_experiment(fast_config())
     [b] = run_experiment(fast_config())

@@ -120,8 +120,8 @@ def test_stacked_trainers_equal_one_set_runs_and_the_reference(learner, data, la
 
 @pytest.mark.parametrize("learner", sorted(LINEAR))
 def test_the_fixture_seeds_train_as_one_batch(learner):
-    # The four seeds' CV stacks share one shape, so their columns sit side
-    # by side in one batch; each set's models are still its reference's.
+    # The four seeds' CV stacks share one shape, so they form one batch;
+    # each set's models are still its reference's.
     _, _, config_cls, stack, ref = LINEAR[learner]
     config = config_cls(epochs=25)
     base = ExperimentConfig.from_json(REPO / "configs" / "fixture.json")
@@ -143,7 +143,8 @@ def test_the_fixture_seeds_train_as_one_batch(learner):
 def test_sets_of_one_shape_with_few_columns_train_as_alone(learner, width, n_lams):
     # With one feature, `X.T @ diff` has one row, and numpy's matrix-vector
     # product for two or three columns changes its bits with the stride of
-    # its operands: such sets must not sit side by side.
+    # its operands: a batch must hand each set its arrays contiguous, as
+    # its one-set fit has them.
     _, _, config_cls, stack, _ = LINEAR[learner]
     config = config_cls(epochs=6)
     stacked = []
