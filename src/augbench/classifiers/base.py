@@ -4,6 +4,14 @@ Every fitted model exposes `decision_scores(X)` (higher = more
 positive-class) and a fixed `threshold`; the predicted label is 1 iff
 score >= threshold. Probability-like models threshold at 0.5, margin
 models at 0.
+
+A pairwise call holds one n x m float64 array and nothing else of that
+size: `sq_distances` computes the whole product `(2.0 * A) @ B.T` into
+its result, then forms `(|a_i|^2 + |b_j|^2) - p_ij` and the clip at 0 in
+place, ROW_BLOCK rows at a time. The product itself is never blocked or
+sliced: BLAS sums a block of rows in another order than the whole matrix
+(up to 1.7e-10 relative at 500 rows on OpenBLAS), so a blocked product
+would move every KNN ranking and SVM kernel built on it.
 """
 
 from __future__ import annotations
@@ -16,9 +24,18 @@ def predict_labels(model, features: np.ndarray) -> np.ndarray:
     return (scores >= model.threshold).astype(int)
 
 
+# Rows per step of the in-place passes over an n x m pairwise array: each
+# step's temporaries are ROW_BLOCK x m.
+ROW_BLOCK = 64
+
+
 def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance between every row of A and every row of B."""
-    d2 = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * A @ B.T
+    sa, sb = np.sum(A**2, axis=1), np.sum(B**2, axis=1)
+    d2 = (2.0 * A) @ B.T
+    for start in range(0, len(d2), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        np.subtract(sa[rows, None] + sb[None, :], d2[rows], out=d2[rows])
     return np.maximum(d2, 0.0, out=d2)
 
 

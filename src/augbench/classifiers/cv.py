@@ -7,8 +7,9 @@ fold, each holding the whole grid; the refit on all rows and a pinned
 hyperparameter pass the one group `(all_rows, [param])`. The tree grows
 one tree per group and reads it at each depth; KNN gives each group one
 neighbour memo, so a fold's validation rows are ranked once for every k;
-the RBF SVM wraps a fixed-parameter fitter with `per_job`, which fits
-each (rows, param) on `X[rows]` in turn.
+the RBF SVM computes one kernel per group and solves every C on it.
+`per_job`, which fits each (rows, param) on `X[rows]` in turn, is the
+one-model-per-job reference the tests check these trainers against.
 
 The linear learners train many training sets at once through
 `fit_sets(sets)`, which takes one `(X, y, groups)` per set and returns

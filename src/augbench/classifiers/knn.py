@@ -6,6 +6,9 @@ the smallest k.
 
 Neighbours are ranked by a stable argsort of squared distances, so a
 model with k neighbours reads the first k columns of any longer ranking.
+The ranking is sorted ROW_BLOCK query rows at a time and only its first
+`k_max` columns are kept, so the n_query x n_train distances are the only
+array of that size a query builds.
 The models that share a training set share one `NeighbourMemo`: it keeps
 the first `k_max` columns of the ranking of the last query, with their
 squared distances, where `k_max` is the largest k among them. The CV
@@ -21,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from ..rng import RngStream
-from .base import sq_distances
+from .base import ROW_BLOCK, sq_distances
 from .cv import CvResult, fit_with_cv
 
 DEFAULT_K_GRID = (1, 3, 5, 7, 9, 11)
@@ -54,8 +57,10 @@ class NeighbourMemo:
         training rows of each row of X."""
         if self.query is None or not np.array_equal(X, self.query):
             d2 = sq_distances(X, self.train_features)
-            # A copy, so the full n_query x n_train ranking is not kept.
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k_max].copy()
+            nearest = np.empty((len(X), min(self.k_max, d2.shape[1])), dtype=np.intp)
+            for start in range(0, len(X), ROW_BLOCK):
+                rows = slice(start, start + ROW_BLOCK)
+                nearest[rows] = np.argsort(d2[rows], axis=1, kind="stable")[:, : self.k_max]
             self.query = X.copy()
             self.nearest, self.sq_dist = nearest, np.take_along_axis(d2, nearest, axis=1)
         return self.nearest, self.sq_dist

@@ -20,6 +20,12 @@ array beside K), and calls the ufunc methods (`.argmax()`,
 are kept as penalty vectors, 0 on the set and inf off it, which a step
 updates at i and j, so a masked score is one subtraction. Each step has
 the bits of the plain `np.where` formulas (`ref_smo` in the tests).
+
+The kernel is one n x m array, scaled and exponentiated in place on the
+result of `sq_distances`. The trainer computes each CV fold's training
+kernel once and solves every C of the grid on it; a fold's kernel is
+never sliced from the whole set's, whose product BLAS sums in another
+order.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from ..rng import RngStream
 from .base import sq_distances
-from .cv import CvResult, fit_with_cv, per_job
+from .cv import CvResult, fit_with_cv
 
 log = logging.getLogger(__name__)
 
@@ -72,7 +78,9 @@ class RbfSvmModel:
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    return np.exp(-gamma * sq_distances(A, B))
+    K = sq_distances(A, B)
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 def _smo(
@@ -133,29 +141,51 @@ def _smo(
     return alpha, bias, bool(gap <= tol), iterations, float(gap)
 
 
+def _fit_rbf_svm_many(
+    X: np.ndarray, y01: np.ndarray, groups, config: RbfSvmConfig
+) -> list[RbfSvmModel]:
+    """One model per (rows, C) of each group, as `_fit_fixed_c(X[rows],
+    y01[rows], C, config)` fits it; a group's models share one kernel."""
+    return [
+        model for rows, Cs in groups for model in _fit_on_kernel(X[rows], y01[rows], Cs, config)
+    ]
+
+
 def _fit_fixed_c(
     X: np.ndarray, y01: np.ndarray, C: float, config: RbfSvmConfig
 ) -> RbfSvmModel:
+    [model] = _fit_on_kernel(X, y01, [C], config)
+    return model
+
+
+def _fit_on_kernel(
+    X: np.ndarray, y01: np.ndarray, Cs: list, config: RbfSvmConfig
+) -> list[RbfSvmModel]:
+    """One model per C, each solved by SMO on the one kernel of X's rows;
+    the kernel is freed on return, before the next group's is computed."""
     y = 2.0 * np.asarray(y01, dtype=float) - 1.0
     gamma = config.gamma if config.gamma is not None else 1.0 / X.shape[1]
     K = rbf_kernel(X, X, gamma)
-    alpha, b, converged, iterations, gap = _smo(K, y, C, config.kkt_tol, config.max_iter)
-    if not converged:
-        log.warning("SMO did not reach tolerance %g at C=%g, n=%d: gap %.3g after %d "
-                    "iterations; returning the last iterate",
-                    config.kkt_tol, C, len(y), gap, iterations)
-    sv = alpha > 1e-12
-    return RbfSvmModel(
-        support_vectors=X[sv].copy(),
-        dual_coef=(alpha * y)[sv],
-        bias=b,
-        gamma=gamma,
-        C=C,
-        alphas=alpha,
-        train_labels_pm=y,
-        converged=converged,
-        iterations=iterations,
-    )
+    models = []
+    for C in Cs:
+        alpha, b, converged, iterations, gap = _smo(K, y, C, config.kkt_tol, config.max_iter)
+        if not converged:
+            log.warning("SMO did not reach tolerance %g at C=%g, n=%d: gap %.3g after %d "
+                        "iterations; returning the last iterate",
+                        config.kkt_tol, C, len(y), gap, iterations)
+        sv = alpha > 1e-12
+        models.append(RbfSvmModel(
+            support_vectors=X[sv].copy(),
+            dual_coef=(alpha * y)[sv],
+            bias=b,
+            gamma=gamma,
+            C=C,
+            alphas=alpha,
+            train_labels_pm=y,
+            converged=converged,
+            iterations=iterations,
+        ))
+    return models
 
 
 def fit_rbf_svm(
@@ -170,6 +200,6 @@ def fit_rbf_svm(
     if len(np.unique(y)) < 2:
         raise ValueError("both classes must be present")
     return fit_with_cv(
-        per_job(lambda Xt, yt, c: _fit_fixed_c(Xt, yt, c, config)),
+        lambda Xt, yt, groups: _fit_rbf_svm_many(Xt, yt, groups, config),
         X, y, config.C, config.c_grid, config.cv_folds, rng,
     )

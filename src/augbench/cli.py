@@ -71,13 +71,13 @@ def _cmd_run(args) -> int:
     if last_seed > SEED_MAX:
         raise ConfigError(f"seed + --seeds - 1 must be <= {SEED_MAX}, got {last_seed}")
     # Every check, and the output directories, before the first cell trains.
-    checked_prepare(config)
+    checked = checked_prepare(config)
     seeds = [config.seed + i for i in range(args.seeds)]
     root = Path(config.output_dir)
     outdirs = [root / f"seed_{s}" if len(seeds) > 1 else root for s in seeds]
     for outdir in outdirs:
         _make_output_dir(outdir)
-    all_bundles = run_experiment(config, args.seeds)
+    all_bundles = run_experiment(config, args.seeds, checked)
     for bundle, outdir in zip(all_bundles, outdirs):
         emit_report(bundle, outdir)
 

@@ -465,18 +465,26 @@ def _score_cell(
     return result
 
 
-def run_experiment(config: ExperimentConfig, n_seeds: int = 1) -> list[ReportBundle]:
+def run_experiment(
+    config: ExperimentConfig,
+    n_seeds: int = 1,
+    checked: tuple[dict, PreparedData] | None = None,
+) -> list[ReportBundle]:
     """Execute the full augmenter x classifier grid for the `n_seeds`
     seeds from `config.seed` up, one ReportBundle per seed.
+
+    `checked`, when given, is what `checked_prepare(config)` returned:
+    its module configs are used and its data is the first seed's, which
+    is not prepared again.
 
     Every seed is prepared and augmented first. Then each classifier
     trains all of its (seed, augmenter) cells, so the logistic,
     linear-SVM and dense-net trainers run every cell in one loop, or in
     one loop per JOINT_ROWS training rows. A cell whose classifier raises (say, on a bound
     `check_data_bounds` rejects) fails alone."""
-    cfgs = module_configs(config)
+    cfgs, first = checked or (module_configs(config), prepare(config))
     seeds = [replace(config, seed=seed) for seed in range(config.seed, config.seed + n_seeds)]
-    prepared = [prepare(seed_config) for seed_config in seeds]
+    prepared = [first] + [prepare(seed_config) for seed_config in seeds[1:]]
     aug_sets = [
         build_augmented_sets(seed_config, data.X_train, data.y_train, cfgs)
         for seed_config, data in zip(seeds, prepared)

@@ -359,3 +359,27 @@ def ref_smo(
     # Every free score lies in [M, m], so the bias does too.
     bias = float(np.mean(score[free])) if free.any() else float(score[i] - gap / 2.0)
     return alpha, bias, bool(gap <= tol), iterations, float(gap)
+
+
+# The pairwise layer before it worked in place: fresh n x m temporaries and
+# a full ranking. The in-place functions must give the same bits, so these
+# are oracles for `np.array_equal`.
+
+
+def ref_sq_distances(A, B):
+    """`base.sq_distances` as one expression."""
+    d2 = np.sum(A**2, axis=1)[:, None] + np.sum(B**2, axis=1)[None, :] - 2.0 * A @ B.T
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def ref_rbf_kernel(A, B, gamma):
+    """`svm_rbf.rbf_kernel` as one expression."""
+    return np.exp(-gamma * ref_sq_distances(A, B))
+
+
+def ref_neighbours(train_features, k_max, X):
+    """`NeighbourMemo(train_features, k_max).neighbours(X)` from the full
+    n_query x n_train stable ranking."""
+    d2 = ref_sq_distances(X, train_features)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :k_max]
+    return nearest, np.take_along_axis(d2, nearest, axis=1)

@@ -569,6 +569,24 @@ def test_run_of_a_validated_config_exits_0_or_1(augmenters, classifiers, n_synth
         assert _one_line_error(stderr.getvalue())
 
 
+@pytest.mark.parametrize("seeds", [1, 4])
+def test_run_loads_the_table_once_per_seed(tmp_path, monkeypatch, seeds):
+    # The first seed's checked data is the data its cells train on.
+    loads = []
+    real = harness.load_table
+
+    def spy(*args):
+        loads.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "load_table", spy)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, augmenters=["none"], classifiers=["tree"])))
+    argv = ["run", "--config", str(p), "--out", str(tmp_path / "out"), "--seeds", str(seeds)]
+    assert main(argv) == 0
+    assert len(loads) == seeds
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("training started")
 

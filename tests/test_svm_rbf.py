@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from augbench.classifiers import predict_labels
+from augbench.classifiers import predict_labels, svm_rbf
+from augbench.classifiers.base import ROW_BLOCK
+from augbench.classifiers.cv import stratified_kfold
 from augbench.classifiers.svm_rbf import (
     RbfSvmConfig,
     RbfSvmModel,
+    _fit_rbf_svm_many,
     _smo,
     fit_rbf_svm,
     rbf_kernel,
 )
 from augbench.rng import RngStream
-from conftest import ref_smo
+from conftest import flat_jobs, ref_rbf_kernel, ref_smo
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
@@ -257,3 +260,53 @@ def test_smo_allocates_no_array_the_size_of_the_kernel():
     finally:
         tracemalloc.stop()
     assert peak < K.nbytes / 4
+
+
+@pytest.mark.parametrize("gamma", [None, 0.7])
+def test_grouped_trainer_shares_a_kernel_and_equals_one_fit_per_job(gamma, monkeypatch):
+    # A fold's kernel is computed once for the whole C grid, on the fold's
+    # own rows, so each model is the one fit alone at its C.
+    rng = RngStream(5, ("rbf-groups",))
+    X = np.vstack([rng.derive("a").normal(size=(30, 3)),
+                   rng.derive("b").normal(size=(30, 3)) + 1.5])
+    y = np.array([0] * 30 + [1] * 30)
+    config = RbfSvmConfig(gamma=gamma)
+    groups = [(tr, list(config.c_grid)) for tr, _ in stratified_kfold(y, 4, rng.derive("f"))]
+    kernels = []
+    real = svm_rbf.rbf_kernel
+
+    def spy(*args):
+        kernels.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(svm_rbf, "rbf_kernel", spy)
+    grouped = _fit_rbf_svm_many(X, y, groups, config)
+    assert len(kernels) == len(groups)
+    jobs = flat_jobs(groups)
+    assert len(grouped) == len(jobs)
+    g = 1.0 / 3.0 if gamma is None else gamma
+    for model, (rows, C) in zip(grouped, jobs):
+        y_pm = 2.0 * y[rows] - 1.0
+        K = ref_rbf_kernel(X[rows], X[rows], g)
+        alpha, bias, _, iterations, _ = ref_smo(K, y_pm, C, config.kkt_tol, config.max_iter)
+        assert (model.C, model.gamma, model.bias, model.iterations) == (C, g, bias, iterations)
+        assert np.array_equal(model.alphas, alpha)
+        assert np.array_equal(model.support_vectors, X[rows][alpha > 1e-12])
+
+
+def test_grouped_trainer_holds_one_kernel_at_a_time():
+    # Each group's kernel is freed before the next group's is computed.
+    rng = RngStream(6, ("rbf-groups-memory",))
+    n = 300
+    X = rng.derive("x").normal(size=(n, 3))
+    y = np.arange(n) % 2
+    rows = np.arange(n)
+    groups = [(rows[:250], [1.0]), (rows[50:], [1.0]), (rows[25:275], [1.0])]
+    tracemalloc.start()
+    try:
+        _fit_rbf_svm_many(X, y, groups, RbfSvmConfig(gamma=0.5, max_iter=20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One 250-row kernel and the row-block temporaries of computing it.
+    assert peak < 250 * 250 * 8 + 3 * ROW_BLOCK * 250 * 8
