@@ -19,21 +19,18 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import AUGMENTER_IDS, ConfigError, ExperimentConfig, module_configs
 from .dataio import DataError
 from .harness import (
-    AUGMENTER_IDS,
-    ConfigError,
-    ExperimentConfig,
     GeneratorError,
     build_augmented_sets,
     checked_prepare,
     emit_report,
-    export_synthetic_csv,
-    module_configs,
     prepare,
-    render_aggregate_csv,
     run_experiment,
+    write_synthetic_csv,
 )
+from .report import render_aggregate_csv
 from .rng import SEED_MAX
 
 
@@ -97,15 +94,13 @@ def _cmd_augment(args) -> int:
     outdir = Path(config.output_dir)
     made = _make_output_dir(outdir)
     sets = build_augmented_sets(config, data.X_train, data.y_train, cfgs)
-    if isinstance(sets[args.generator], GeneratorError):
+    built = sets[args.generator]
+    if isinstance(built, GeneratorError):
         if made is not None:  # a failed augment writes nothing
             shutil.rmtree(made)
-        raise sets[args.generator]
-    Xa, ya, prov = sets[args.generator]
-    mask = prov.synthetic_mask
-    path = outdir / f"synthetic_{args.generator}.csv"
-    path.write_text(export_synthetic_csv(Xa[mask], ya[mask], data.plan))
-    print(f"wrote {int(mask.sum())} synthetic rows to {path}")
+        raise built
+    path = write_synthetic_csv(outdir, built, data.plan)
+    print(f"wrote {built[2].n_synthetic} synthetic rows to {path}")
     return 0
 
 

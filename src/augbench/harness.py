@@ -1,4 +1,4 @@
-"""Experiment orchestration: augmenter x classifier grid and reports.
+"""Experiment pipeline: the augmenter x classifier grid and its files.
 
 Per seed: one dataset load, one stratified split, one augmented training
 set per augmenter (the test set is never augmented). Then every classifier
@@ -10,35 +10,26 @@ RBF SVM fit each cell in turn. Each grid cell draws from an RngStream
 keyed by (seed, augmenter, classifier), so execution order cannot change
 results, and each cell's model has the bits of a fit on its set alone.
 
-Report files: report.md (Acc/F1 and AUC tables), results.csv (one row
-per cell), roc_<augmenter>_<classifier>.csv, synthetic_<generator>.csv
-on request, and run_meta.json. Wall-clock durations live only in
-run_meta.json so report.md and results.csv are byte-identical across
-reruns of the same (config, seed).
+`emit_report` writes one seed's files: report.md, results.csv and
+roc_<augmenter>_<classifier>.csv as `report` renders them,
+synthetic_<generator>.csv on request, and run_meta.json. Wall-clock
+durations live only in run_meta.json so the other files are
+byte-identical across reruns of the same (config, seed).
 """
 
 from __future__ import annotations
 
-import csv
-import dataclasses
-import functools
-import hashlib
-import io
 import json
-import numbers
-import operator
 import time
-import types
-import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Literal
 
 import numpy as np
 
 from . import classifiers as clf
 from .augment import SyntheticBatch
 from .classifiers.base import attempt
+from .config import ExperimentConfig, check_data_bounds, module_configs
 from .dataio import (
     PreprocessPlan,
     apply_preprocess,
@@ -46,206 +37,22 @@ from .dataio import (
     load_table,
     stratified_split,
 )
-from .gan import GanConfig, augment_with_gan
-from .gmm import GmmConfig, augment_with_gmm
-from .metrics import RocCurve, accuracy, f1, roc_auc, roc_to_csv
-from .rng import SEED_MAX, RngStream
-from .vae import VaeConfig, augment_with_vae
-
-AUGMENTER_IDS = ("none", "gmm", "vae", "gan")
-CLASSIFIER_IDS = ("tree", "knn", "logistic", "svm_rbf", "svm_linear", "dense")
-
-AUGMENTER_NAMES = {"none": "No boost", "gmm": "GMM", "vae": "VAE", "gan": "GAN"}
-CLASSIFIER_NAMES = {
-    "tree": "Decision Tree",
-    "knn": "KNN",
-    "logistic": "Logistic Regression",
-    "svm_rbf": "SVM (RBF)",
-    "svm_linear": "SVM Linear",
-    "dense": "Dense Network",
-}
-
-_SECTIONS = {
-    "gmm": GmmConfig, "vae": VaeConfig, "gan": GanConfig, "tree": clf.TreeConfig,
-    "knn": clf.KnnConfig, "logistic": clf.LogisticConfig, "svm_linear": clf.LinearSvmConfig,
-    "svm_rbf": clf.RbfSvmConfig, "dense": clf.DenseNetConfig,
-}
-# The values each scalar annotation accepts, and how an error names them. A
-# bool is neither an integer nor a number here, although Python counts it as
-# both. An error never suggests null.
-_SCALARS = {
-    type(None): (type(None), ""), bool: (bool, "true or false"),
-    int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
-    str: (str, "a string"),
-}
-_hints = functools.cache(typing.get_type_hints)
-
-
-class ConfigError(Exception):
-    pass
+from .gan import augment_with_gan
+from .gmm import augment_with_gmm
+from .metrics import accuracy, f1, roc_auc, roc_to_csv
+from .report import (
+    EvalResult,
+    ReportBundle,
+    export_synthetic_csv,
+    render_report_md,
+    render_results_csv,
+)
+from .rng import RngStream
+from .vae import augment_with_vae
 
 
 class GeneratorError(Exception):
     """A generator raised; the message is "{type}: {message}" of its error."""
-
-
-def _check(where: str, value, hint):
-    """Return `value` if it matches the annotation `hint`, with each list
-    turned into a tuple; otherwise raise one ConfigError naming `where`.
-    `hint` is a scalar, None, a Literal of strings, tuple[T, ...],
-    tuple[T1, T2], dict[str, T], dict, or a union of these."""
-    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
-    expected = []
-    for m in typing.get_args(hint) if union else (hint,):
-        origin, args = typing.get_origin(m) or m, typing.get_args(m)
-        if origin is Literal:
-            if isinstance(value, str) and value in args:
-                return value
-            expected += map(json.dumps, args)
-        elif origin is tuple:
-            fixed = args[-1:] != (...,)
-            if isinstance(value, (list, tuple)) and (not fixed or len(value) == len(args)):
-                elems = args if fixed else args[:1] * len(value)
-                return tuple(
-                    _check(f"{where}[{i}]", v, a) for i, (v, a) in enumerate(zip(value, elems))
-                )
-            expected.append(f"a list of {len(args)}" if fixed else "a list")
-        elif origin is dict:
-            if isinstance(value, dict):
-                return {
-                    k: _check(f"{where}.{k}" if str(k).isidentifier() else f"{where}[{k!r}]",
-                              v, args[1])
-                    for k, v in value.items()
-                } if args else value
-            expected.append("an object")
-        else:
-            kind, name = _SCALARS[m]
-            if isinstance(value, kind) and (m is bool or not isinstance(value, bool)):
-                return value
-            expected.append(name)
-    *rest, last = filter(None, expected)
-    raise ConfigError(
-        f"{where} must be {', '.join(rest) + ' or ' if rest else ''}{last}, got {value!r}"
-    )
-
-
-@dataclass
-class ExperimentConfig:
-    dataset: str
-    schema: dict[str, str]
-    # RngStream takes a seed modulo 2**64, so one outside the range would
-    # draw what another seed draws.
-    seed: int = field(default=0, metadata={"ge": 0, "le": SEED_MAX})
-    test_fraction: float = field(default=0.25, metadata={"gt": 0, "lt": 1})
-    augmenters: tuple[Literal[AUGMENTER_IDS], ...] = AUGMENTER_IDS
-    n_synthetic: int = field(default=200, metadata={"ge": 0})
-    classifiers: tuple[Literal[CLASSIFIER_IDS], ...] = CLASSIFIER_IDS
-    hyperparams: dict[str, dict] = field(default_factory=dict)
-    output_dir: str = "out"
-    export_synthetic: bool = False
-
-    def __post_init__(self):
-        for name, hint in _hints(ExperimentConfig).items():
-            setattr(self, name, _check(name, getattr(self, name), hint))
-        if not self.augmenters or not self.classifiers:
-            raise ConfigError("augmenter and classifier sets must be nonempty")
-        for name in ("augmenters", "classifiers"):
-            ids = getattr(self, name)
-            for k, x in enumerate(ids):
-                if x in ids[:k]:
-                    raise ConfigError(f"{name} lists {x!r} more than once")
-        for f in dataclasses.fields(self):
-            if f.metadata:
-                _check_bounds(f.name, getattr(self, f.name), f.metadata)
-        for section in self.hyperparams:
-            if section not in _SECTIONS:
-                raise ConfigError(f"unknown hyperparams section {section!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict, base_dir: Path | None = None) -> "ExperimentConfig":
-        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for required in ("dataset", "schema"):
-            if required not in d:
-                raise ConfigError(f"config missing required key {required!r}")
-        config = cls(**d)
-        if base_dir is not None and not Path(config.dataset).is_absolute():
-            config = replace(config, dataset=str(base_dir / config.dataset))
-        return config
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        path = Path(path)
-        try:
-            data = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"invalid JSON in {path}: {e}") from None
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path} must hold a JSON object")
-        return cls.from_dict(data, base_dir=path.parent)
-
-    def digest(self) -> str:
-        blob = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-_BOUNDS = {
-    "gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
-    "lt": (operator.lt, "<"), "le": (operator.le, "<="),
-}
-
-
-def _check_bounds(where: str, value, bounds: dict) -> None:
-    """Raise one ConfigError unless the number `value`, or each element of
-    the non-empty grid `value`, meets the field's `gt`/`ge`/`lt`/`le`
-    bounds; "auto" and None are not numbers and pass."""
-    if isinstance(value, tuple):
-        if not value:
-            raise ConfigError(f"{where} must be a non-empty list, got []")
-        for i, v in enumerate(value):
-            _check_bounds(f"{where}[{i}]", v, bounds)
-    elif isinstance(value, numbers.Real):
-        for kind, limit in bounds.items():
-            op, symbol = _BOUNDS[kind]
-            if not op(value, limit):
-                raise ConfigError(f"{where} must be {symbol} {limit}, got {value!r}")
-
-
-def _build_section_config(defaults, overrides: dict):
-    section = type(defaults).__name__
-    hints = _hints(type(defaults))
-    unknown = set(overrides) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown hyperparameter keys {sorted(unknown)} for {section}")
-    metadata = {f.name: f.metadata for f in dataclasses.fields(defaults)}
-    checked = {}
-    for key, value in overrides.items():
-        where = f"{section}.{key}"
-        checked[key] = _check(where, value, hints[key])
-        _check_bounds(where, checked[key], metadata[key])
-    return replace(defaults, **checked)
-
-
-def module_configs(config: ExperimentConfig) -> dict:
-    hp = config.hyperparams
-    cfgs = {
-        name: _build_section_config(cls(), hp.get(name, {}))
-        for name, cls in _SECTIONS.items() if name != "gan"
-    }
-    # gan.vae overrides hyperparams.vae, except for the epochs it never uses.
-    gan_over = dict(hp.get("gan", {}))
-    gan_vae_over = _check("hyperparams.gan.vae", gan_over.pop("vae", {}), dict)
-    if "epochs" in gan_vae_over:
-        raise ConfigError(
-            "hyperparams.gan.vae.epochs is not used; the GAN pretrains its VAE "
-            "for gan.pretrain_epochs"
-        )
-    gan_vae = _build_section_config(cfgs["vae"], gan_vae_over)
-    cfgs["gan"] = _build_section_config(GanConfig(vae=gan_vae), gan_over)
-    return cfgs
 
 
 # Fit one training set; `run_experiment` calls each once per cell.
@@ -260,44 +67,6 @@ _SET_FITTERS = {
     "svm_linear": clf.fit_linear_svm_sets,
     "dense": clf.fit_dense_net_sets,
 }
-
-
-@dataclass
-class EvalResult:
-    augmenter: str
-    classifier: str
-    test_acc: float | None = None
-    test_f1: float | None = None
-    test_auc: float | None = None
-    train_acc: float | None = None
-    hyperparams: dict = field(default_factory=dict)
-    roc: RocCurve | None = None
-    error: str | None = None
-    duration_ms: float = 0.0
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
-
-
-@dataclass
-class ReportBundle:
-    config: ExperimentConfig
-    results: list[EvalResult]
-    n_train: int
-    n_test: int
-    plan: PreprocessPlan
-    provenances: dict[str, SyntheticBatch | None]
-    # (features, labels) of the synthetic rows each generator added to the
-    # training split, in its normalized feature space.
-    synthetic: dict[str, tuple[np.ndarray, np.ndarray]]
-    contamination: bool = False
-
-    def cell(self, augmenter: str, classifier: str) -> EvalResult:
-        for r in self.results:
-            if r.augmenter == augmenter and r.classifier == classifier:
-                return r
-        raise KeyError((augmenter, classifier))
 
 
 @dataclass
@@ -329,35 +98,6 @@ def prepare(config: ExperimentConfig) -> PreparedData:
         plan, tr, te, X_all[tr], y_all[tr], X_all[te], y_all[te], table.dropped_row_count
     )
 
-
-def check_data_bounds(config: ExperimentConfig, cfgs: dict, y_train: np.ndarray) -> None:
-    """Raise one ConfigError for a hyperparameter that the real training
-    rows, which every augmented training set contains, cannot meet: a
-    tuned classifier's `cv_folds` above the smaller class's row count
-    (a fold would miss that class), a pinned `knn.k` above the row
-    count, or a tuned `knn.k_grid` with no entry that a CV training fold
-    can hold (`fit_knn` keeps k <= n - n // cv_folds). A classifier is
-    tuned when a field is "auto" (picked by CV)."""
-    smaller = int(np.bincount(y_train, minlength=2).min())
-    for c in config.classifiers:
-        cfg, section = cfgs[c], type(cfgs[c]).__name__
-        tuned = "auto" in (getattr(cfg, f.name) for f in dataclasses.fields(cfg))
-        if tuned and cfg.cv_folds > smaller:
-            raise ConfigError(
-                f"{section}.cv_folds must be <= {smaller} (training rows of the smaller "
-                f"class), got {cfg.cv_folds}"
-            )
-        if c == "knn" and cfg.k != "auto" and cfg.k > len(y_train):
-            raise ConfigError(
-                f"{section}.k must be <= {len(y_train)} (training rows), got {cfg.k}"
-            )
-        if c == "knn" and cfg.k == "auto":
-            fold_rows = len(y_train) - len(y_train) // cfg.cv_folds
-            if min(cfg.k_grid) > fold_rows:
-                raise ConfigError(
-                    f"{section}.k_grid must hold an entry <= {fold_rows} (training rows "
-                    f"less one CV fold), got {list(cfg.k_grid)}"
-                )
 
 
 def checked_prepare(config: ExperimentConfig) -> tuple[dict, PreparedData]:
@@ -532,123 +272,20 @@ def _bundle(
         n_train=len(y_train),
         n_test=len(data.y_test),
         plan=data.plan,
-        provenances={a: s[2] for a, s in built.items()},
-        synthetic={
-            a: (Xa[prov.synthetic_mask], ya[prov.synthetic_mask])
-            for a, (Xa, ya, prov) in built.items() if prov is not None
-        },
+        augmented=built,
         contamination=contamination,
     )
 
 
-def _fmt(v: float | None) -> str:
-    return "failed" if v is None else f"{v:.2f}"
-
-
-def _write_metric_table(out: io.StringIO, bundle: ReportBundle, title: str, attr: str):
-    """One row per augmenter, one column per classifier, of `attr`."""
-    cfg = bundle.config
-    headers = [CLASSIFIER_NAMES[c] for c in cfg.classifiers]
-    out.write(f"\n## {title}\n\n")
-    out.write("| Boost Option | " + " | ".join(headers) + " |\n")
-    out.write("|" + "---|" * (1 + len(headers)) + "\n")
-    for aug in cfg.augmenters:
-        row = [AUGMENTER_NAMES[aug]]
-        row.extend(_fmt(getattr(bundle.cell(aug, c), attr)) for c in cfg.classifiers)
-        out.write("| " + " | ".join(row) + " |\n")
-
-
-def render_report_md(bundle: ReportBundle) -> str:
-    cfg = bundle.config
-    out = io.StringIO()
-    out.write("# Augmentation benchmark report\n\n")
-    out.write(
-        f"Dataset: `{Path(cfg.dataset).name}` | seed {cfg.seed} | "
-        f"train {bundle.n_train} / test {bundle.n_test} | "
-        f"{cfg.n_synthetic} synthetic rows per augmenter\n\n"
-    )
-
-    headers = [CLASSIFIER_NAMES[c] for c in cfg.classifiers]
-    out.write("## Accuracy / F1\n\n")
-    out.write("| Boost Option | " + " | ".join(f"{h} Acc | {h} F1" for h in headers) + " |\n")
-    out.write("|" + "---|" * (1 + 2 * len(headers)) + "\n")
-    for aug in cfg.augmenters:
-        row = [AUGMENTER_NAMES[aug]]
-        for c in cfg.classifiers:
-            r = bundle.cell(aug, c)
-            row.extend([_fmt(r.test_acc), _fmt(r.test_f1)])
-        out.write("| " + " | ".join(row) + " |\n")
-
-    _write_metric_table(out, bundle, "AUC", "test_auc")
-    _write_metric_table(out, bundle, "Train accuracy (overfitting check)", "train_acc")
-
-    failed = [r for r in bundle.results if r.failed]
-    if failed:
-        out.write("\n## Failed cells\n\n| Boost Option | Classifier | Error |\n|---|---|---|\n")
-        for r in failed:
-            out.write(
-                f"| {AUGMENTER_NAMES[r.augmenter]} | {CLASSIFIER_NAMES[r.classifier]} "
-                f"| {r.error} |\n"
-            )
-    return out.getvalue()
-
-
-def render_results_csv(bundle: ReportBundle) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["augmenter", "classifier", "test_acc", "test_f1", "test_auc",
-         "train_acc", "hyperparams", "error"]
-    )
-    for r in bundle.results:
-        writer.writerow([
-            r.augmenter, r.classifier,
-            "" if r.test_acc is None else repr(r.test_acc),
-            "" if r.test_f1 is None else repr(r.test_f1),
-            "" if r.test_auc is None else repr(r.test_auc),
-            "" if r.train_acc is None else repr(r.train_acc),
-            json.dumps(r.hyperparams, sort_keys=True),
-            r.error or "",
-        ])
-    return buf.getvalue()
-
-
-def render_aggregate_csv(bundles: list[ReportBundle]) -> str:
-    """Mean metrics per configured cell across seeds, in config order;
-    per-seed rows live in seed_*/. `n_seeds` counts the seeds where the
-    cell succeeded, and a cell that failed in every seed has no means."""
-    config = bundles[0].config
-    lines = ["augmenter,classifier,n_seeds,mean_test_acc,mean_test_f1,mean_test_auc"]
-    for aug in config.augmenters:
-        for c in config.classifiers:
-            cells = [b.cell(aug, c) for b in bundles]
-            vals = [(r.test_acc, r.test_f1, r.test_auc) for r in cells if not r.failed]
-            means = ",".join(f"{m:.6f}" for m in np.array(vals).mean(axis=0)) if vals else ",,"
-            lines.append(f"{aug},{c},{len(vals)},{means}")
-    return "\n".join(lines) + "\n"
-
-
-def export_synthetic_csv(
-    features: np.ndarray, labels: np.ndarray, plan: PreprocessPlan
-) -> str:
-    """Synthetic rows in normalized feature space; one-hot blocks are
-    rounded to a valid one-hot assignment at export time."""
-    features = np.array(features, dtype=float)
-    col_of = {name: j for j, name in enumerate(plan.feature_order)}
-    for cat, cmap in plan.category_maps.items():
-        cols = [col_of[f"{cat}={c}"] for c in cmap]
-        block = features[:, cols]
-        hot = np.argmax(block, axis=1)
-        block[:] = 0.0
-        block[np.arange(len(block)), hot] = 1.0
-        features[:, cols] = block
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(plan.feature_order) + ["label"])
-    for row, lab in zip(features, labels):
-        writer.writerow([f"{v:.6g}" for v in row] + [int(lab)])
-    return buf.getvalue()
+def write_synthetic_csv(
+    outdir: Path, augmented: tuple[np.ndarray, np.ndarray, SyntheticBatch], plan: PreprocessPlan
+) -> Path:
+    """Write the synthetic rows of the augmented set `(X, y, batch)`, those
+    its batch marks, to `outdir`/synthetic_<generator>.csv; return the path."""
+    X, y, batch = augmented
+    path = Path(outdir) / f"synthetic_{batch.generator}.csv"
+    path.write_text(export_synthetic_csv(X[batch.synthetic_mask], y[batch.synthetic_mask], plan))
+    return path
 
 
 def emit_report(bundle: ReportBundle, output_dir: str | Path) -> list[Path]:
@@ -669,8 +306,10 @@ def emit_report(bundle: ReportBundle, output_dir: str | Path) -> list[Path]:
         if r.roc is not None:
             put(f"roc_{r.augmenter}_{r.classifier}.csv", roc_to_csv(r.roc))
     if bundle.config.export_synthetic:
-        for aug, (X_syn, y_syn) in bundle.synthetic.items():
-            put(f"synthetic_{aug}.csv", export_synthetic_csv(X_syn, y_syn, bundle.plan))
+        written += [
+            write_synthetic_csv(outdir, built, bundle.plan)
+            for built in bundle.augmented.values() if built[2] is not None
+        ]
 
     meta = {
         "seed": bundle.config.seed,

@@ -18,7 +18,9 @@ from augbench.classifiers.svm_rbf import RbfSvmConfig, fit_rbf_svm
 from augbench.classifiers import predict_labels
 from augbench.gan import discriminator_loss
 from augbench.gmm import _e_step, fit_gmm
-from augbench.harness import ExperimentConfig, render_report_md, run_experiment
+from augbench.config import ExperimentConfig
+from augbench.harness import run_experiment
+from augbench.report import render_report_md
 from augbench.metrics import accuracy, f1, roc_auc
 from augbench.nncore import init_mlp, mlp_backward, mlp_forward
 from augbench.rng import RngStream

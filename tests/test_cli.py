@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from augbench import cli, harness
 from augbench.cli import main
+from augbench.config import _SECTIONS, AUGMENTER_IDS, CLASSIFIER_IDS, ExperimentConfig
+from augbench.report import export_synthetic_csv
 from augbench.rng import SEED_MAX
 from conftest import FIXTURE_CSV, REPO, SCHEMA
 
@@ -108,21 +110,27 @@ def test_run_exports_the_synthetic_rows_the_grid_trained_on(tmp_path, monkeypatc
     (bundle,), (sets,) = bundles, aug_sets
     X_aug, y_aug, prov = sets["gmm"]
     mask = prov.synthetic_mask
-    expected = harness.export_synthetic_csv(X_aug[mask], y_aug[mask], bundle.plan)
+    expected = export_synthetic_csv(X_aug[mask], y_aug[mask], bundle.plan)
     assert (out / "synthetic_gmm.csv").read_text() == expected
     assert int(mask.sum()) == 40
     assert not (out / "synthetic_none.csv").exists()
 
 
-def test_augment_writes_the_rows_run_exports(tmp_path):
+@pytest.mark.parametrize("generator", ["gmm", "vae", "gan"])
+def test_augment_writes_the_rows_run_exports(tmp_path, generator):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(dict(FAST, export_synthetic=True)))
+    p.write_text(json.dumps(dict(
+        FAST, augmenters=["none", generator], classifiers=["tree"], export_synthetic=True,
+        hyperparams={"gmm": {"n_components": 2}, "vae": {"epochs": 10},
+                     "gan": {"pretrain_epochs": 5, "epochs": 10}},
+    )))
     run_out, aug_out = tmp_path / "run", tmp_path / "aug"
     assert main(["run", "--config", str(p), "--out", str(run_out), "--seed", "3"]) == 0
-    assert main(["augment", "--config", str(p), "--generator", "gmm",
+    assert main(["augment", "--config", str(p), "--generator", generator,
                  "--out", str(aug_out), "--seed", "3"]) == 0
-    exported = (run_out / "synthetic_gmm.csv").read_bytes()
-    assert (aug_out / "synthetic_gmm.csv").read_bytes() == exported
+    exported = (run_out / f"synthetic_{generator}.csv").read_bytes()
+    assert exported.count(b"\n") == 41  # the header and 40 rows
+    assert (aug_out / f"synthetic_{generator}.csv").read_bytes() == exported
 
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])
@@ -197,6 +205,8 @@ def test_list_or_object_for_numeric_hyperparameter_fails_before_training(
     ("classifiers", ["tree", "forest"],
      'classifiers[1] must be "tree", "knn", "logistic", "svm_rbf", "svm_linear" or "dense", '
      "got 'forest'"),
+    ("augmenters", [], "augmenters must be a non-empty list, got []"),
+    ("classifiers", [], "classifiers must be a non-empty list, got []"),
 ])
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_wrong_element_names_the_element(tmp_path, capsys, command, key, value, message):
@@ -453,9 +463,9 @@ JSON_VALUES = st.recursive(
 
 # One hyperparams section with a few of its fields (or any other key) set
 # to any JSON value.
-HYPERPARAMS = st.sampled_from(sorted(harness._SECTIONS)).flatmap(
+HYPERPARAMS = st.sampled_from(sorted(_SECTIONS)).flatmap(
     lambda name: st.dictionaries(
-        st.sampled_from([f.name for f in dataclasses.fields(harness._SECTIONS[name])])
+        st.sampled_from([f.name for f in dataclasses.fields(_SECTIONS[name])])
         | st.text(max_size=8),
         JSON_VALUES, max_size=2,
     ).map(lambda kv: {name: kv})
@@ -465,7 +475,7 @@ HYPERPARAMS = st.sampled_from(sorted(harness._SECTIONS)).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(
     overrides=st.dictionaries(
-        st.sampled_from([f.name for f in dataclasses.fields(harness.ExperimentConfig)]),
+        st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)]),
         JSON_VALUES, max_size=3,
     ),
     hyperparams=HYPERPARAMS,
@@ -536,9 +546,9 @@ RUN_HYPERPARAMS = st.fixed_dictionaries({
 
 @settings(max_examples=40, deadline=None)
 @given(
-    augmenters=st.lists(st.sampled_from(harness.AUGMENTER_IDS), min_size=1, max_size=4,
+    augmenters=st.lists(st.sampled_from(AUGMENTER_IDS), min_size=1, max_size=4,
                         unique=True),
-    classifiers=st.lists(st.sampled_from(harness.CLASSIFIER_IDS), min_size=1, max_size=6,
+    classifiers=st.lists(st.sampled_from(CLASSIFIER_IDS), min_size=1, max_size=6,
                          unique=True),
     n_synthetic=st.integers(0, 100),
     test_fraction=st.floats(0.05, 0.95),
@@ -713,7 +723,7 @@ def test_run_over_seeds_writes_what_each_seed_writes_alone(tmp_path):
     # Every classifier trains all seeds' cells at once; no seed's artifacts
     # may depend on the others.
     config = dict(
-        FAST, classifiers=list(harness.CLASSIFIER_IDS), export_synthetic=True,
+        FAST, classifiers=list(CLASSIFIER_IDS), export_synthetic=True,
         hyperparams={"gmm": {"n_components": 2}, "logistic": {"epochs": 30},
                      "svm_linear": {"epochs": 30}, "dense": {"epochs": 20}},
     )

@@ -11,20 +11,17 @@ import pytest
 
 from augbench.classifiers import fit_decision_tree, predict_labels
 from augbench.dataio import apply_preprocess, fit_preprocess, load_table, stratified_split
-from augbench import harness
-from augbench.gan import GanConfig
-from augbench.harness import (
+from augbench import config, harness
+from augbench.config import (
     AUGMENTER_IDS,
     CLASSIFIER_IDS,
     ConfigError,
     ExperimentConfig,
-    emit_report,
-    export_synthetic_csv,
     module_configs,
-    render_report_md,
-    render_results_csv,
-    run_experiment,
 )
+from augbench.gan import GanConfig
+from augbench.harness import emit_report, run_experiment
+from augbench.report import export_synthetic_csv, render_report_md, render_results_csv
 from augbench.metrics import accuracy, f1, roc_auc
 from augbench.rng import RngStream
 from conftest import FIXTURE_CSV, SCHEMA
@@ -140,11 +137,11 @@ def _json_round_trip(value):
     return json.loads(json.dumps(value))
 
 
-@pytest.mark.parametrize("section", sorted(harness._SECTIONS))
+@pytest.mark.parametrize("section", sorted(config._SECTIONS))
 def test_every_section_default_passes_its_own_check(section):
     """Each field's default, sent through JSON and the builder, gives back
     the default config: no annotation rejects its own default."""
-    defaults = harness._SECTIONS[section]()
+    defaults = config._SECTIONS[section]()
     overrides = {
         f.name: _json_round_trip(getattr(defaults, f.name))
         for f in dataclasses.fields(defaults)
@@ -158,9 +155,9 @@ def _takes_a_number(hint) -> bool:
     return hint in (int, float) or any(_takes_a_number(a) for a in typing.get_args(hint))
 
 
-@pytest.mark.parametrize("section", sorted(harness._SECTIONS))
+@pytest.mark.parametrize("section", sorted(config._SECTIONS))
 def test_every_numeric_section_field_declares_a_bound(section):
-    cls = harness._SECTIONS[section]
+    cls = config._SECTIONS[section]
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
         if _takes_a_number(hints[f.name]):
@@ -186,8 +183,8 @@ def test_grid_shape_and_metric_ranges():
             assert 0.0 <= v <= 1.0
     assert not bundle.contamination
     assert bundle.n_train + bundle.n_test == 400
-    assert bundle.provenances["none"] is None
-    assert bundle.provenances["gmm"].n_synthetic == 40
+    assert bundle.augmented["none"][2] is None
+    assert bundle.augmented["gmm"][2].n_synthetic == 40
 
 
 def test_none_cell_equals_direct_training():

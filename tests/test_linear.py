@@ -21,7 +21,8 @@ from augbench.classifiers.linear import (
     fit_logistic,
     logistic_loss_grad,
 )
-from augbench.harness import ExperimentConfig, prepare
+from augbench.config import ExperimentConfig
+from augbench.harness import prepare
 from augbench.nncore import AdamState, adam_step
 from augbench.rng import RngStream
 from conftest import (

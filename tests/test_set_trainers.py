@@ -21,7 +21,8 @@ from augbench.classifiers.linear import (
     fit_logistic,
     fit_logistic_sets,
 )
-from augbench.harness import ExperimentConfig, prepare
+from augbench.config import ExperimentConfig
+from augbench.harness import prepare
 from augbench.rng import RngStream
 from conftest import REPO, flat_jobs, ref_fit_linear_svm_many, ref_fit_logistic_many
 
