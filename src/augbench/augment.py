@@ -58,12 +58,12 @@ def augment_per_class(
     keyed by class, and returns each class's model under the same key."""
     if n_synthetic < 0:
         raise ValueError("n_synthetic must be nonnegative")
-    classes = np.unique(train_labels)
+    classes, sizes = np.unique(train_labels, return_counts=True)
     if len(classes) < 2:
         raise ValueError("both classes must be present in the training set")
 
     n_orig = len(train_labels)
-    class_counts = {int(c): int(np.sum(train_labels == c)) for c in classes}
+    class_counts = {int(c): int(size) for c, size in zip(classes, sizes)}
     counts = largest_remainder_counts(class_counts, n_synthetic)
 
     data = {c: train_features[train_labels == c] for c in sorted(class_counts)}

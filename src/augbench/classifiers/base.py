@@ -39,6 +39,14 @@ def sq_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
+def check_two_classes(y: np.ndarray) -> None:
+    """Raise ValueError unless `y` holds two distinct labels."""
+    # With return_counts, numpy 2.4 skips its hash-based unique, which
+    # imports numpy.ma: about 1.3 MiB and 15 ms of every fresh process.
+    if len(np.unique(y, return_counts=True)[0]) < 2:
+        raise ValueError("both classes must be present")
+
+
 def attempt(fn, *args):
     """`fn(*args)`, or the exception it raises."""
     try:

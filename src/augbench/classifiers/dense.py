@@ -21,7 +21,7 @@ from ..nncore import (
     mlp_forward, row_blocks,
 )
 from ..rng import RngStream
-from .base import attempt, fit_jointly, only
+from .base import attempt, check_two_classes, fit_jointly, only
 
 PROB_CLAMP = 1e-12
 
@@ -36,8 +36,9 @@ class DenseNetConfig:
 @dataclass
 class DenseNetModel:
     params: MlpParams
+    # Row e is epoch e's training loss: an (epochs,) float64 array.
+    loss_history: np.ndarray = field(repr=False)
     threshold: float = 0.5
-    loss_history: list[float] = field(default_factory=list, repr=False)
 
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         return mlp_forward(self.params, X)[-1][:, 0]
@@ -51,8 +52,7 @@ class DenseNetModel:
 def _checked_set(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1, 1)
-    if len(np.unique(y)) < 2:
-        raise ValueError("both classes must be present")
+    check_two_classes(y)
     return X, y
 
 
@@ -65,7 +65,7 @@ def _train_stack(sets, config: DenseNetConfig) -> list[DenseNetModel]:
     ], [len(y) for (_, y), _ in sets])
     state = AdamState.for_params(stack.flat, alpha=config.learning_rate)
     grad = GradBuffer(stack)
-    models = [DenseNetModel(net) for net in stack.nets]
+    models = [DenseNetModel(net, np.empty(config.epochs)) for net in stack.nets]
     X = np.concatenate([X for (X, _), _ in sets])
     y = np.concatenate([y for (_, y), _ in sets])
     blocks, n = row_blocks(stack, X)
@@ -81,7 +81,7 @@ def _train_stack(sets, config: DenseNetConfig) -> list[DenseNetModel]:
             loss = float(-(np.add.reduce(log_lik[rows], axis=None) / size))
             if not math.isfinite(loss):
                 raise FloatingPointError(f"non-finite loss at epoch {epoch}")
-            model.loss_history.append(loss)
+            model.loss_history[epoch] = loss
         d_out = (p - y) / (n * p * not_p)  # dBCE/d(sigmoid output), per block
         mlp_backward(stack, acts, d_out, grad, input_grad=False)
         adam_step(stack.flat, grad.flat, state)

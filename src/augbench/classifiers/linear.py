@@ -48,7 +48,7 @@ import numpy as np
 
 from ..nncore import AdamState, adam_step, sigmoid
 from ..rng import RngStream
-from .base import attempt, only
+from .base import attempt, check_two_classes, only
 from .cv import CvResult, fit_sets_with_cv
 
 LOGISTIC_LAMBDA_GRID = (1.0, 0.1, 0.01, 0.0)
@@ -91,11 +91,6 @@ class LinearModel:
     @property
     def hyperparams(self) -> dict:
         return {"kind": self.kind, "lambda": self.reg_lambda}
-
-
-def _check_two_classes(y: np.ndarray):
-    if len(np.unique(y)) < 2:
-        raise ValueError("both classes must be present")
 
 
 def logistic_loss_grad(
@@ -264,7 +259,7 @@ def _fit_logistic_stack(sets, config: LogisticConfig) -> list[list[LinearModel]]
 def _checked_set(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    _check_two_classes(y)
+    check_two_classes(y)
     return X, y
 
 

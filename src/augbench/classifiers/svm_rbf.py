@@ -37,7 +37,7 @@ from typing import Literal
 import numpy as np
 
 from ..rng import RngStream
-from .base import sq_distances
+from .base import check_two_classes, sq_distances
 from .cv import CvResult, fit_with_cv
 
 log = logging.getLogger(__name__)
@@ -197,8 +197,7 @@ def fit_rbf_svm(
     rng = rng or RngStream(0, ("rbf-svm",))
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    if len(np.unique(y)) < 2:
-        raise ValueError("both classes must be present")
+    check_two_classes(y)
     return fit_with_cv(
         lambda Xt, yt, groups: _fit_rbf_svm_many(Xt, yt, groups, config),
         X, y, config.C, config.c_grid, config.cv_folds, rng,

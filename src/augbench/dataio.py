@@ -195,8 +195,6 @@ def stratified_split(
     """Per-class shuffle then proportional cut; deterministic in the stream."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    # With return_counts, numpy 2.4 skips its hash-based unique, which
-    # imports numpy.ma: about 15 ms of every fresh `validate` process.
     classes, counts = np.unique(labels, return_counts=True)
     if len(classes) < 2:
         raise DataError("both classes must be present to split")

@@ -46,7 +46,9 @@ class GanConfig:
 class GanModel:
     generator: VaeModel
     discriminator: MlpParams
-    loss_history: list[tuple[int, float, float]]  # (epoch, gen loss, disc loss)
+    # Row e holds epoch e's (generator loss, discriminator loss): an
+    # (epochs, 2) float64 array, filled in place as training runs.
+    loss_history: np.ndarray
 
 
 def _clamp(p: np.ndarray) -> np.ndarray:
@@ -145,7 +147,7 @@ def train_gan(
     models = {}
     for c, dec_net, disc_net in zip(classes, dec.nets, disc.nets):
         gens[c].decoder = dec_net
-        models[c] = GanModel(gens[c], disc_net, [])
+        models[c] = GanModel(gens[c], disc_net, np.empty((config.epochs, 2)))
 
     disc_lr = config.disc_learning_rate or config.learning_rate
     gen_state = AdamState.for_params(dec.flat, alpha=config.learning_rate)
@@ -156,6 +158,7 @@ def train_gan(
     noise = [rngs[c].derive("noise") for c in classes]
     z = np.empty((len(real), config.vae.latent_dim))
     z_blocks = [z[block] for block in dec.blocks]
+    histories = [models[c].loss_history for c in classes]
 
     def latents() -> np.ndarray:
         for stream, block in zip(noise, z_blocks):
@@ -177,8 +180,8 @@ def train_gan(
             mlp_backward(dec, dec_acts, d_fake, dec_grad, input_grad=False)
             adam_step(dec.flat, dec_grad.flat, gen_state)
 
-            for c, g_loss, d_loss in zip(classes, g_losses, d_losses):
-                models[c].loss_history.append((epoch, g_loss, d_loss))
+            for history, g_loss, d_loss in zip(histories, g_losses, d_losses):
+                history[epoch] = g_loss, d_loss
     except FloatingPointError as e:  # e.g. an overflow that np.errstate raises
         raise FloatingPointError(f"{e} (GAN {step} step, epoch {epoch})") from e
     return models

@@ -99,7 +99,8 @@ def fit_gmm(
     if n_components < 1:
         raise ValueError("n_components must be >= 1")
 
-    n_distinct = len(np.unique(data, axis=0))
+    # return_counts keeps numpy.ma unimported (see classifiers/base.py).
+    n_distinct = len(np.unique(data, axis=0, return_counts=True)[0])
     k = min(n_components, n, n_distinct)
     if k < n_components:
         log.warning(

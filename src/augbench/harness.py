@@ -257,9 +257,11 @@ def _bundle(
     cells, keyed by (augmenter, classifier)."""
     built = {a: s for a, s in aug_sets.items() if not isinstance(s, GeneratorError)}
     y_train = data.y_train
-    # Test purity: the test set comes straight from the original split and
-    # no augmented set may mark an original row as synthetic.
-    contamination = bool(np.intersect1d(data.train_indices, data.test_indices).size) or any(
+    # Test purity: the test set comes straight from the original split
+    # (whose indices are unique, so intersect1d may assume it) and no
+    # augmented set may mark an original row as synthetic.
+    shared = np.intersect1d(data.train_indices, data.test_indices, assume_unique=True)
+    contamination = bool(shared.size) or any(
         prov.synthetic_mask[: len(y_train)].any() or len(ya) != len(y_train) + prov.n_synthetic
         for _, ya, prov in built.values() if prov is not None
     )

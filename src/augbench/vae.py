@@ -47,7 +47,9 @@ class VaeModel:
     encoder: MlpParams | MlpStack  # output width 2*latent_dim: [mu | logvar]
     decoder: MlpParams | MlpStack
     latent_dim: int
-    loss_history: list[tuple[int, float]]
+    # Row e is epoch e's loss: a (max(epochs, 1),) float64 array after
+    # `train_vae` (epoch 0 alone at zero epochs), empty before.
+    loss_history: np.ndarray
 
     @property
     def n_features(self) -> int:
@@ -71,7 +73,7 @@ def init_vae(n_features: int, config: VaeConfig, rng: RngStream) -> VaeModel:
         ["relu", "identity"],
         rng.derive("decoder"),
     )
-    return VaeModel(enc, dec, config.latent_dim, [])
+    return VaeModel(enc, dec, config.latent_dim, np.empty(0))
 
 
 def vae_loss(
@@ -169,9 +171,11 @@ def train_vae(
     dec = MlpStack([models[c].decoder for c in classes], rows, params[n_enc:])
     for c, enc_net, dec_net in zip(classes, enc.nets, dec.nets):
         models[c].encoder, models[c].decoder = enc_net, dec_net
+        models[c].loss_history = np.empty(max(config.epochs, 1))
     grads = (GradBuffer(enc, grad[:n_enc]), GradBuffer(dec, grad[n_enc:]))
     state = AdamState.for_params(params, alpha=config.learning_rate)
-    stacked = VaeModel(enc, dec, config.latent_dim, [])
+    stacked = VaeModel(enc, dec, config.latent_dim, np.empty(0))
+    histories = [models[c].loss_history for c in classes]
     batch = np.concatenate([data[c] for c in classes])
     eps = np.empty((len(batch), config.latent_dim))
     eps_blocks = [eps[block] for block in enc.blocks]
@@ -182,8 +186,8 @@ def train_vae(
             for stream, block in zip(noise, eps_blocks):
                 stream.normal(out=block)
             losses, _ = _vae_losses(stacked, batch, eps, config.beta, grads)
-            for c, loss in zip(classes, losses):
-                models[c].loss_history.append((epoch, loss))
+            for history, loss in zip(histories, losses):
+                history[epoch] = loss
             if config.epochs:
                 adam_step(params, grad, state)
     except FloatingPointError as e:  # e.g. an overflow that np.errstate raises

@@ -180,7 +180,7 @@ def ref_train_vae(data, config, rng):
     """One VAE by full-batch Adam on the plain formulas: np.clip, np.mean,
     np.hstack, the reconstruction residual computed twice and a full
     encoder backward. Returns the model, its encoder and decoder views of
-    one parameter vector."""
+    one parameter vector, and its per-epoch losses as a float array."""
     model = init_vae(data.shape[1], config, rng.derive("init"))
     noise = rng.derive("noise")
     n_enc = model.encoder.flat.size
@@ -190,7 +190,7 @@ def ref_train_vae(data, config, rng):
     state = AdamState.for_params(params, alpha=config.learning_rate)
     n, L, beta = len(data), config.latent_dim, config.beta
     history = []
-    for epoch in range(max(config.epochs, 1)):
+    for _ in range(max(config.epochs, 1)):
         enc_acts = ref_forward(enc, data)
         mu, logvar_raw = enc_acts[-1][:, :L], enc_acts[-1][:, L:]
         clamp_ok = (logvar_raw > LOGVAR_MIN) & (logvar_raw < LOGVAR_MAX)
@@ -201,7 +201,7 @@ def ref_train_vae(data, config, rng):
         recon = dec_acts[-1]
         recon_loss = float(np.mean(np.sum((recon - data) ** 2, axis=1)))
         kl = 0.5 * np.sum(mu**2 + np.exp(logvar) - 1.0 - logvar, axis=1)
-        history.append((epoch, recon_loss + beta * float(kl.mean())))
+        history.append(recon_loss + beta * float(kl.mean()))
         if config.epochs == 0:  # the initial loss only
             break
         dec_grads, dz = ref_backward(dec, dec_acts, 2.0 * (recon - data) / n)
@@ -209,14 +209,15 @@ def ref_train_vae(data, config, rng):
         d_logvar = dz * eps * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0) / n
         enc_grads, _ = ref_backward(enc, enc_acts, np.hstack([d_mu, d_logvar * clamp_ok]))
         ref_adam_step(params, flat(enc_grads + dec_grads), state)
-    return VaeModel(enc, dec, L, history)
+    return VaeModel(enc, dec, L, np.array(history))
 
 
 def ref_train_gan(data, config, rng):
     """One GAN, its VAE pretrained by `ref_train_vae`, and the adversarial
     loop on the plain formulas: np.clip, np.mean, and a full backward pass
     whose unread products are still computed. Returns (decoder vector,
-    discriminator vector, loss history)."""
+    discriminator vector, loss history as an (epochs, 2) array of
+    generator and discriminator losses)."""
     n, d = data.shape
     gen = ref_train_vae(data, replace(config.vae, epochs=config.pretrain_epochs),
                         rng.derive("pretrain"))
@@ -227,7 +228,7 @@ def ref_train_gan(data, config, rng):
     disc_state = AdamState.for_params(disc.flat, alpha=config.disc_learning_rate)
     noise = rng.derive("noise")
     history = []
-    for epoch in range(config.epochs):
+    for _ in range(config.epochs):
         fake = ref_forward(dec, noise.normal(size=(n, gen.latent_dim)))[-1]
         acts_r, acts_f = ref_forward(disc, data), ref_forward(disc, fake)
         p_r = np.clip(acts_r[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -244,8 +245,8 @@ def ref_train_gan(data, config, rng):
         _, d_fake = ref_backward(disc, acts, -1.0 / (p * len(p)))
         dec_grad, _ = ref_backward(dec, dec_acts, d_fake)
         ref_adam_step(dec.flat, flat(dec_grad), gen_state)
-        history.append((epoch, g_loss, d_loss))
-    return dec.flat, disc.flat, history
+        history.append((g_loss, d_loss))
+    return dec.flat, disc.flat, np.array(history).reshape(-1, 2)
 
 
 def flat_jobs(groups):

@@ -5,6 +5,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -741,3 +744,35 @@ def test_run_over_seeds_writes_what_each_seed_writes_alone(tmp_path):
         assert "synthetic_gmm.csv" in names and "roc_gmm_dense.csv" in names
         for name in names:
             assert (together / f"seed_{seed}" / name).read_bytes() == (alone / name).read_bytes()
+
+
+TINY_FULL_GRID = dict(
+    FAST, augmenters=list(AUGMENTER_IDS), classifiers=list(CLASSIFIER_IDS),
+    hyperparams={
+        "gmm": {"n_components": 2}, "vae": {"epochs": 3},
+        "gan": {"pretrain_epochs": 2, "epochs": 3}, "dense": {"epochs": 3},
+        "logistic": {"epochs": 3}, "svm_linear": {"epochs": 3},
+    },
+)
+
+
+@pytest.mark.parametrize("command", [["run"], ["augment", "--generator", "gan"], ["validate"]])
+def test_no_command_imports_numpy_ma(tmp_path, command):
+    # numpy 2.4's np.unique without return_counts imports numpy.ma, about
+    # 1.3 MiB of resident memory that no result needs.
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(TINY_FULL_GRID))
+    argv = [*command, "--config", str(p)]
+    if command[0] != "validate":
+        argv += ["--out", str(tmp_path / "out")]
+    code = ("import sys, numpy; eager = 'numpy.ma' in sys.modules; "
+            "from augbench.cli import main; "
+            f"assert main({argv!r}) == 0; print(eager, 'numpy.ma' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    eager, imported = proc.stdout.splitlines()[-1].split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself (numpy 1.x)")
+    assert imported == "False"

@@ -22,6 +22,7 @@ def test_learns_separable_blobs():
     X, y = blobs()
     model = fit_dense_net(X, y, DenseNetConfig(epochs=400), RngStream(0, ("fit",)))
     assert np.mean(predict_labels(model, X) == y) >= 0.95
+    assert model.loss_history.shape == (400,)
     assert model.loss_history[-1] < model.loss_history[0] * 0.5
 
 
@@ -46,7 +47,8 @@ def test_deterministic():
     a = fit_dense_net(X, y, cfg, RngStream(4, ("fit",)))
     b = fit_dense_net(X, y, cfg, RngStream(4, ("fit",)))
     np.testing.assert_array_equal(a.decision_scores(X), b.decision_scores(X))
-    assert a.loss_history == b.loss_history
+    assert a.loss_history.shape == (50,)
+    assert np.array_equal(a.loss_history, b.loss_history)
 
 
 def test_single_class_rejected():
@@ -58,7 +60,7 @@ def test_zero_epochs_scores_finite_in_unit_interval():
     X, y = blobs(seed=4)
     model = fit_dense_net(X, y, DenseNetConfig(epochs=0), RngStream(5, ("fit",)))
     s = model.decision_scores(X)
-    assert model.loss_history == []
+    assert model.loss_history.shape == (0,)
     assert np.all(np.isfinite(s)) and np.all((s > 0.0) & (s < 1.0))
 
 
@@ -80,4 +82,6 @@ def test_fit_equals_the_plain_formula_loop_bit_for_bit():
         grads, _ = ref_backward(params, acts, (p - t) / (len(t) * p * (1.0 - p)))
         ref_adam_step(params.flat, flat(grads), state)
     assert np.array_equal(model.params.flat, params.flat)
-    assert model.loss_history == history
+    assert model.loss_history.shape == (config.epochs,)
+    assert model.loss_history.dtype == np.float64
+    assert np.array_equal(model.loss_history, history)

@@ -1,5 +1,7 @@
 """GAN: discriminator loss values and gradients, staged training, sampling."""
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -75,10 +77,10 @@ def test_train_gan_records_losses_and_is_deterministic():
     data = RngStream(3).normal(size=(30, 3)) + 1.0
     a = train_one(data, TINY, RngStream(9, ("gan",)))
     b = train_one(data, TINY, RngStream(9, ("gan",)))
-    assert len(a.loss_history) == TINY.epochs
-    epochs, g_losses, d_losses = zip(*a.loss_history)
-    assert list(epochs) == list(range(TINY.epochs))
-    assert all(np.isfinite(g_losses)) and all(np.isfinite(d_losses))
+    assert a.loss_history.shape == (TINY.epochs, 2)
+    assert a.loss_history.dtype == np.float64
+    assert np.isfinite(a.loss_history).all()
+    assert np.array_equal(a.loss_history, b.loss_history)
     for x, y in zip(a.generator.decoder.arrays(), b.generator.decoder.arrays()):
         np.testing.assert_array_equal(x, y)
 
@@ -140,7 +142,7 @@ def test_zero_adversarial_epochs_is_pretraining_only():
     cfg = GanConfig(pretrain_epochs=10, epochs=0, disc_hidden=(6, 4),
                     vae=VaeConfig(hidden_size=6, latent_dim=2))
     model = train_one(data, cfg, RngStream(8, ("gan",)))
-    assert model.loss_history == []
+    assert model.loss_history.shape == (0, 2)
     vae_cfg = VaeConfig(hidden_size=6, latent_dim=2, epochs=10,
                         learning_rate=cfg.vae.learning_rate, beta=cfg.vae.beta)
     ref_gen = train_vae({0: data}, vae_cfg, {0: RngStream(8, ("gan",)).derive("pretrain")})[0]
@@ -178,7 +180,8 @@ def test_train_gan_equals_the_plain_formula_loop_bit_for_bit():
     dec, disc, history = ref_train_gan(data, TINY, RngStream(11, ("gan",)))
     assert np.array_equal(model.generator.decoder.flat, dec)
     assert np.array_equal(model.discriminator.flat, disc)
-    assert model.loss_history == history
+    assert model.loss_history.shape == history.shape == (TINY.epochs, 2)
+    assert np.array_equal(model.loss_history, history)
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,8 +208,8 @@ def test_lockstep_gans_equal_each_class_trained_alone(
         dec, disc, history = ref_train_gan(data[c], config, rngs[c])
         assert np.array_equal(model.generator.decoder.flat, dec)
         assert np.array_equal(model.discriminator.flat, disc)
-        assert np.array_equal(np.array(model.loss_history).reshape(-1, 3),
-                              np.array(history).reshape(-1, 3))
+        assert model.loss_history.shape == history.shape == (epochs, 2)
+        assert np.array_equal(model.loss_history, history)
 
 
 def test_non_finite_loss_names_its_class():
@@ -222,3 +225,30 @@ def test_non_finite_loss_names_its_class():
         train_gan({2: good, 7: bad}, config, rngs)
     with pytest.raises(ValueError, match="class 7: need at least 2 rows"):
         train_gan({2: good, 7: bad[:1]}, config, rngs)
+
+
+def test_history_retains_two_floats_per_epoch_and_class():
+    # Each class's history is one (epochs, 2) float64 array: 16 bytes per
+    # epoch, where a list of (epoch, loss, loss) tuples held about 140.
+    data = {0: RngStream(20).normal(size=(12, 2)), 1: RngStream(21).normal(size=(10, 2)) + 2.0}
+    rngs = {0: RngStream(22), 1: RngStream(23)}
+    config = replace(TINY, pretrain_epochs=2, epochs=2000)
+    train_gan(data, replace(config, epochs=2), rngs)  # lazy imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        models = train_gan(data, config, rngs)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # Every parameter vector is a view of one of a few owned arrays.
+    owners = {
+        id(owner): owner.nbytes
+        for m in models.values()
+        for flat in (m.generator.encoder.flat, m.generator.decoder.flat, m.discriminator.flat)
+        for owner in [flat if flat.base is None else flat.base]
+    }
+    slack = 32 * 1024  # the models' Python objects: about 14 KiB
+    assert retained <= 16 * config.epochs * len(data) + sum(owners.values()) + slack

@@ -21,7 +21,9 @@ from augbench.config import (
 )
 from augbench.gan import GanConfig
 from augbench.harness import emit_report, run_experiment
-from augbench.report import export_synthetic_csv, render_report_md, render_results_csv
+from augbench.report import (
+    EvalResult, export_synthetic_csv, render_report_md, render_results_csv,
+)
 from augbench.metrics import accuracy, f1, roc_auc
 from augbench.rng import RngStream
 from conftest import FIXTURE_CSV, SCHEMA
@@ -172,6 +174,21 @@ def test_experiment_config_defaults_pass_their_own_check():
 
 
 # ---------------------------------------------------------------- run
+
+
+@pytest.mark.parametrize("test_indices, shared", [([6, 4, 5], False), ([6, 3, 5], True)])
+def test_bundle_flags_a_row_in_train_and_test(test_indices, shared):
+    # A hand-built split, unsorted like a real one, with or without a row
+    # in both halves.
+    X, y = np.zeros((4, 2)), np.array([0, 1, 0, 1])
+    data = harness.PreparedData(
+        None, np.array([2, 0, 3, 1]), np.array(test_indices), X, y, X[:3], y[:3], 0
+    )
+    config = fast_config(augmenters=("none",), classifiers=("tree",))
+    bundle = harness._bundle(
+        config, data, {"none": (X, y, None)}, {("none", "tree"): EvalResult("none", "tree")}
+    )
+    assert bundle.contamination is shared
 
 
 def test_grid_shape_and_metric_ranges():

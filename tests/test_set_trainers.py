@@ -170,7 +170,8 @@ def test_dense_set_trainer_equals_one_set_fits(data, epochs):
     for model, (X, y), rng in zip(models, sets, rngs):
         alone = fit_dense_net(X, y, config, rng)
         assert np.array_equal(model.params.flat, alone.params.flat)
-        assert model.loss_history == alone.loss_history
+        assert model.loss_history.shape == alone.loss_history.shape == (epochs,)
+        assert np.array_equal(model.loss_history, alone.loss_history)
 
 
 # ----------------------------------------------------------- failing sets
@@ -192,7 +193,8 @@ def _healthy(i, n, d):
 def _assert_same_model(model, alone):
     if hasattr(model, "params"):
         assert np.array_equal(model.params.flat, alone.params.flat)
-        assert model.loss_history == alone.loss_history
+        assert model.loss_history.shape == alone.loss_history.shape
+        assert np.array_equal(model.loss_history, alone.loss_history)
     else:
         _assert_same_linear(model, alone)
 

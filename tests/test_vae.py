@@ -86,9 +86,9 @@ def test_training_reduces_loss():
     data = rng.derive("x").normal(size=(60, 3)) + np.array([2.0, -1.0, 0.5])
     cfg = VaeConfig(epochs=300)
     model = train_one(data, cfg, rng.derive("fit"))
-    assert len(model.loss_history) == 300
-    first = model.loss_history[0][1]
-    last = model.loss_history[-1][1]
+    assert model.loss_history.shape == (300,)
+    first = model.loss_history[0]
+    last = model.loss_history[-1]
     assert last < first * 0.5
 
 
@@ -145,7 +145,7 @@ def test_zero_epochs_returns_initialization_with_one_loss_entry():
     for a, b in zip(model.encoder.arrays() + model.decoder.arrays(),
                     ref.encoder.arrays() + ref.decoder.arrays()):
         np.testing.assert_array_equal(a, b)
-    assert len(model.loss_history) == 1
+    assert model.loss_history.shape == (1,)
 
 
 def test_zero_weight_decoder_samples_equal_bias():
@@ -172,7 +172,8 @@ def test_train_vae_equals_the_plain_formula_loop_bit_for_bit():
     ref = ref_train_vae(data, config, RngStream(13, ("vae",)))
     assert np.array_equal(model.encoder.flat, ref.encoder.flat)
     assert np.array_equal(model.decoder.flat, ref.decoder.flat)
-    assert model.loss_history == ref.loss_history
+    assert model.loss_history.shape == ref.loss_history.shape == (40,)
+    assert np.array_equal(model.loss_history, ref.loss_history)
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,4 +194,5 @@ def test_lockstep_vaes_equal_each_class_trained_alone(datasets, epochs, hidden, 
         ref = ref_train_vae(data[c], config, rngs[c])
         assert np.array_equal(model.encoder.flat, ref.encoder.flat)
         assert np.array_equal(model.decoder.flat, ref.decoder.flat)
-        assert np.array_equal(np.array(model.loss_history), np.array(ref.loss_history))
+        assert model.loss_history.shape == ref.loss_history.shape == (max(epochs, 1),)
+        assert np.array_equal(model.loss_history, ref.loss_history)
