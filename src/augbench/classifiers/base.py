@@ -1,4 +1,4 @@
-"""Shared prediction interface and pairwise distances.
+"""Shared prediction interface, pairwise distances and joint fits.
 
 Every fitted model exposes `decision_scores(X)` (higher = more
 positive-class) and a fixed `threshold`; the predicted label is 1 iff
@@ -55,18 +55,34 @@ def attempt(fn, *args):
         return e
 
 
+# The most training rows one joint call takes. A set trainer's buffers
+# hold each of its sets' rows x 20 CV columns at once (about 33 bytes per
+# row and column for the logistic trainer), so sets with more rows than
+# this train in several calls, each of about 7 MB.
+JOINT_ROWS = 10_000
+
+
 def fit_jointly(fit_sets, sets: list) -> list:
-    """`fit_sets(sets)`, one entry per set. If it raises, each set is fit
-    alone by the same `fit_sets`, so only a faulty set's entry is its
-    error (an exception in place of its result)."""
-    if not sets:
-        return []
-    try:
-        return fit_sets(sets)
-    except Exception as e:
-        if len(sets) == 1:
-            return [e]
-    return [fit_jointly(fit_sets, [s])[0] for s in sets]
+    """`fit_sets` on every set of `sets`, one entry per set; every joint
+    call of the lockstep trainers goes through here. One call per
+    consecutive run of at most JOINT_ROWS rows (a set's second field is
+    its labels; a larger set runs alone). If a run's call raises, each
+    of its sets is fit alone by the same `fit_sets`, so only a faulty
+    set's entry is its error (an exception in place of its result)."""
+    runs, rows = [], np.inf  # rows of the last run; the first set opens one
+    for s in sets:
+        if rows + len(s[1]) > JOINT_ROWS:
+            runs.append([])
+            rows = 0
+        runs[-1].append(s)
+        rows += len(s[1])
+    results = []
+    for run in runs:
+        try:
+            results += fit_sets(run)
+        except Exception as e:
+            results += [e] if len(run) == 1 else [fit_jointly(fit_sets, [s])[0] for s in run]
+    return results
 
 
 def only(results: list):

@@ -16,9 +16,10 @@ The linear learners train many training sets at once through
 each set's `fit_many` models. `fit_sets_with_cv` builds each set's folds
 from that set's stream, trains every set's CV models in one
 `cross_validate_sets` call, and every set's refit or pinned model in one
-more call. `base.fit_jointly` retrains each set alone when a joint call
-raises, so a set that fails, at its checks, its folds or its fit, gets
-its error in place of its result while every other set keeps its model.
+more call, both through `base.fit_jointly`: it bounds the rows of each
+`fit_sets` call and retrains each set alone when a joint call raises, so
+a set that fails, at its checks, its folds or its fit, gets its error
+in place of its result while every other set keeps its model.
 `cross_validate` and `fit_with_cv` are `cross_validate_sets` and
 `fit_sets_with_cv` on one set, the tree's, KNN's or RBF SVM's
 `fit_many`.
@@ -123,9 +124,9 @@ def cross_validate_sets(
     rngs: list[RngStream],
 ) -> list:
     """`cross_validate` for every `(features, labels)` of `sets`, each with
-    folds from its own stream in `rngs`, in one `fit_sets` call (see
-    `fit_jointly`). An entry of `sets` that is an exception (a failed
-    input check) stays its result; a set whose folds cannot be built, or
+    folds from its own stream in `rngs`, in one `fit_jointly` call. An
+    entry of `sets` that is an exception (a failed input check) stays
+    its result; a set whose folds cannot be built, or
     whose fit raises, gets its error as its result."""
     if not grid:
         raise CvError("empty hyperparameter grid")
@@ -184,7 +185,7 @@ def fit_sets_with_cv(
     rows at `param`, or with `param == "auto"` at the `grid` entry
     stratified CV picks (folds from the set's stream in `rngs`), with
     `cv_result` attached: one `cross_validate_sets` call, then one
-    `fit_sets` call for every refit or pinned fit. An entry of `sets`
+    `fit_jointly` call for every refit or pinned fit. An entry of `sets`
     that is an exception stays its result, and a set whose CV or fit
     fails gets its error in place of its model."""
     auto = param == "auto"

@@ -57,17 +57,17 @@ def _checked_set(X, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _train_stack(sets, config: DenseNetConfig) -> list[DenseNetModel]:
-    """One network per `((X, y), rng)` of `sets`, all of one input width,
+    """One network per `(X, y, rng)` of `sets`, all of one input width,
     trained in one loop: an `MlpStack` over the stacked rows."""
     stack = MlpStack([
         init_mlp([X.shape[1], *config.hidden, 1], ["relu", "relu", "sigmoid"], rng.derive("init"))
-        for (X, _), rng in sets
-    ], [len(y) for (_, y), _ in sets])
+        for X, _, rng in sets
+    ], [len(y) for _, y, _ in sets])
     state = AdamState.for_params(stack.flat, alpha=config.learning_rate)
     grad = GradBuffer(stack)
     models = [DenseNetModel(net, np.empty(config.epochs)) for net in stack.nets]
-    X = np.concatenate([X for (X, _), _ in sets])
-    y = np.concatenate([y for (_, y), _ in sets])
+    X = np.concatenate([X for X, _, _ in sets])
+    y = np.concatenate([y for _, y, _ in sets])
     blocks, n = row_blocks(stack, X)
     not_y = 1 - y
 
@@ -94,7 +94,7 @@ def fit_dense_net_sets(
     rngs: list[RngStream] | None = None,
 ) -> list[DenseNetModel | Exception]:
     """`fit_dense_net` on every `(X, y)` of `sets`, set k with `rngs[k]`:
-    the sets of each input width train in one loop (see `fit_jointly`).
+    the sets of each input width train in lockstep (see `fit_jointly`).
     A set that fails its checks or its fit gets its error in place of
     its model."""
     config = config or DenseNetConfig()
@@ -106,7 +106,7 @@ def fit_dense_net_sets(
             by_width.setdefault(s[0].shape[1], []).append(k)
     for ks in by_width.values():
         fitted = fit_jointly(
-            lambda group: _train_stack(group, config), [(results[k], rngs[k]) for k in ks]
+            lambda group: _train_stack(group, config), [(*results[k], rngs[k]) for k in ks]
         )
         for k, model in zip(ks, fitted):
             results[k] = model

@@ -13,11 +13,12 @@ every `(X, y, groups)` of `sets`, it trains every lambda of the set's
 `(train_rows, [lambda, ...])` groups as one stacked problem: column j of
 the set's d x J weight matrix is its j-th model, group by group, and a
 0/1 row mask keeps each column to its group's training rows. Every set
-runs in the same epoch loop. The trainer fits the J = 20 fold x lambda
-models of every set's CV, and then, in a second call, each set's refit
-or pinned lambda as a J = 1 problem on all its rows (see
-`cv.fit_sets_with_cv`). `fit_*_sets` wraps it with each set's input
-checks, and `fit_logistic`/`fit_linear_svm` are its one-set calls.
+of a call (`base.fit_jointly` bounds its rows) runs in the same epoch
+loop. The trainer fits the J = 20 fold x lambda models of every set's
+CV, and then, in a second call, each set's refit or pinned lambda as a
+J = 1 problem on all its rows (see `cv.fit_sets_with_cv`). `fit_*_sets`
+wraps it with each set's input checks, and `fit_logistic` and
+`fit_linear_svm` are its one-set calls.
 `logistic_loss_grad` is the per-model loss and gradient that the tests
 check by finite differences; the trainers do not call it, so no loss is
 computed on the training path.
@@ -26,17 +27,18 @@ The bias is the last row of one (d+1) x J array `[W; B]` per set (for
 logistic regression, a view of Adam's parameter vector), so a set's
 margins are the one product `[X | 1] @ [W; B]`, and its gradient
 `[dW; dB]` is scaled by the row counts and regularized by `[lambda; 0]`.
-The epoch computes in flat buffers allocated before the loop, laid out
-by `_SetStack`: each product, `[X | 1] @ [W; B]` and `X.T @ diff`, is
-one batched `np.matmul` per batch of same-shape sets, each set on its
-own blocks, and so are the bias row's column sums. The sigmoid, masks,
-scaling, regularization, Pegasos and Adam steps run once over the flat
-buffers, elementwise, so each set's models have the bits of its one-set
-fit. y is broadcast to (n, J) once; the linear SVM multiplies y into the rows of `[X | 1]`, which is
-exact for y = +-1. With J >= 2, every value is the one the plain
-formulas give (`ref_fit_*_many` in the tests), up to the sign of an
-exact zero. A one-column fit's margins come from numpy's matrix-vector
-product, which at some widths differs from `X @ w + b` in the last bit.
+The epoch computes in flat buffers allocated before the loop, laid out by
+`_SetStack`. `_margins` runs `[X | 1] @ [W; B]` and `_gradient` runs
+`X.T @ diff` and the bias row's column sums, one batched call per batch
+of same-shape sets each, every set on its own blocks. The sigmoid,
+masks, scaling, regularization, Pegasos and Adam steps run once over the
+flat buffers, elementwise, so each set's models have the bits of its
+one-set fit. y is broadcast to (n, J) once; the linear SVM multiplies y
+into the rows of `[X | 1]`, which is exact for y = +-1. With J >= 2,
+every value is the one the plain formulas give (`ref_fit_*_many` in the
+tests), up to the sign of an exact zero. A one-column fit's margins come
+from numpy's matrix-vector product, which at some widths differs from
+`X @ w + b` in the last bit.
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ class _SetStack:
     one (B, n, J) block of flat "row" buffers, and its `[W; B]`-shaped
     (d+1, J) arrays one (B, d+1, J) block of flat "parameter" buffers,
     each set's array contiguous as in its one-set fit; a batch's column
-    sums are one `np.add.reduce(axis=1)`. Elementwise steps run once over
+    sums are one `np.add.reduce(axis=1)`. `lanes` builds each batch's
+    operands of those calls once per fit. Elementwise steps run once over
     every set. `count` and `reg` are parameter buffers, each entry's
     column row count and `[lam; 0]` (the bias is not regularized), `lam`
     each entry's lambda.
@@ -181,19 +184,23 @@ class _SetStack:
         """A parameter buffer as each set's (d_k+1, J_k) array."""
         return [set_view for view in self.batch_params(buffer) for set_view in view]
 
-    def stacked(self, arrays: list[np.ndarray]) -> list[np.ndarray]:
-        """One array per set, stacked per batch into a (B, ...) array."""
-        out, k = [], 0
-        for *_, B, _, _ in self.batches:
-            out.append(np.stack(arrays[k:k + B]))
-            k += B
-        return out
-
-    def bias_sums(self, diff: np.ndarray, grad: np.ndarray) -> list[tuple]:
-        """Each batch's (B, n, J) view of the row buffer `diff` and the
-        bias rows of `grad` that its column sums go to."""
-        return [(view, grad_view[:, -1])
-                for view, grad_view in zip(self.batch_rows(diff), self.batch_params(grad))]
+    def lanes(self, designs, WB, out, diff, grad) -> list[tuple]:
+        """Each batch's operands of an epoch's two products, for `_margins`
+        and `_gradient`: its (B, n, d+1) stack of `designs` (one per set)
+        and its views of the parameter buffer `WB` and the row buffer `out`;
+        its (B, d, n) stacked `X.T`, its view of the row buffer `diff`, and
+        the weight and bias rows of its view of the parameter buffer `grad`."""
+        ends = np.cumsum([B for *_, B, _, _ in self.batches])
+        spans = [slice(end - B, end) for end, (*_, B, _, _) in zip(ends, self.batches)]
+        stacked_designs = [np.stack(designs[span]) for span in spans]
+        Xts = [np.stack([X for X, _, _ in self.sets[span]]).transpose(0, 2, 1) for span in spans]
+        return [
+            (design, wb, out_b, Xt, diff_b, grad_b[:, :-1], grad_b[:, -1])
+            for design, wb, out_b, Xt, diff_b, grad_b in zip(
+                stacked_designs, self.batch_params(WB), self.batch_rows(out), Xts,
+                self.batch_rows(diff), self.batch_params(grad),
+            )
+        ]
 
     def models(self, WB: np.ndarray, kind: str, threshold: float) -> list[list[LinearModel]]:
         """Each set's models, column by column, from the parameter buffer `WB`."""
@@ -202,6 +209,19 @@ class _SetStack:
              for j, param in enumerate(lambdas)]
             for wb, (*_, d), lambdas in zip(self.param_views(WB), self.sets, self.lambdas)
         ]
+
+
+def _margins(lanes: list[tuple]) -> None:
+    """`out = design @ [W; B]`, one batched product per batch."""
+    for design, wb, out, *_ in lanes:
+        np.matmul(design, wb, out=out)
+
+
+def _gradient(lanes: list[tuple]) -> None:
+    """`grad = [X.T @ diff; column sums of diff]`, batch by batch."""
+    for *_, Xt, diff, dW, dB in lanes:
+        np.matmul(Xt, diff, out=dW)
+        np.add.reduce(diff, axis=1, out=dB)
 
 
 def _with_ones(X: np.ndarray) -> np.ndarray:
@@ -223,19 +243,9 @@ def _fit_logistic_stack(sets, config: LogisticConfig) -> list[list[LinearModel]]
     state = AdamState.for_params(params, alpha=config.learning_rate)
     Z, E = stack.rows(), stack.rows()
     nonneg, R = np.empty(Z.shape, dtype=bool), stack.params()
-    lanes = [
-        (Xb, wb, z, X.transpose(0, 2, 1), diff, g[:, :-1])
-        for Xb, X, wb, z, diff, g in zip(
-            stack.stacked([_with_ones(X) for X, _, _ in stack.sets]),
-            stack.stacked([X for X, _, _ in stack.sets]),
-            stack.batch_params(params), stack.batch_rows(Z), stack.batch_rows(E),
-            stack.batch_params(grad),
-        )
-    ]
-    bias_sums = stack.bias_sums(E, grad)
+    lanes = stack.lanes([_with_ones(X) for X, _, _ in stack.sets], params, Z, E, grad)
     for _ in range(config.epochs):
-        for Xb, wb, z, _, _, _ in lanes:
-            np.matmul(Xb, wb, out=z)
+        _margins(lanes)
         # diff = (sigmoid(Z) - y) * mask, with nncore.sigmoid's arithmetic
         np.abs(Z, out=E)
         np.negative(E, out=E)
@@ -246,10 +256,7 @@ def _fit_logistic_stack(sets, config: LogisticConfig) -> list[list[LinearModel]]
         np.divide(E, Z, out=E)
         np.subtract(E, Y, out=E)
         np.multiply(E, stack.mask, out=E)
-        for _, _, _, Xt, diff, dW in lanes:
-            np.matmul(Xt, diff, out=dW)
-        for diff, dB in bias_sums:
-            np.add.reduce(diff, axis=1, out=dB)
+        _gradient(lanes)
         grad /= stack.count
         grad += np.multiply(stack.reg, params, out=R)  # lam * W; the bias row adds 0
         adam_step(params, grad, state)
@@ -308,27 +315,17 @@ def _fit_linear_svm_stack(sets, config: LinearSvmConfig) -> list[list[LinearMode
     ys = [2.0 * y01 - 1.0 for _, y01, _ in stack.sets]
     for y, mask, y_mask in zip(ys, stack.row_views(stack.mask), stack.row_views(y_train)):
         np.multiply(y[:, None], mask, out=y_mask)
-    lanes = [
-        (yXb, wb, m, X.transpose(0, 2, 1), g[:, :-1])
-        for yXb, X, wb, m, g in zip(
-            stack.stacked([y[:, None] * _with_ones(X) for y, (X, _, _) in zip(ys, stack.sets)]),
-            stack.stacked([X for X, _, _ in stack.sets]),
-            stack.batch_params(WB), stack.batch_rows(M), stack.batch_params(grad),
-        )
-    ]
-    bias_sums = stack.bias_sums(M, grad)
+    lanes = stack.lanes(
+        [y[:, None] * _with_ones(X) for y, (X, _, _) in zip(ys, stack.sets)], WB, M, M, grad
+    )
     for t in range(1, config.epochs + 1):
         np.divide(1.0, np.multiply(stack.lam, t, out=eta), out=eta)  # 1/(lam t)
-        for yXb, wb, m, _, _ in lanes:
-            np.matmul(yXb, wb, out=m)
+        _margins(lanes)
         # yv: y on each column's margin-violating training rows, 0
         # elsewhere, in place of the margins M
         np.multiply(y_train, np.less(M, 1.0, out=violates), out=M)
         # [W; B] -= eta * ([lam W; 0] - [X.T @ yv; sum(yv)] / count)
-        for _, _, yv, Xt, dW in lanes:
-            np.matmul(Xt, yv, out=dW)
-        for yv, dB in bias_sums:
-            np.add.reduce(yv, axis=1, out=dB)
+        _gradient(lanes)
         grad /= stack.count
         np.subtract(np.multiply(stack.reg, WB, out=R), grad, out=grad)
         grad *= eta

@@ -87,7 +87,7 @@ def _cmd_run(args) -> int:
 def _cmd_augment(args) -> int:
     config = _load_config(args)
     if args.generator not in AUGMENTER_IDS or args.generator == "none":
-        raise ConfigError(f"--generator must be one of gmm, vae, gan")
+        raise ConfigError("--generator must be one of gmm, vae, gan")
     config = dataclasses.replace(config, augmenters=(args.generator,))
     cfgs = module_configs(config)
     data = prepare(config)

@@ -175,6 +175,8 @@ class ExperimentConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid JSON in {path}: {e}") from None
+        except OSError as e:
+            raise ConfigError(f"cannot read config {path}: {e.strerror}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"{path} must hold a JSON object")
         return cls.from_dict(data, base_dir=path.parent)

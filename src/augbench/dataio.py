@@ -91,7 +91,11 @@ def load_table(path: str | Path, schema: dict[str, str]) -> Table:
     if len(label_cols) != 1:
         raise DataError(f"schema must declare exactly one label column, got {label_cols}")
 
-    with path.open(newline="", encoding="utf-8") as fh:
+    try:
+        fh = path.open(newline="", encoding="utf-8")
+    except OSError as e:
+        raise DataError(f"cannot read dataset {path}: {e.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

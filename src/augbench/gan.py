@@ -127,10 +127,6 @@ def train_gan(
     config = config or GanConfig()
     classes = list(data)
     data = {c: np.asarray(data[c], dtype=float) for c in classes}
-    for c in classes:
-        if data[c].shape[0] < 2:
-            raise ValueError(f"class {c}: need at least 2 rows to train")
-
     vae_cfg = replace(config.vae, epochs=config.pretrain_epochs)
     gens = train_vae(data, vae_cfg, {c: rngs[c].derive("pretrain") for c in classes})
     rows = [len(data[c]) for c in classes]

@@ -116,26 +116,23 @@ def fit_gmm(
     # The covariance floor means each update is not exactly the Q-maximizer,
     # so close to convergence a step can reduce the likelihood by a hair.
     # When that happens we revert to the previous parameters and stop; the
-    # recorded history is the monotone ascent path.
+    # recorded history is the monotone ascent path. EM makes at most
+    # max_iter M-steps, each between two E-steps.
     prev_ll = -np.inf
-    for _ in range(config.max_iter):
+    for step in range(config.max_iter + 1):
         resp, ll = _e_step(data, model)
         if ll < prev_ll:
             model.weights, model.means, model.covariances = prev_params
             break
         model.log_likelihood_history.append(ll)
-        if np.isfinite(prev_ll) and abs(ll - prev_ll) < config.tol * (abs(prev_ll) + 1e-12):
+        if step == config.max_iter or (
+            np.isfinite(prev_ll) and abs(ll - prev_ll) < config.tol * (abs(prev_ll) + 1e-12)
+        ):
             break
         prev_ll = ll
         prev_params = (model.weights, model.means, model.covariances)
         weights, means, covs = _m_step(data, resp, config.cov_floor)
         model.weights, model.means, model.covariances = weights, means, covs
-    else:
-        _, ll = _e_step(data, model)
-        if ll >= prev_ll:
-            model.log_likelihood_history.append(ll)
-        else:
-            model.weights, model.means, model.covariances = prev_params
     return model
 
 

@@ -343,6 +343,23 @@ def test_failing_gan_fails_only_its_row(tmp_path, capsys):
     assert json.loads((out / "run_meta.json").read_text())["contamination"] is False
 
 
+def test_rerun_removes_the_files_of_a_cell_that_now_fails(tmp_path):
+    working = dict(DIVERGING_GAN, export_synthetic=True,
+                   hyperparams={"gan": {"pretrain_epochs": 2, "epochs": 20}})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(working))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    assert (out / "roc_gan_tree.csv").exists() and (out / "synthetic_gan.csv").exists()
+    p.write_text(json.dumps(dict(DIVERGING_GAN, export_synthetic=True)))
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    rows = {r["augmenter"]: r for r in csv.DictReader((out / "results.csv").open())}
+    assert rows["gan"]["error"].startswith("FloatingPointError: ")
+    assert not (out / "roc_gan_tree.csv").exists()
+    assert not (out / "synthetic_gan.csv").exists()
+    assert (out / "roc_none_tree.csv").exists()
+
+
 def test_aggregate_keeps_a_cell_that_failed_in_every_seed(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(DIVERGING_VAE))
@@ -396,6 +413,27 @@ def test_validate_dataset_that_is_not_a_file(tmp_path, capsys, dataset):
     assert main(["validate", "--config", str(p)]) == 1
     err = capsys.readouterr().err
     assert _one_line_error(err) and "dataset file not found" in err
+
+
+def test_unreadable_config_is_a_one_line_error(tmp_path, capsys):
+    assert main(["validate", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and err.startswith(f"error: cannot read config {tmp_path}: ")
+
+
+def test_unreadable_dataset_is_a_one_line_error(config_path, capsys, monkeypatch):
+    path_open = Path.open
+
+    def denied(self, *args, **kwargs):
+        if self.name == FIXTURE_CSV.name:
+            raise PermissionError(13, "Permission denied", str(self))
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", denied)
+    assert main(["validate", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert _one_line_error(err)
+    assert err == f"error: cannot read dataset {FIXTURE_CSV}: Permission denied\n"
 
 
 def test_jobs_flag_exits_with_usage(config_path, capsys):

@@ -29,6 +29,17 @@ def test_log_likelihood_monotone_on_blobs():
     assert np.min(np.diff(ll)) >= -1e-8
 
 
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 10])
+@pytest.mark.parametrize("seed", range(3))
+def test_history_stops_at_max_iter_and_never_decreases(seed, max_iter):
+    # tol 0 never stops early, so EM runs until max_iter or a decrease.
+    data = two_blob_data(RngStream(seed, ("blobs",)), sep=2.0)
+    cfg = GmmConfig(n_components=3, tol=0.0, max_iter=max_iter)
+    ll = np.array(fit_gmm(data, 3, cfg, RngStream(seed, ("fit",))).log_likelihood_history)
+    assert 1 <= len(ll) <= max_iter + 1
+    assert np.all(np.diff(ll) >= 0.0)
+
+
 def test_responsibilities_are_a_distribution():
     data = two_blob_data(RngStream(1, ("blobs",)))
     model = fit_gmm(data, 3, rng=RngStream(1, ("fit",)))

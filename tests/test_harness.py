@@ -9,7 +9,7 @@ import typing
 import numpy as np
 import pytest
 
-from augbench.classifiers import fit_decision_tree, predict_labels
+from augbench.classifiers import base, dense, fit_decision_tree, linear, predict_labels
 from augbench.dataio import apply_preprocess, fit_preprocess, load_table, stratified_split
 from augbench import config, harness
 from augbench.config import (
@@ -283,20 +283,23 @@ def test_seeds_of_different_widths_train_together_as_alone(tmp_path):
 
 @pytest.mark.parametrize("joint_rows, calls", [(700, [2, 2, 2]), (320, [1] * 6)])
 def test_a_grid_over_joint_rows_trains_in_several_calls_as_in_one(monkeypatch, joint_rows, calls):
-    # Each seed has a 300-row "none" set and a 340-row "gmm" set.
+    # Each seed has a 300-row "none" set and a 340-row "gmm" set. Each
+    # linear trainer trains its CV models and then its refits; the dense
+    # trainer has one fit.
     cfg = fast_config(classifiers=("logistic", "svm_linear", "dense"),
                       hyperparams={**FAST_GMM, "logistic": {"epochs": 20},
                                    "svm_linear": {"epochs": 20}, "dense": {"epochs": 10}})
     sizes = []
-    for c, fit_sets in list(harness._SET_FITTERS.items()):
-        monkeypatch.setitem(harness._SET_FITTERS, c, lambda sets, *a, fit_sets=fit_sets: (
-            sizes.append(len(sets)) or fit_sets(sets, *a)))
+    for module, name in [(linear, "_fit_logistic_stack"), (linear, "_fit_linear_svm_stack"),
+                         (dense, "_train_stack")]:
+        monkeypatch.setattr(module, name, lambda sets, *a, train=getattr(module, name): (
+            sizes.append(len(sets)) or train(sets, *a)))
     one_call = run_experiment(cfg, 3)
-    assert sizes == [6] * 3
+    assert sizes == [6] * 5
     sizes.clear()
-    monkeypatch.setattr(harness, "JOINT_ROWS", joint_rows)
+    monkeypatch.setattr(base, "JOINT_ROWS", joint_rows)
     several = run_experiment(cfg, 3)
-    assert sizes == calls * 3
+    assert sizes == calls * 5
     for a, b in zip(one_call, several):
         assert render_results_csv(a) == render_results_csv(b)
         assert [r.roc for r in a.results] == [r.roc for r in b.results]

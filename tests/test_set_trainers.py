@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from augbench.classifiers import base
 from augbench.classifiers.cv import CvError, stratified_kfold
 from augbench.classifiers.dense import DenseNetConfig, fit_dense_net, fit_dense_net_sets
 from augbench.classifiers.linear import (
@@ -241,3 +242,21 @@ def test_a_set_that_fails_its_checks_fails_alone(learner):
         assert isinstance(models[3], CvError)
     for k in (0, 2):
         _assert_same_model(models[k], fit_one(*sets[k], config, rngs[k]))
+
+
+def test_joint_calls_are_bounded_and_only_a_failing_run_is_retried(monkeypatch):
+    monkeypatch.setattr(base, "JOINT_ROWS", 10)
+    # (name, labels): 4 + 5 rows fit one call, 12 rows run alone.
+    sets = [("a", [0] * 4), ("b", [0] * 5), ("c", [0] * 12), ("bad", [0] * 3), ("d", [0] * 3)]
+    calls = []
+
+    def fit_sets(run):
+        calls.append([name for name, _ in run])
+        if any(name == "bad" for name, _ in run):
+            raise ValueError("bad set")
+        return [name.upper() for name, _ in run]
+
+    results = base.fit_jointly(fit_sets, sets)
+    assert calls == [["a", "b"], ["c"], ["bad", "d"], ["bad"], ["d"]]
+    assert results[:3] == ["A", "B", "C"] and results[4] == "D"
+    assert isinstance(results[3], ValueError) and str(results[3]) == "bad set"
