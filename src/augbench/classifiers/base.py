@@ -12,6 +12,12 @@ place, ROW_BLOCK rows at a time. The product itself is never blocked or
 sliced: BLAS sums a block of rows in another order than the whole matrix
 (up to 1.7e-10 relative at 500 rows on OpenBLAS), so a blocked product
 would move every KNN ranking and SVM kernel built on it.
+
+Every classifier has one set trainer, `fit_<x>_sets(sets, config)`: it
+takes `(X, y, rng)` training sets, returns one model per set and raises
+if any set fails. `fit_jointly` is the one place where a failing set's
+exception stands in for its model: it bounds the rows of each set
+trainer call and, when a call raises, fits each of its sets alone.
 """
 
 from __future__ import annotations
@@ -47,24 +53,15 @@ def check_two_classes(y: np.ndarray) -> None:
         raise ValueError("both classes must be present")
 
 
-def attempt(fn, *args):
-    """`fn(*args)`, or the exception it raises."""
-    try:
-        return fn(*args)
-    except Exception as e:
-        return e
-
-
-# The most training rows one joint call takes. A set trainer's buffers
-# hold each of its sets' rows x 20 CV columns at once (about 33 bytes per
-# row and column for the logistic trainer), so sets with more rows than
-# this train in several calls, each of about 7 MB.
+# The most training rows one set trainer call takes. The lockstep
+# trainers' buffers hold each of their sets' rows x 20 CV columns at once
+# (about 33 bytes per row and column for the logistic trainer), so sets
+# with more rows than this train in several calls, each of about 7 MB.
 JOINT_ROWS = 10_000
 
 
 def fit_jointly(fit_sets, sets: list) -> list:
-    """`fit_sets` on every set of `sets`, one entry per set; every joint
-    call of the lockstep trainers goes through here. One call per
+    """`fit_sets` on every set of `sets`, one entry per set: one call per
     consecutive run of at most JOINT_ROWS rows (a set's second field is
     its labels; a larger set runs alone). If a run's call raises, each
     of its sets is fit alone by the same `fit_sets`, so only a faulty
@@ -83,11 +80,3 @@ def fit_jointly(fit_sets, sets: list) -> list:
         except Exception as e:
             results += [e] if len(run) == 1 else [fit_jointly(fit_sets, [s])[0] for s in run]
     return results
-
-
-def only(results: list):
-    """The one entry of a one-set fit, raised if it is an exception."""
-    [result] = results
-    if isinstance(result, Exception):
-        raise result
-    return result

@@ -13,13 +13,11 @@ one-model-per-job reference the tests check these trainers against.
 
 The linear learners train many training sets at once through
 `fit_sets(sets)`, which takes one `(X, y, groups)` per set and returns
-each set's `fit_many` models. `fit_sets_with_cv` builds each set's folds
-from that set's stream, trains every set's CV models in one
-`cross_validate_sets` call, and every set's refit or pinned model in one
-more call, both through `base.fit_jointly`: it bounds the rows of each
-`fit_sets` call and retrains each set alone when a joint call raises, so
-a set that fails, at its checks, its folds or its fit, gets its error
-in place of its result while every other set keeps its model.
+each set's `fit_many` models. `fit_sets_with_cv` takes `(X, y, rng)`
+sets, builds each set's folds from its stream, trains every set's CV
+models in one `cross_validate_sets` call and every set's refit or pinned
+model in one more `fit_sets` call. It raises if any set's folds or fit
+fail: isolating a failing set is `base.fit_jointly`'s job.
 `cross_validate` and `fit_with_cv` are `cross_validate_sets` and
 `fit_sets_with_cv` on one set, the tree's, KNN's or RBF SVM's
 `fit_many`.
@@ -38,7 +36,7 @@ import numpy as np
 
 from ..metrics import accuracy
 from ..rng import RngStream
-from .base import attempt, fit_jointly, only, predict_labels
+from .base import predict_labels
 
 
 class CvError(Exception):
@@ -106,41 +104,28 @@ def cross_validate(
     One `fit_many` call trains every (fold, grid entry) model: one group
     `(train_rows, grid)` per fold.
     """
-    return only(cross_validate_sets(
-        lambda sets: [fit_many(*s) for s in sets], [(features, labels)], folds, grid, [rng]
-    ))
-
-
-def _live(entries: list) -> list[int]:
-    """The indices of the entries that are not exceptions."""
-    return [k for k, e in enumerate(entries) if not isinstance(e, Exception)]
+    [result] = cross_validate_sets(
+        lambda sets: [fit_many(*s) for s in sets], [(features, labels, rng)], folds, grid
+    )
+    return result
 
 
 def cross_validate_sets(
-    fit_sets: FitSets,
-    sets: list,
-    folds: int,
-    grid: Sequence[object],
-    rngs: list[RngStream],
-) -> list:
-    """`cross_validate` for every `(features, labels)` of `sets`, each with
-    folds from its own stream in `rngs`, in one `fit_jointly` call. An
-    entry of `sets` that is an exception (a failed input check) stays
-    its result; a set whose folds cannot be built, or
-    whose fit raises, gets its error as its result."""
+    fit_sets: FitSets, sets: list, folds: int, grid: Sequence[object]
+) -> list[CvResult]:
+    """`cross_validate` for every `(features, labels, rng)` of `sets`, each
+    with folds from its own stream, in one `fit_sets` call."""
     if not grid:
         raise CvError("empty hyperparameter grid")
-    results = [
-        s if isinstance(s, Exception) else attempt(stratified_kfold, s[1], folds, rng.derive("folds"))
-        for s, rng in zip(sets, rngs)
+    splits = [stratified_kfold(y, folds, rng.derive("folds")) for _, y, rng in sets]
+    fitted = fit_sets([
+        (X, y, [(tr, grid) for tr, _ in set_splits])
+        for (X, y, _), set_splits in zip(sets, splits)
+    ])
+    return [
+        _grid_table(models, set_splits, grid, X, y)
+        for models, set_splits, (X, y, _) in zip(fitted, splits, sets)
     ]
-    live = _live(results)
-    fitted = fit_jointly(fit_sets, [(*sets[k], [(tr, grid) for tr, _ in results[k]]) for k in live])
-    for k, models in zip(live, fitted):
-        results[k] = models if isinstance(models, Exception) else _grid_table(
-            models, results[k], grid, *sets[k]
-        )
-    return results
 
 
 def _grid_table(models: list, splits, grid, features, labels) -> CvResult:
@@ -168,9 +153,10 @@ def fit_with_cv(
     """The model `fit_many` trains on all rows at `param`, or with
     `param == "auto"` at the `grid` entry stratified CV picks, with
     `cv_result` attached: `fit_sets_with_cv` on one set."""
-    return only(fit_sets_with_cv(
-        lambda sets: [fit_many(*s) for s in sets], [(X, y)], param, grid, folds, [rng]
-    ))
+    [model] = fit_sets_with_cv(
+        lambda sets: [fit_many(*s) for s in sets], [(X, y, rng)], param, grid, folds
+    )
+    return model
 
 
 def fit_sets_with_cv(
@@ -179,26 +165,20 @@ def fit_sets_with_cv(
     param: object,
     grid: Sequence[object],
     folds: int,
-    rngs: list[RngStream],
 ) -> list:
-    """For every `(X, y)` of `sets`, the model `fit_sets` trains on all
-    rows at `param`, or with `param == "auto"` at the `grid` entry
-    stratified CV picks (folds from the set's stream in `rngs`), with
-    `cv_result` attached: one `cross_validate_sets` call, then one
-    `fit_jointly` call for every refit or pinned fit. An entry of `sets`
-    that is an exception stays its result, and a set whose CV or fit
-    fails gets its error in place of its model."""
+    """For every `(X, y, rng)` of `sets`, the model `fit_sets` trains on
+    all rows at `param`, or with `param == "auto"` at the `grid` entry
+    stratified CV picks (folds from the set's stream), with `cv_result`
+    attached: one `cross_validate_sets` call, then one `fit_sets` call
+    for every refit or pinned fit."""
     auto = param == "auto"
-    results = cross_validate_sets(fit_sets, sets, folds, list(grid), rngs) if auto else list(sets)
-    live = _live(results)
-    fitted = fit_jointly(fit_sets, [
-        (*sets[k], [(np.arange(len(sets[k][1])), [results[k].best_param if auto else param])])
-        for k in live
+    cv_results = (
+        cross_validate_sets(fit_sets, sets, folds, list(grid)) if auto else [None] * len(sets)
+    )
+    fitted = fit_sets([
+        (X, y, [(np.arange(len(y)), [cv.best_param if auto else param])])
+        for (X, y, _), cv in zip(sets, cv_results)
     ])
-    for k, models in zip(live, fitted):
-        if not isinstance(models, Exception):
-            [model] = models
-            model.cv_result = results[k] if auto else None
-            models = model
-        results[k] = models
-    return results
+    for [model], cv in zip(fitted, cv_results):
+        model.cv_result = cv
+    return [model for [model] in fitted]

@@ -5,8 +5,8 @@ lockstep, as `gan.train_gan` trains its classes: the networks of one
 input width are an `nncore.MlpStack` over the sets' stacked rows, so
 every product, bias sum and loss reduction runs on one set's own rows
 and weights, and every elementwise step and Adam update runs once. Each
-network has the bits of one trained alone; `fit_dense_net` is the
-one-set call.
+network has the bits of one trained alone. It raises if any set fails
+its checks or its fit; `fit_dense_net` is its one-set call.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from ..nncore import (
     mlp_forward, row_blocks,
 )
 from ..rng import RngStream
-from .base import attempt, check_two_classes, fit_jointly, only
+from .base import check_two_classes
 
 PROB_CLAMP = 1e-12
 
@@ -49,11 +49,11 @@ class DenseNetModel:
         return {"architecture": "->".join(map(str, sizes))}
 
 
-def _checked_set(X, y) -> tuple[np.ndarray, np.ndarray]:
+def _checked_set(X, y, rng) -> tuple[np.ndarray, np.ndarray, RngStream]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     check_two_classes(y)
-    return X, y
+    return X, y, rng
 
 
 def _train_stack(sets, config: DenseNetConfig) -> list[DenseNetModel]:
@@ -88,29 +88,17 @@ def _train_stack(sets, config: DenseNetConfig) -> list[DenseNetModel]:
     return models
 
 
-def fit_dense_net_sets(
-    sets: list[tuple[np.ndarray, np.ndarray]],
-    config: DenseNetConfig | None = None,
-    rngs: list[RngStream] | None = None,
-) -> list[DenseNetModel | Exception]:
-    """`fit_dense_net` on every `(X, y)` of `sets`, set k with `rngs[k]`:
-    the sets of each input width train in lockstep (see `fit_jointly`).
-    A set that fails its checks or its fit gets its error in place of
-    its model."""
-    config = config or DenseNetConfig()
-    rngs = rngs or [RngStream(0, ("dense",))] * len(sets)
-    results = [attempt(_checked_set, X, y) for X, y in sets]
-    by_width = {}
-    for k, s in enumerate(results):
-        if not isinstance(s, Exception):
-            by_width.setdefault(s[0].shape[1], []).append(k)
-    for ks in by_width.values():
-        fitted = fit_jointly(
-            lambda group: _train_stack(group, config), [(*results[k], rngs[k]) for k in ks]
-        )
-        for k, model in zip(ks, fitted):
-            results[k] = model
-    return results
+def fit_dense_net_sets(sets: list, config: DenseNetConfig) -> list[DenseNetModel]:
+    """`fit_dense_net` on every `(X, y, rng)` of `sets`: the sets of each
+    input width train in one loop. Raises if any set fails its checks or
+    its fit."""
+    checked = [_checked_set(*s) for s in sets]
+    models = [None] * len(sets)
+    for width in sorted({X.shape[1] for X, _, _ in checked}):
+        ks = [k for k, (X, _, _) in enumerate(checked) if X.shape[1] == width]
+        for k, model in zip(ks, _train_stack([checked[k] for k in ks], config)):
+            models[k] = model
+    return models
 
 
 def fit_dense_net(
@@ -118,4 +106,6 @@ def fit_dense_net(
     config: DenseNetConfig | None = None,
     rng: RngStream | None = None,
 ) -> DenseNetModel:
-    return only(fit_dense_net_sets([(X, y)], config, rng and [rng]))
+    rng = rng or RngStream(0, ("dense",))
+    [model] = fit_dense_net_sets([(X, y, rng)], config or DenseNetConfig())
+    return model

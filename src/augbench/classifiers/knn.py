@@ -141,3 +141,8 @@ def fit_knn(
         lambda Xt, yt, groups: _fit_knn_many(Xt, yt, groups, config.weighting),
         X, y, config.k, grid, config.cv_folds, rng,
     )
+
+
+def fit_knn_sets(sets: list, config: KnnConfig) -> list[KnnModel]:
+    """`fit_knn` on each `(X, y, rng)` of `sets`, one after another."""
+    return [fit_knn(X, y, config, rng) for X, y, rng in sets]

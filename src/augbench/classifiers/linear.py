@@ -17,8 +17,8 @@ of a call (`base.fit_jointly` bounds its rows) runs in the same epoch
 loop. The trainer fits the J = 20 fold x lambda models of every set's
 CV, and then, in a second call, each set's refit or pinned lambda as a
 J = 1 problem on all its rows (see `cv.fit_sets_with_cv`). `fit_*_sets`
-wraps it with each set's input checks, and `fit_logistic` and
-`fit_linear_svm` are its one-set calls.
+checks every `(X, y, rng)` set's input and wraps it; it raises if any
+set fails. `fit_logistic` and `fit_linear_svm` are its one-set calls.
 `logistic_loss_grad` is the per-model loss and gradient that the tests
 check by finite differences; the trainers do not call it, so no loss is
 computed on the training path.
@@ -50,7 +50,7 @@ import numpy as np
 
 from ..nncore import AdamState, adam_step, sigmoid
 from ..rng import RngStream
-from .base import attempt, check_two_classes, only
+from .base import check_two_classes
 from .cv import CvResult, fit_sets_with_cv
 
 LOGISTIC_LAMBDA_GRID = (1.0, 0.1, 0.01, 0.0)
@@ -263,28 +263,21 @@ def _fit_logistic_stack(sets, config: LogisticConfig) -> list[list[LinearModel]]
     return stack.models(params, "logistic", 0.5)
 
 
-def _checked_set(X, y) -> tuple[np.ndarray, np.ndarray]:
+def _checked_set(X, y, rng) -> tuple[np.ndarray, np.ndarray, RngStream]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     check_two_classes(y)
-    return X, y
+    return X, y, rng
 
 
-def fit_logistic_sets(
-    sets: list[tuple[np.ndarray, np.ndarray]],
-    config: LogisticConfig | None = None,
-    rngs: list[RngStream] | None = None,
-) -> list[LinearModel | Exception]:
-    """`fit_logistic` on every `(X, y)` of `sets`, set k with `rngs[k]`:
-    every set's CV models are trained in one loop, and then every refit
-    or pinned model in another. A set that fails its checks or its fit
-    gets its error in place of its model."""
-    config = config or LogisticConfig()
+def fit_logistic_sets(sets: list, config: LogisticConfig) -> list[LinearModel]:
+    """`fit_logistic` on every `(X, y, rng)` of `sets`: every set's CV
+    models are trained in one loop, and then every refit or pinned model
+    in another. Raises if any set fails its checks, its folds or its fit."""
     return fit_sets_with_cv(
         lambda stacked: _fit_logistic_stack(stacked, config),
-        [attempt(_checked_set, X, y) for X, y in sets],
+        [_checked_set(*s) for s in sets],
         config.reg_lambda, config.lambda_grid, config.cv_folds,
-        rngs or [RngStream(0, ("logistic",))] * len(sets),
     )
 
 
@@ -293,7 +286,9 @@ def fit_logistic(
     config: LogisticConfig | None = None,
     rng: RngStream | None = None,
 ) -> LinearModel:
-    return only(fit_logistic_sets([(X, y)], config, rng and [rng]))
+    rng = rng or RngStream(0, ("logistic",))
+    [model] = fit_logistic_sets([(X, y, rng)], config or LogisticConfig())
+    return model
 
 
 def _check_svm_lambda(reg_lambda):
@@ -333,19 +328,13 @@ def _fit_linear_svm_stack(sets, config: LinearSvmConfig) -> list[list[LinearMode
     return stack.models(WB, "linear-svm", 0.0)
 
 
-def fit_linear_svm_sets(
-    sets: list[tuple[np.ndarray, np.ndarray]],
-    config: LinearSvmConfig | None = None,
-    rngs: list[RngStream] | None = None,
-) -> list[LinearModel | Exception]:
-    """`fit_linear_svm` on every `(X, y)` of `sets`, as `fit_logistic_sets`
-    trains logistic models."""
-    config = config or LinearSvmConfig()
+def fit_linear_svm_sets(sets: list, config: LinearSvmConfig) -> list[LinearModel]:
+    """`fit_linear_svm` on every `(X, y, rng)` of `sets`, as
+    `fit_logistic_sets` trains logistic models."""
     return fit_sets_with_cv(
         lambda stacked: _fit_linear_svm_stack(stacked, config),
-        [attempt(_checked_set, X, y) for X, y in sets],
+        [_checked_set(*s) for s in sets],
         config.reg_lambda, config.lambda_grid, config.cv_folds,
-        rngs or [RngStream(0, ("linear-svm",))] * len(sets),
     )
 
 
@@ -354,4 +343,6 @@ def fit_linear_svm(
     config: LinearSvmConfig | None = None,
     rng: RngStream | None = None,
 ) -> LinearModel:
-    return only(fit_linear_svm_sets([(X, y)], config, rng and [rng]))
+    rng = rng or RngStream(0, ("linear-svm",))
+    [model] = fit_linear_svm_sets([(X, y, rng)], config or LinearSvmConfig())
+    return model

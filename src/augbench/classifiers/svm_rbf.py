@@ -202,3 +202,8 @@ def fit_rbf_svm(
         lambda Xt, yt, groups: _fit_rbf_svm_many(Xt, yt, groups, config),
         X, y, config.C, config.c_grid, config.cv_folds, rng,
     )
+
+
+def fit_rbf_svm_sets(sets: list, config: RbfSvmConfig) -> list[RbfSvmModel]:
+    """`fit_rbf_svm` on each `(X, y, rng)` of `sets`, one after another."""
+    return [fit_rbf_svm(X, y, config, rng) for X, y, rng in sets]

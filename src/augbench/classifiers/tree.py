@@ -185,3 +185,8 @@ def fit_decision_tree(
         np.asarray(X, dtype=float), np.asarray(y, dtype=int),
         config.max_depth, config.depth_grid, config.cv_folds, rng,
     )
+
+
+def fit_decision_tree_sets(sets: list, config: TreeConfig) -> list[DecisionTreeModel]:
+    """`fit_decision_tree` on each `(X, y, rng)` of `sets`, one after another."""
+    return [fit_decision_tree(X, y, config, rng) for X, y, rng in sets]

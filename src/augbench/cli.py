@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ import numpy as np
 from .config import AUGMENTER_IDS, ConfigError, ExperimentConfig, module_configs
 from .dataio import DataError
 from .harness import (
+    RUN_FILES,
     GeneratorError,
     build_augmented_sets,
     checked_prepare,
@@ -60,6 +62,24 @@ def _make_output_dir(path: Path) -> Path | None:
     return missing[-1] if missing else None
 
 
+def _remove_other_layouts(root: Path, outdirs: list[Path]) -> None:
+    """Remove from `root` what a run with other seeds left: the one-seed
+    files at its root or its `aggregate.csv`, and the files of each
+    `seed_<n>` directory not in `outdirs`. Only files with a run's artifact
+    names are removed, and a seed directory only once it is empty."""
+    seed_dirs = [d for d in root.glob("seed_*") if d not in outdirs and d.is_dir()
+                 and not d.is_symlink() and re.fullmatch(r"seed_\d+", d.name)]
+    one_seed = outdirs == [root]
+    run_dirs = seed_dirs if one_seed else [root, *seed_dirs]
+    stale = [path for d in run_dirs for pattern in RUN_FILES for path in d.glob(pattern)]
+    for path in stale + ([root / "aggregate.csv"] if one_seed else []):
+        if path.is_file():
+            path.unlink()
+    for seed_dir in seed_dirs:
+        if not any(seed_dir.iterdir()):
+            seed_dir.rmdir()
+
+
 def _cmd_run(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
@@ -80,6 +100,7 @@ def _cmd_run(args) -> int:
 
     if len(seeds) > 1:
         (root / "aggregate.csv").write_text(render_aggregate_csv(all_bundles))
+    _remove_other_layouts(root, outdirs)
     print(f"wrote {len(all_bundles)} run(s) to {config.output_dir}")
     return 0
 

@@ -3,13 +3,14 @@
 Per seed: one dataset load, one stratified split, one augmented training
 set per augmenter (the test set is never augmented). Then every classifier
 is trained on every training set of every seed, classifier by classifier:
-the logistic, linear-SVM and dense-net set trainers take all of a
-classifier's (seed, augmenter) cells in one call and train them in
-lockstep (`classifiers.base.fit_jointly` bounds the rows of each joint
-loop), and the tree, KNN and RBF SVM fit each cell in turn. Each grid
-cell draws from an RngStream keyed by (seed, augmenter, classifier), so
-execution order cannot change results, and each cell's model has the
-bits of a fit on its set alone.
+`_fit_cells` passes all of a classifier's (seed, augmenter) cells to its
+set trainer through one `classifiers.base.fit_jointly` call, which bounds
+the rows of each trainer call and fits each set of a failing call alone,
+so a failing cell fails alone. The logistic, linear-SVM and dense-net
+set trainers train their sets in lockstep; the tree, KNN and RBF SVM fit
+them one after another. Each grid cell draws from an RngStream keyed by
+(seed, augmenter, classifier), so execution order cannot change results,
+and each cell's model has the bits of a fit on its set alone.
 
 `emit_report` writes one seed's files: report.md, results.csv and
 roc_<augmenter>_<classifier>.csv as `report` renders them,
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import classifiers as clf
 from .augment import SyntheticBatch
-from .classifiers.base import attempt
+from .classifiers.base import fit_jointly
 from .config import ExperimentConfig, check_data_bounds, module_configs
 from .dataio import (
     PreprocessPlan,
@@ -57,15 +58,13 @@ class GeneratorError(Exception):
     """A generator raised; the message is "{type}: {message}" of its error."""
 
 
-# Fit one training set; `run_experiment` calls each once per cell.
-_FITTERS = {
-    "tree": clf.fit_decision_tree,
-    "knn": clf.fit_knn,
-    "svm_rbf": clf.fit_rbf_svm,
-}
-# Fit every cell's training set in one call, one model or error per set.
-_SET_FITTERS = {
+# Each classifier's set trainer: one model per `(X, y, rng)` set; it
+# raises if any set fails.
+_FIT_SETS = {
+    "tree": clf.fit_decision_tree_sets,
+    "knn": clf.fit_knn_sets,
     "logistic": clf.fit_logistic_sets,
+    "svm_rbf": clf.fit_rbf_svm_sets,
     "svm_linear": clf.fit_linear_svm_sets,
     "dense": clf.fit_dense_net_sets,
 }
@@ -136,21 +135,10 @@ def build_augmented_sets(
     return sets
 
 
-def _fit_cells(classifier: str, sets: list, clf_config, rngs: list) -> list:
-    """`(model or error, fit milliseconds)` for each `(X, y)` of `sets`,
-    set k with `rngs[k]`. A lockstepped fit's time is split evenly across
-    its sets."""
-    if classifier in _SET_FITTERS:
-        start = time.perf_counter()
-        models = _SET_FITTERS[classifier](sets, clf_config, rngs)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return [(model, elapsed_ms / len(models)) for model in models]
-    fitted = []
-    for (X, y), rng in zip(sets, rngs):
-        start = time.perf_counter()
-        model = attempt(_FITTERS[classifier], X, y, clf_config, rng)
-        fitted.append((model, (time.perf_counter() - start) * 1000.0))
-    return fitted
+def _fit_cells(classifier: str, sets: list, clf_config) -> list:
+    """The model of each `(X, y, rng)` of `sets`, or the error its fit
+    raised: one `fit_jointly` call of the classifier's set trainer."""
+    return fit_jointly(lambda run: _FIT_SETS[classifier](run, clf_config), sets)
 
 
 def _score_cell(
@@ -164,7 +152,8 @@ def _score_cell(
     y_test: np.ndarray,
 ) -> EvalResult:
     """The cell's result from its fitted model, or from the error its fit
-    raised; its duration is `fit_ms` plus the scoring time."""
+    raised; its duration is `fit_ms`, its share of its classifier's joint
+    fit, plus its own scoring time."""
     result = EvalResult(augmenter=augmenter, classifier=classifier)
     start = time.perf_counter()
     try:
@@ -217,24 +206,28 @@ def run_experiment(
         if not isinstance(sets[aug], GeneratorError)
     ]
     scored = [{} for _ in seeds]  # per seed, (augmenter, classifier) -> EvalResult
+    fit_ms = {}  # classifier -> wall time of its joint fit, every seed's cells
     for c in config.classifiers:
-        fitted = _fit_cells(
-            c, [aug_sets[k][aug][:2] for k, aug in cells], cfgs[c],
-            [RngStream(seeds[k].seed, ("cell", aug, c)) for k, aug in cells],
-        )
-        for (k, aug), (model, fit_ms) in zip(cells, fitted):
+        start = time.perf_counter()
+        models = _fit_cells(c, [
+            (*aug_sets[k][aug][:2], RngStream(seeds[k].seed, ("cell", aug, c)))
+            for k, aug in cells
+        ], cfgs[c])
+        fit_ms[c] = (time.perf_counter() - start) * 1000.0
+        for (k, aug), model in zip(cells, models):
             X_aug, y_aug, _ = aug_sets[k][aug]
             scored[k][aug, c] = _score_cell(
-                aug, c, model, fit_ms, X_aug, y_aug, prepared[k].X_test, prepared[k].y_test
+                aug, c, model, fit_ms[c] / len(cells), X_aug, y_aug,
+                prepared[k].X_test, prepared[k].y_test,
             )
-    return list(map(_bundle, seeds, prepared, aug_sets, scored))
+    return [_bundle(*seed, fit_ms) for seed in zip(seeds, prepared, aug_sets, scored)]
 
 
 def _bundle(
-    config: ExperimentConfig, data: PreparedData, aug_sets: dict, scored: dict
+    config: ExperimentConfig, data: PreparedData, aug_sets: dict, scored: dict, fit_ms: dict
 ) -> ReportBundle:
-    """One seed's ReportBundle from its augmented sets and its scored
-    cells, keyed by (augmenter, classifier)."""
+    """One seed's ReportBundle from its augmented sets, its scored cells,
+    keyed by (augmenter, classifier), and each classifier's joint fit time."""
     built = {a: s for a, s in aug_sets.items() if not isinstance(s, GeneratorError)}
     y_train = data.y_train
     # Test purity: the test set comes straight from the original split
@@ -256,6 +249,7 @@ def _bundle(
         plan=data.plan,
         augmented=built,
         contamination=contamination,
+        classifier_fit_ms=fit_ms,
     )
 
 
@@ -270,10 +264,18 @@ def write_synthetic_csv(
     return path
 
 
+# The names of the files `emit_report` writes into a run's directory.
+RUN_FILES = ("report.md", "results.csv", "run_meta.json", "roc_*.csv", "synthetic_*.csv")
+
+
 def emit_report(bundle: ReportBundle, output_dir: str | Path) -> list[Path]:
     """Write report.md, results.csv, per-cell ROC files, run_meta.json and,
     with `export_synthetic`, each generator's synthetic training rows;
-    delete the roc_*.csv and synthetic_*.csv files an earlier run left."""
+    delete the roc_*.csv and synthetic_*.csv files an earlier run left.
+
+    run_meta.json's `classifier_fit_ms` times each classifier's joint fit
+    of all seeds' cells; a cell's `cell_durations_ms` entry is its even
+    share of that fit plus its own scoring."""
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -301,12 +303,13 @@ def emit_report(bundle: ReportBundle, output_dir: str | Path) -> list[Path]:
         "n_train": bundle.n_train,
         "n_test": bundle.n_test,
         "contamination": bundle.contamination,
+        "classifier_fit_ms": {c: round(ms, 1) for c, ms in bundle.classifier_fit_ms.items()},
         "cell_durations_ms": {
             f"{r.augmenter}/{r.classifier}": round(r.duration_ms, 1)
             for r in bundle.results
         },
     }
     put("run_meta.json", json.dumps(meta, indent=2) + "\n")
-    for stale in {*outdir.glob("roc_*.csv"), *outdir.glob("synthetic_*.csv")} - set(written):
+    for stale in {p for pattern in RUN_FILES for p in outdir.glob(pattern)} - set(written):
         stale.unlink()
     return written

@@ -63,6 +63,8 @@ class ReportBundle:
     # normalized feature space. The batch is None for "none".
     augmented: dict[str, tuple[np.ndarray, np.ndarray, SyntheticBatch | None]]
     contamination: bool = False
+    # Wall time of each classifier's joint fit of the run's cells, in ms.
+    classifier_fit_ms: dict[str, float] = field(default_factory=dict)
 
     def cell(self, augmenter: str, classifier: str) -> EvalResult:
         for r in self.results:

@@ -360,6 +360,35 @@ def test_rerun_removes_the_files_of_a_cell_that_now_fails(tmp_path):
     assert (out / "roc_none_tree.csv").exists()
 
 
+def _files(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("first, second", [(2, 1), (1, 2), (3, 2)],
+                         ids=["seeds_then_one", "one_then_seeds", "fewer_seeds"])
+def test_rerun_with_other_seeds_leaves_only_its_own_files(config_path, tmp_path, first, second):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    run = ["run", "--config", str(config_path)]
+    assert main(run + ["--out", str(out), "--seeds", str(first)]) == 0
+    assert main(run + ["--out", str(out), "--seeds", str(second)]) == 0
+    assert main(run + ["--out", str(fresh), "--seeds", str(second)]) == 0
+    assert _files(out) == _files(fresh)
+
+
+def test_rerun_keeps_a_users_files_and_their_seed_directory(config_path, tmp_path):
+    out = tmp_path / "out"
+    run = ["run", "--config", str(config_path), "--out", str(out)]
+    assert main(run + ["--seeds", "2"]) == 0
+    for name in ("notes.txt", "seed_1/notes.txt", "seed_1/old/results.csv"):
+        (out / name).parent.mkdir(exist_ok=True)
+        (out / name).write_text("kept\n")
+    assert main(run) == 0
+    assert not (out / "seed_0").exists() and not (out / "aggregate.csv").exists()
+    assert _files(out / "seed_1") == ["notes.txt", "old", "old/results.csv"]
+    assert (out / "notes.txt").read_text() == "kept\n"
+    assert (out / "report.md").exists()
+
+
 def test_aggregate_keeps_a_cell_that_failed_in_every_seed(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(DIVERGING_VAE))

@@ -204,8 +204,8 @@ def test_stacked_cv_hook_chooses_like_the_per_model_loop(name, monkeypatch):
     X, y = _two_blobs()
     config = config_cls(**extra, **{field: "auto"})
     fitter(X, y, config, RngStream(0, (name,)))
-    ((fit_sets, ((X_cv, y_cv),), folds, grid, (rng,)),) = calls
-    [given] = real(fit_sets, [(X_cv, y_cv)], folds, grid, [rng])
+    ((fit_sets, ((X_cv, y_cv, rng),), folds, grid),) = calls
+    [given] = real(fit_sets, [(X_cv, y_cv, rng)], folds, grid)
     oracle = per_job(lambda Xt, yt, param: PER_MODEL[name](Xt, yt, param, config))
     loop = cross_validate(oracle, X_cv, y_cv, folds, grid, rng)
     assert given.best_index == loop.best_index

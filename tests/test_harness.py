@@ -186,7 +186,8 @@ def test_bundle_flags_a_row_in_train_and_test(test_indices, shared):
     )
     config = fast_config(augmenters=("none",), classifiers=("tree",))
     bundle = harness._bundle(
-        config, data, {"none": (X, y, None)}, {("none", "tree"): EvalResult("none", "tree")}
+        config, data, {"none": (X, y, None)}, {("none", "tree"): EvalResult("none", "tree")},
+        {"tree": 0.0},
     )
     assert bundle.contamination is shared
 
@@ -359,9 +360,18 @@ def test_emit_report_writes_expected_files(tmp_path):
 
 
 def test_durations_never_reach_deterministic_artifacts(tmp_path):
-    [bundle] = run_experiment(fast_config())
-    assert "duration" not in render_results_csv(bundle)
-    assert "duration" not in render_report_md(bundle)
+    cfg = fast_config()
+    metas = []
+    for seed, bundle in enumerate(run_experiment(cfg, 2)):
+        outdir = tmp_path / f"seed_{seed}"
+        emit_report(bundle, outdir)
+        metas.append(json.loads((outdir / "run_meta.json").read_text()))
+        for name in ("report.md", "results.csv"):
+            text = (outdir / name).read_text()
+            assert "duration" not in text and "fit_ms" not in text
+    # One joint fit per classifier trains both seeds' cells, timed once.
+    assert list(metas[0]["classifier_fit_ms"]) == list(cfg.classifiers)
+    assert metas[0]["classifier_fit_ms"] == metas[1]["classifier_fit_ms"]
 
 
 def test_export_synthetic_csv_rounds_one_hot_blocks():

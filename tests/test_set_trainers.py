@@ -1,6 +1,7 @@
 """The set trainers of the logistic, linear-SVM and dense-net classifiers:
 every set's model equals its one-set fit bit for bit, whatever the other
-sets hold, and a set that fails its checks or its fit fails alone."""
+sets hold. Through the harness's one `fit_jointly` call, a set that fails
+its checks or its fit fails alone, for every classifier."""
 
 from dataclasses import replace
 
@@ -8,10 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from augbench import harness
 from augbench.classifiers import base
 from augbench.classifiers.cv import CvError, stratified_kfold
 from augbench.classifiers.dense import DenseNetConfig, fit_dense_net, fit_dense_net_sets
+from augbench.classifiers.knn import KnnConfig, fit_knn
 from augbench.classifiers.linear import (
+    LinearModel,
     LinearSvmConfig,
     _SetStack,
     LogisticConfig,
@@ -22,7 +26,9 @@ from augbench.classifiers.linear import (
     fit_logistic,
     fit_logistic_sets,
 )
-from augbench.config import ExperimentConfig
+from augbench.classifiers.svm_rbf import RbfSvmConfig, fit_rbf_svm
+from augbench.classifiers.tree import TreeConfig, fit_decision_tree
+from augbench.config import CLASSIFIER_IDS, ExperimentConfig
 from augbench.harness import prepare
 from augbench.rng import RngStream
 from conftest import REPO, flat_jobs, ref_fit_linear_svm_many, ref_fit_logistic_many
@@ -40,9 +46,9 @@ LINEAR = {
 
 @st.composite
 def training_sets(draw):
-    """1-4 training sets, often of one shape (12, 13 or 24 rows, both
-    classes with at least FOLDS rows, and 1-3 features), and a fit stream
-    per set."""
+    """1-4 `(X, y, rng)` training sets, often of one shape (12, 13 or 24
+    rows, both classes with at least FOLDS rows, and 1-3 features), each
+    with its own fit stream."""
     k = draw(st.integers(1, 4))
     sizes = draw(st.lists(st.sampled_from([12, 13, 24]), min_size=k, max_size=k))
     widths = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
@@ -51,8 +57,8 @@ def training_sets(draw):
     for i, (n, d) in enumerate(zip(sizes, widths)):
         y = rng.derive(f"y{i}").permutation(np.arange(n) % 2)
         X = rng.derive(f"x{i}").normal(size=(n, d)) + y[:, None]
-        sets.append((X, y))
-    return sets, [rng.derive(f"fit{i}") for i in range(k)]
+        sets.append((X, y, rng.derive(f"fit{i}")))
+    return sets
 
 
 def _assert_same_linear(model, alone):
@@ -71,11 +77,10 @@ def _assert_same_linear(model, alone):
 )
 def test_linear_set_trainers_equal_one_set_fits(learner, data, reg_lambda, epochs):
     fit_sets, fit_one, config_cls, _, _ = LINEAR[learner]
-    sets, rngs = data
     config = config_cls(reg_lambda=reg_lambda, epochs=epochs, cv_folds=FOLDS)
-    models = fit_sets(sets, config, rngs)
-    assert len(models) == len(sets)
-    for model, (X, y), rng in zip(models, sets, rngs):
+    models = fit_sets(data, config)
+    assert len(models) == len(data)
+    for model, (X, y, rng) in zip(models, data):
         alone = fit_one(X, y, config, rng)
         _assert_same_linear(model, alone)
         if reg_lambda == "auto":
@@ -99,10 +104,9 @@ def test_stacked_trainers_equal_one_set_runs_and_the_reference(learner, data, la
     # a one-column product to gemv, whose `[X | 1] @ [w; b]` can differ from
     # the reference's `X @ w + b` in the last bit.
     _, _, config_cls, stack, ref = LINEAR[learner]
-    sets, rngs = data
     config = config_cls(epochs=epochs)
     stacked = []
-    for (X, y), rng, (folds, n_lams) in zip(sets, rngs, layouts):
+    for (X, y, rng), (folds, n_lams) in zip(data, layouts):
         lams = list(config.lambda_grid[:n_lams])
         if folds:
             groups = [(tr, lams) for tr, _ in stratified_kfold(y, FOLDS, rng)]
@@ -164,11 +168,10 @@ def test_sets_of_one_shape_with_few_columns_train_as_alone(learner, width, n_lam
 @settings(max_examples=30, deadline=None)
 @given(data=training_sets(), epochs=st.integers(0, 15))
 def test_dense_set_trainer_equals_one_set_fits(data, epochs):
-    sets, rngs = data
     config = DenseNetConfig(hidden=(5, 3), epochs=epochs)
-    models = fit_dense_net_sets(sets, config, rngs)
-    assert len(models) == len(sets)
-    for model, (X, y), rng in zip(models, sets, rngs):
+    models = fit_dense_net_sets(data, config)
+    assert len(models) == len(data)
+    for model, (X, y, rng) in zip(models, data):
         alone = fit_dense_net(X, y, config, rng)
         assert np.array_equal(model.params.flat, alone.params.flat)
         assert model.loss_history.shape == alone.loss_history.shape == (epochs,)
@@ -177,12 +180,19 @@ def test_dense_set_trainer_equals_one_set_fits(data, epochs):
 
 # ----------------------------------------------------------- failing sets
 
-SET_TRAINERS = {
-    "logistic": (fit_logistic_sets, fit_logistic, LogisticConfig(epochs=30, cv_folds=FOLDS)),
-    "svm_linear": (fit_linear_svm_sets, fit_linear_svm,
-                   LinearSvmConfig(epochs=30, cv_folds=FOLDS)),
-    "dense": (fit_dense_net_sets, fit_dense_net, DenseNetConfig(hidden=(4, 3), epochs=30)),
+# classifier -> (one-set fit, config)
+ONE_SET = {
+    "tree": (fit_decision_tree, TreeConfig(cv_folds=FOLDS)),
+    "knn": (fit_knn, KnnConfig(cv_folds=FOLDS)),
+    "logistic": (fit_logistic, LogisticConfig(epochs=30, cv_folds=FOLDS)),
+    "svm_rbf": (fit_rbf_svm, RbfSvmConfig(cv_folds=FOLDS)),
+    "svm_linear": (fit_linear_svm, LinearSvmConfig(epochs=30, cv_folds=FOLDS)),
+    "dense": (fit_dense_net, DenseNetConfig(hidden=(4, 3), epochs=30)),
 }
+
+
+def test_every_classifier_has_one_set_trainer():
+    assert set(harness._FIT_SETS) == set(ONE_SET) == set(CLASSIFIER_IDS)
 
 
 def _healthy(i, n, d):
@@ -191,57 +201,83 @@ def _healthy(i, n, d):
     return rng.derive("x").normal(size=(n, d)) + y[:, None], y
 
 
-def _assert_same_model(model, alone):
+def _fit_stream(k):
+    return RngStream(k, ("fit",))
+
+
+def _assert_same_model(model, alone, X):
+    assert type(model) is type(alone)
+    assert model.hyperparams == alone.hyperparams
+    assert np.array_equal(model.decision_scores(X), alone.decision_scores(X))
     if hasattr(model, "params"):
         assert np.array_equal(model.params.flat, alone.params.flat)
         assert model.loss_history.shape == alone.loss_history.shape
         assert np.array_equal(model.loss_history, alone.loss_history)
-    else:
+    elif isinstance(model, LinearModel):
         _assert_same_linear(model, alone)
 
 
-@pytest.mark.parametrize("learner", sorted(SET_TRAINERS))
+@pytest.mark.parametrize("learner", sorted(ONE_SET))
 def test_a_set_whose_fit_raises_fails_alone(learner):
-    fit_sets, fit_one, config = SET_TRAINERS[learner]
+    fit_one, config = ONE_SET[learner]
     sets = [_healthy(0, 30, 3), _healthy(1, 24, 3), _healthy(2, 36, 2)]
     X_bad, y_bad = _healthy(3, 30, 3)
     if learner == "dense":
         # A 1e300 column only saturates the net's sigmoid; a NaN fails its
         # loss check.
         X_bad[4, 1] = np.nan
+    elif learner == "tree":
+        # The column splits the classes, and its split's midpoint overflows.
+        X_bad[:, 1] = 1.6e308 + 1e307 * y_bad
     else:
-        X_bad[:, 1] = 1e300  # the joint loop overflows on this set's products
+        X_bad[:, 1] = 1e300  # its squared distances and linear products overflow
     sets.insert(1, (X_bad, y_bad))
-    rngs = [RngStream(k, ("fit",)) for k in range(len(sets))]
     with np.errstate(over="raise", invalid="raise"):
-        models = fit_sets(sets, config, rngs)
+        models = harness._fit_cells(
+            learner, [(X, y, _fit_stream(k)) for k, (X, y) in enumerate(sets)], config
+        )
         with pytest.raises(FloatingPointError) as alone_error:
-            fit_one(X_bad, y_bad, config, rngs[1])
-        alone = [fit_one(X, y, config, rng) for (X, y), rng in zip(sets, rngs) if X is not X_bad]
+            fit_one(X_bad, y_bad, config, _fit_stream(1))
+        alone = {k: fit_one(X, y, config, _fit_stream(k))
+                 for k, (X, y) in enumerate(sets) if k != 1}
     assert isinstance(models[1], FloatingPointError)
     assert str(models[1]) == str(alone_error.value)
-    for model, expected in zip(models[:1] + models[2:], alone):
-        _assert_same_model(model, expected)
+    for k, expected in alone.items():
+        _assert_same_model(models[k], expected, sets[k][0])
 
 
-@pytest.mark.parametrize("learner", sorted(SET_TRAINERS))
+ONE_CLASS = (np.zeros((8, 3)), np.zeros(8, dtype=int))
+NO_ROWS = (np.zeros((0, 3)), np.zeros(0, dtype=int))
+# classifier -> (a set that fails its checks, the error's type and message).
+# The tree and KNN accept a set of one class; the tree checks nothing before
+# its folds.
+FAILS_CHECKS = {
+    "tree": (NO_ROWS, CvError, f"could not build {FOLDS} stratified folds with both classes"),
+    "knn": (NO_ROWS, ValueError, "empty training set"),
+    **{learner: (ONE_CLASS, ValueError, "both classes must be present")
+       for learner in ("logistic", "svm_rbf", "svm_linear", "dense")},
+}
+
+
+@pytest.mark.parametrize("learner", sorted(ONE_SET))
 def test_a_set_that_fails_its_checks_fails_alone(learner):
-    fit_sets, fit_one, config = SET_TRAINERS[learner]
-    one_class = (np.zeros((8, 3)), np.zeros(8, dtype=int))
-    sets = [_healthy(0, 30, 3), one_class, _healthy(1, 24, 3)]
+    fit_one, config = ONE_SET[learner]
+    bad, error_type, message = FAILS_CHECKS[learner]
+    sets = [_healthy(0, 30, 3), bad, _healthy(1, 24, 3)]
     # Two rows of one class cannot fill FOLDS folds; the dense net has no CV.
     few = (np.ones((6, 3)), np.array([0, 0, 0, 0, 1, 1]))
     sets.append(few)
-    rngs = [RngStream(k, ("fit",)) for k in range(len(sets))]
-    models = fit_sets(sets, config, rngs)
-    assert isinstance(models[1], ValueError)
-    assert str(models[1]) == "both classes must be present"
+    models = harness._fit_cells(
+        learner, [(X, y, _fit_stream(k)) for k, (X, y) in enumerate(sets)], config
+    )
+    assert type(models[1]) is error_type
+    assert str(models[1]) == message
     if learner == "dense":
-        _assert_same_model(models[3], fit_one(*few, config, rngs[3]))
+        _assert_same_model(models[3], fit_one(*few, config, _fit_stream(3)), few[0])
     else:
         assert isinstance(models[3], CvError)
     for k in (0, 2):
-        _assert_same_model(models[k], fit_one(*sets[k], config, rngs[k]))
+        _assert_same_model(models[k], fit_one(*sets[k], config, _fit_stream(k)), sets[k][0])
 
 
 def test_joint_calls_are_bounded_and_only_a_failing_run_is_retried(monkeypatch):
