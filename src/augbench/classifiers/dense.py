@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..nncore import (
-    AdamState, GradBuffer, MlpParams, MlpStack, adam_step, init_mlp, mlp_backward,
-    mlp_forward, row_blocks,
+    AdamState, GradBuffer, MlpParams, MlpStack, adam_step, block_means, init_mlp,
+    mlp_backward, mlp_forward, row_blocks,
 )
 from ..rng import RngStream
 from .base import check_two_classes
@@ -76,9 +76,8 @@ def _train_stack(sets, config: DenseNetConfig) -> list[DenseNetModel]:
         p = np.minimum(np.maximum(acts[-1], PROB_CLAMP), 1.0 - PROB_CLAMP)  # np.clip
         not_p = 1.0 - p
         log_lik = y * np.log(p) + not_y * np.log(not_p)
-        for model, (rows, size) in zip(models, blocks):
-            # -np.mean(...), as np.add.reduce / size: the same bits without the wrapper.
-            loss = float(-(np.add.reduce(log_lik[rows], axis=None) / size))
+        for model, mean in zip(models, block_means(log_lik, blocks)):
+            loss = -mean
             if not math.isfinite(loss):
                 raise FloatingPointError(f"non-finite loss at epoch {epoch}")
             model.loss_history[epoch] = loss

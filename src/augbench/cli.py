@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import re
 import shutil
 import sys
 from pathlib import Path
@@ -23,16 +22,15 @@ import numpy as np
 from .config import AUGMENTER_IDS, ConfigError, ExperimentConfig, module_configs
 from .dataio import DataError
 from .harness import (
-    RUN_FILES,
     GeneratorError,
     build_augmented_sets,
     checked_prepare,
-    emit_report,
     prepare,
     run_experiment,
+    seed_dirs,
+    write_run,
     write_synthetic_csv,
 )
-from .report import render_aggregate_csv
 from .rng import SEED_MAX
 
 
@@ -62,24 +60,6 @@ def _make_output_dir(path: Path) -> Path | None:
     return missing[-1] if missing else None
 
 
-def _remove_other_layouts(root: Path, outdirs: list[Path]) -> None:
-    """Remove from `root` what a run with other seeds left: the one-seed
-    files at its root or its `aggregate.csv`, and the files of each
-    `seed_<n>` directory not in `outdirs`. Only files with a run's artifact
-    names are removed, and a seed directory only once it is empty."""
-    seed_dirs = [d for d in root.glob("seed_*") if d not in outdirs and d.is_dir()
-                 and not d.is_symlink() and re.fullmatch(r"seed_\d+", d.name)]
-    one_seed = outdirs == [root]
-    run_dirs = seed_dirs if one_seed else [root, *seed_dirs]
-    stale = [path for d in run_dirs for pattern in RUN_FILES for path in d.glob(pattern)]
-    for path in stale + ([root / "aggregate.csv"] if one_seed else []):
-        if path.is_file():
-            path.unlink()
-    for seed_dir in seed_dirs:
-        if not any(seed_dir.iterdir()):
-            seed_dir.rmdir()
-
-
 def _cmd_run(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
@@ -89,19 +69,11 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"seed + --seeds - 1 must be <= {SEED_MAX}, got {last_seed}")
     # Every check, and the output directories, before the first cell trains.
     checked = checked_prepare(config)
-    seeds = [config.seed + i for i in range(args.seeds)]
-    root = Path(config.output_dir)
-    outdirs = [root / f"seed_{s}" if len(seeds) > 1 else root for s in seeds]
-    for outdir in outdirs:
+    for outdir in seed_dirs(config.output_dir, [config.seed + i for i in range(args.seeds)]):
         _make_output_dir(outdir)
-    all_bundles = run_experiment(config, args.seeds, checked)
-    for bundle, outdir in zip(all_bundles, outdirs):
-        emit_report(bundle, outdir)
-
-    if len(seeds) > 1:
-        (root / "aggregate.csv").write_text(render_aggregate_csv(all_bundles))
-    _remove_other_layouts(root, outdirs)
-    print(f"wrote {len(all_bundles)} run(s) to {config.output_dir}")
+    bundles = run_experiment(config, args.seeds, checked)
+    write_run(config.output_dir, bundles)
+    print(f"wrote {len(bundles)} run(s) to {config.output_dir}")
     return 0
 
 

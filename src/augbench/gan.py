@@ -22,8 +22,8 @@ import numpy as np
 
 from .augment import SyntheticBatch, augment_per_class
 from .nncore import (
-    AdamState, GradBuffer, MlpParams, MlpStack, adam_step, init_mlp, mlp_backward,
-    mlp_forward, mlp_input_grad, row_blocks,
+    AdamState, GradBuffer, MlpParams, MlpStack, adam_step, block_means, init_mlp,
+    mlp_backward, mlp_forward, mlp_input_grad, row_blocks,
 )
 from .rng import RngStream
 from .vae import VaeConfig, VaeModel, sample_vae, train_vae
@@ -56,12 +56,6 @@ def _clamp(p: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
 
 
-def _neg_mean_logs(log_p: np.ndarray, blocks: list[tuple[slice, int]]) -> list[float]:
-    """`np.mean(-log_p[rows])` per block: negating the sum instead of each
-    term, and `np.add.reduce / size` instead of `np.mean`, give the same bits."""
-    return [float(-np.add.reduce(log_p[rows], axis=None) / size) for rows, size in blocks]
-
-
 def _discriminator_losses(
     disc: MlpParams | MlpStack,
     real: np.ndarray,
@@ -85,9 +79,10 @@ def _discriminator_losses(
     q_f = 1.0 - _clamp(acts[-1])
     mlp_backward(disc, acts, 0.5 / (q_f * n_f), fake_out, input_grad=False)
     out.flat += fake_out.flat
-    loss_r = _neg_mean_logs(np.log(p_r), blocks_r)
-    loss_f = _neg_mean_logs(np.log(q_f), blocks_f)
-    return [0.5 * (r + f) for r, f in zip(loss_r, loss_f)], out.arrays
+    # Negating a mean is exact: these are the bits of the mean of -log p.
+    mean_r = block_means(np.log(p_r), blocks_r)
+    mean_f = block_means(np.log(q_f), blocks_f)
+    return [-0.5 * (r + f) for r, f in zip(mean_r, mean_f)], out.arrays
 
 
 def discriminator_loss(
@@ -107,7 +102,7 @@ def _generator_loss(
     acts = mlp_forward(disc, fake)
     p = _clamp(acts[-1])
     d_fake = mlp_input_grad(disc, acts, -1.0 / (p * n))
-    return _neg_mean_logs(np.log(p), blocks), d_fake
+    return [-mean for mean in block_means(np.log(p), blocks)], d_fake
 
 
 def _check_finite(losses: list[float], classes: list[int]) -> None:

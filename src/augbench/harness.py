@@ -12,17 +12,25 @@ them one after another. Each grid cell draws from an RngStream keyed by
 (seed, augmenter, classifier), so execution order cannot change results,
 and each cell's model has the bits of a fit on its set alone.
 
-`emit_report` writes one seed's files: report.md, results.csv and
+`harness` alone owns a run's output tree. `seed_dirs` lays it out: the
+output root for one seed, root/seed_<s> for several. `write_run` writes
+each seed's files through `emit_report` (report.md, results.csv and
 roc_<augmenter>_<classifier>.csv as `report` renders them,
-synthetic_<generator>.csv on request, and run_meta.json, and removes the
-ROC and synthetic files an earlier run left in its directory. Wall-clock
-durations live only in run_meta.json so the other files are
-byte-identical across reruns of the same (config, seed).
+synthetic_<generator>.csv on request, and run_meta.json), and aggregate.csv
+at the root for several seeds. Then one removal pass, over the root, the
+seed directories it wrote and every other real (not symlinked) seed_<n>/
+there, deletes each file with a run-artifact name (`RUN_FILES`, and
+aggregate.csv at the root) that this run did not write, and each seed_<n>/
+it did not write once that is empty; so a user's files, and the seed
+directories that hold them, stay. Wall-clock durations live only in
+run_meta.json so the other files are byte-identical across reruns of the
+same (config, seed).
 """
 
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -47,6 +55,7 @@ from .report import (
     EvalResult,
     ReportBundle,
     export_synthetic_csv,
+    render_aggregate_csv,
     render_report_md,
     render_results_csv,
 )
@@ -264,14 +273,41 @@ def write_synthetic_csv(
     return path
 
 
-# The names of the files `emit_report` writes into a run's directory.
+# The names of the files `emit_report` writes into a seed's directory.
 RUN_FILES = ("report.md", "results.csv", "run_meta.json", "roc_*.csv", "synthetic_*.csv")
+
+
+def seed_dirs(root: str | Path, seeds: list[int]) -> list[Path]:
+    """Each seed's output directory: `root` for one seed, `root`/seed_<s> for several."""
+    return [Path(root) / f"seed_{s}" for s in seeds] if len(seeds) > 1 else [Path(root)]
+
+
+def write_run(root: str | Path, bundles: list[ReportBundle]) -> None:
+    """Write a run's files into its `seed_dirs`, then make the one removal
+    pass over `root` and its real seed_<n>/ that the module docstring states."""
+    root = Path(root)
+    outdirs = seed_dirs(root, [b.config.seed for b in bundles])
+    written = {p for bundle, outdir in zip(bundles, outdirs) for p in emit_report(bundle, outdir)}
+    aggregate = root / "aggregate.csv"
+    if len(bundles) > 1:
+        aggregate.write_text(render_aggregate_csv(bundles))
+        written.add(aggregate)
+    old_dirs = [d for d in root.glob("seed_*") if d not in outdirs and d.is_dir()
+                and not d.is_symlink() and re.fullmatch(r"seed_\d+", d.name)]
+    dirs = {root, *outdirs, *old_dirs}
+    named = [p for d in dirs for pattern in RUN_FILES for p in d.glob(pattern)]
+    for path in [aggregate, *named]:
+        if path not in written and path.is_file():
+            path.unlink()
+    for old_dir in old_dirs:
+        if not any(old_dir.iterdir()):
+            old_dir.rmdir()
 
 
 def emit_report(bundle: ReportBundle, output_dir: str | Path) -> list[Path]:
     """Write report.md, results.csv, per-cell ROC files, run_meta.json and,
     with `export_synthetic`, each generator's synthetic training rows;
-    delete the roc_*.csv and synthetic_*.csv files an earlier run left.
+    return the paths written. Files an earlier run left are `write_run`'s.
 
     run_meta.json's `classifier_fit_ms` times each classifier's joint fit
     of all seeds' cells; a cell's `cell_durations_ms` entry is its even
@@ -310,6 +346,4 @@ def emit_report(bundle: ReportBundle, output_dir: str | Path) -> list[Path]:
         },
     }
     put("run_meta.json", json.dumps(meta, indent=2) + "\n")
-    for stale in {p for pattern in RUN_FILES for p in outdir.glob(pattern)} - set(written):
-        stale.unlink()
     return written

@@ -28,9 +28,7 @@ loop builds its stack once and trains `stack.nets`.
 
 Every step does only the work its caller reads, with the arithmetic of
 the plain formulas: activations and ReLU masks are applied in place on
-the step's own temporaries, and a one-output layer backpropagates
-`delta @ W.T` as the elementwise `delta * W.T` (one product per element
-and no sum, so the same values up to the sign of an exact zero).
+the step's own temporaries.
 
 Conventions fixed for test exactness:
 * ReLU derivative at exactly 0 is 0.
@@ -220,6 +218,12 @@ class MlpStack:
         return [net.views(vector[k * size:(k + 1) * size]) for k, net in enumerate(self.nets)]
 
 
+def block_means(values: np.ndarray, blocks: list[tuple[slice, int]]) -> list[float]:
+    """`np.mean(values[rows])` of each (rows, size) of `blocks`, as
+    `np.add.reduce / size`: the same bits without the wrapper."""
+    return [float(np.add.reduce(values[rows], axis=None) / size) for rows, size in blocks]
+
+
 def row_blocks(
     params: MlpParams | MlpStack, x: np.ndarray
 ) -> tuple[list[tuple[slice, int]], np.ndarray | int]:
@@ -285,16 +289,13 @@ def _backward(
         delta = _backprop_activation(delta, activations[i + 1], stack.activations[i], i < last)
         a = activations[i]
         through = i > 0 or input_grad
-        # A one-output layer multiplies by W.T elementwise: the products of
-        # `delta @ W.T` without the one-term sum.
-        product = np.multiply if stack.outputs[i].shape[1] == 1 else np.dot
         for k, (rows, _, _, weights_t, _, target) in enumerate(stack.lanes[i]):
             d = delta[rows]
             if grads is not None:
                 np.dot(a[rows].T, d, grads[k][2 * i])
                 np.add.reduce(d, axis=0, out=grads[k][2 * i + 1])
             if through:
-                product(d, weights_t, target)
+                np.dot(d, weights_t, target)
         if not through:
             return None
         delta = stack.input_grads[i]

@@ -24,8 +24,8 @@ import numpy as np
 
 from .augment import SyntheticBatch, augment_per_class
 from .nncore import (
-    AdamState, GradBuffer, MlpParams, MlpStack, adam_step, init_mlp, mlp_backward,
-    mlp_forward, row_blocks,
+    AdamState, GradBuffer, MlpParams, MlpStack, adam_step, block_means, init_mlp,
+    mlp_backward, mlp_forward, row_blocks,
 )
 from .rng import RngStream
 
@@ -119,15 +119,10 @@ def _vae_losses(
     recon = dec_acts[-1]
     # Squared error summed over features (unit-variance Gaussian decoder
     # up to constants), averaged over the block; KL averaged over the block.
-    # np.mean as np.add.reduce / size: the same bits without the wrapper.
     residual = recon - batch
     sq_error = np.add.reduce(residual**2, axis=1)
     kl = kl_divergence(mu, logvar)
-    losses = [
-        float(np.add.reduce(sq_error[rows]) / size)
-        + beta * float(np.add.reduce(kl[rows]) / size)
-        for rows, size in blocks
-    ]
+    losses = [e + beta * k for e, k in zip(block_means(sq_error, blocks), block_means(kl, blocks))]
 
     # Backward: reconstruction path through the decoder into z.
     d_recon = 2.0 * residual / n

@@ -389,6 +389,35 @@ def test_rerun_keeps_a_users_files_and_their_seed_directory(config_path, tmp_pat
     assert (out / "report.md").exists()
 
 
+_USER_FILES = st.sets(st.sampled_from(["notes.txt", *(f"seed_{n}/notes.txt" for n in range(5))]))
+
+
+@settings(max_examples=6, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2)), min_size=2, max_size=3),
+       users=st.lists(_USER_FILES, min_size=2, max_size=2))
+def test_reruns_leave_the_last_runs_tree_and_the_users_files(runs, users):
+    # `runs` holds (--seeds, --seed) pairs; users[i] is written after run i.
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out, fresh = Path(tmp) / "cfg.json", Path(tmp) / "out", Path(tmp) / "fresh"
+        config.write_text(json.dumps(FAST))
+        kept = set()
+        for (seeds, seed), names in zip(runs, [*users, set()]):
+            argv = ["run", "--config", str(config), "--seeds", str(seeds), "--seed", str(seed)]
+            assert main(argv + ["--out", str(out)]) == 0
+            for name in names:
+                (out / name).parent.mkdir(exist_ok=True)
+                (out / name).write_text("kept\n")
+            kept |= names
+        assert main(argv + ["--out", str(fresh)]) == 0
+        holders = {str(Path(name).parent) for name in kept} - {"."}
+        assert _files(out) == sorted({*_files(fresh), *kept, *holders})
+        for name in kept:
+            assert (out / name).read_text() == "kept\n"
+        for name in _files(fresh):
+            if (fresh / name).is_file() and Path(name).name != "run_meta.json":
+                assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_aggregate_keeps_a_cell_that_failed_in_every_seed(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(DIVERGING_VAE))
