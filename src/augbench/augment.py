@@ -6,7 +6,9 @@ rounding so the total is exact). A generator's fit function receives every
 class at once, so the VAE and GAN can train their classes in one loop;
 the GMM fits its classes one after the other. Synthetic rows are appended
 after the originals and tracked by a provenance record so the harness can
-assert the test set is never contaminated.
+assert the test set is never contaminated. A generator that raises fails
+its row of the grid with a `GeneratorError`, which the CLI reports as a
+one-line error.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .rng import RngStream
+
+
+class GeneratorError(Exception):
+    """A generator raised; the message is "{type}: {message}" of its error."""
 
 
 @dataclass

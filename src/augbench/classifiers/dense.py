@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..config import DenseNetConfig
 from ..nncore import (
     AdamState, GradBuffer, MlpParams, MlpStack, adam_step, block_means, init_mlp,
     mlp_backward, mlp_forward, row_blocks,
@@ -24,13 +25,6 @@ from ..rng import RngStream
 from .base import check_two_classes
 
 PROB_CLAMP = 1e-12
-
-
-@dataclass
-class DenseNetConfig:
-    hidden: tuple[int, int] = field(default=(16, 8), metadata={"ge": 1})
-    epochs: int = field(default=500, metadata={"ge": 0})
-    learning_rate: float = field(default=1e-3, metadata={"gt": 0})
 
 
 @dataclass

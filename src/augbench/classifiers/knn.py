@@ -19,25 +19,15 @@ ranked once for the whole k grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
+from ..config import KnnConfig
 from ..rng import RngStream
 from .base import ROW_BLOCK, sq_distances
 from .cv import CvResult, fit_with_cv
 
-DEFAULT_K_GRID = (1, 3, 5, 7, 9, 11)
 DIST_EPS = 1e-9
-
-
-@dataclass
-class KnnConfig:
-    # "auto" = pick from k_grid by CV
-    k: int | Literal["auto"] = field(default="auto", metadata={"ge": 1})
-    k_grid: tuple[int, ...] = field(default=DEFAULT_K_GRID, metadata={"ge": 1})
-    weighting: Literal["uniform", "inverse"] = "inverse"
-    cv_folds: int = field(default=5, metadata={"ge": 2})
 
 
 class NeighbourMemo:

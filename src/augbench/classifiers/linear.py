@@ -44,35 +44,14 @@ from numpy's matrix-vector product, which at some widths differs from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
+from ..config import LinearSvmConfig, LogisticConfig
 from ..nncore import AdamState, adam_step, sigmoid
 from ..rng import RngStream
 from .base import check_two_classes
 from .cv import CvResult, fit_sets_with_cv
-
-LOGISTIC_LAMBDA_GRID = (1.0, 0.1, 0.01, 0.0)
-SVM_LAMBDA_GRID = (1.0, 0.1, 0.01, 0.001)
-
-
-@dataclass
-class LogisticConfig:
-    reg_lambda: float | Literal["auto"] = field(default="auto", metadata={"ge": 0})
-    lambda_grid: tuple[float, ...] = field(default=LOGISTIC_LAMBDA_GRID, metadata={"ge": 0})
-    epochs: int = field(default=1000, metadata={"ge": 0})
-    learning_rate: float = field(default=0.05, metadata={"gt": 0})
-    cv_folds: int = field(default=5, metadata={"ge": 2})
-
-
-@dataclass
-class LinearSvmConfig:
-    # Pegasos steps by 1/(lambda t), so lambda must be positive.
-    reg_lambda: float | Literal["auto"] = field(default="auto", metadata={"gt": 0})
-    lambda_grid: tuple[float, ...] = field(default=SVM_LAMBDA_GRID, metadata={"gt": 0})
-    epochs: int = field(default=2000, metadata={"ge": 0})
-    cv_folds: int = field(default=5, metadata={"ge": 2})
 
 
 @dataclass

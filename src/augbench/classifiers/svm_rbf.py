@@ -32,27 +32,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
+from ..config import RbfSvmConfig
 from ..rng import RngStream
 from .base import check_two_classes, sq_distances
 from .cv import CvResult, fit_with_cv
 
 log = logging.getLogger(__name__)
-
-DEFAULT_C_GRID = (0.1, 1.0, 10.0)
-
-
-@dataclass
-class RbfSvmConfig:
-    C: float | Literal["auto"] = field(default="auto", metadata={"gt": 0})
-    c_grid: tuple[float, ...] = field(default=DEFAULT_C_GRID, metadata={"gt": 0})
-    gamma: float | None = field(default=None, metadata={"gt": 0})  # None = 1/d
-    kkt_tol: float = field(default=1e-3, metadata={"gt": 0})  # on the gap m - M
-    max_iter: int = field(default=20000, metadata={"ge": 1})
-    cv_folds: int = field(default=5, metadata={"ge": 2})
 
 
 @dataclass

@@ -16,23 +16,12 @@ grid, and reads it at each grid depth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
+from ..config import TreeConfig
 from ..rng import RngStream
 from .cv import CvResult, fit_with_cv
-
-DEFAULT_DEPTH_GRID: tuple = (2, 3, 4, 5, 6, 8, None)
-
-
-@dataclass
-class TreeConfig:
-    # "auto" = pick from depth_grid by CV; None = no limit
-    max_depth: int | None | Literal["auto"] = field(default="auto", metadata={"ge": 0})
-    depth_grid: tuple[int | None, ...] = field(default=DEFAULT_DEPTH_GRID, metadata={"ge": 0})
-    min_samples_split: int = field(default=2, metadata={"ge": 2})
-    cv_folds: int = field(default=5, metadata={"ge": 2})
 
 
 @dataclass

@@ -6,6 +6,10 @@ Subcommands:
   validate — check the config, then load, split and preprocess as run does
 
 Seed precedence: --seed flag > AUGBENCH_SEED env var > config file.
+
+`run` and `augment` import `harness`, and with it every generator and
+classifier, when they start; `validate` imports no learner, so it loads
+only `config`, `dataio`, `augment` and `rng`.
 """
 
 from __future__ import annotations
@@ -19,18 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import AUGMENTER_IDS, ConfigError, ExperimentConfig, module_configs
-from .dataio import DataError
-from .harness import (
-    GeneratorError,
-    build_augmented_sets,
-    checked_prepare,
-    prepare,
-    run_experiment,
-    seed_dirs,
-    write_run,
-    write_synthetic_csv,
+from .augment import GeneratorError
+from .config import (
+    AUGMENTER_IDS, ConfigError, ExperimentConfig, checked_prepare, module_configs,
 )
+from .dataio import DataError, prepare
 from .rng import SEED_MAX
 
 
@@ -61,6 +58,8 @@ def _make_output_dir(path: Path) -> Path | None:
 
 
 def _cmd_run(args) -> int:
+    from . import harness
+
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     config = _load_config(args)
@@ -69,15 +68,18 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"seed + --seeds - 1 must be <= {SEED_MAX}, got {last_seed}")
     # Every check, and the output directories, before the first cell trains.
     checked = checked_prepare(config)
-    for outdir in seed_dirs(config.output_dir, [config.seed + i for i in range(args.seeds)]):
+    seeds = [config.seed + i for i in range(args.seeds)]
+    for outdir in harness.seed_dirs(config.output_dir, seeds):
         _make_output_dir(outdir)
-    bundles = run_experiment(config, args.seeds, checked)
-    write_run(config.output_dir, bundles)
+    bundles = harness.run_experiment(config, args.seeds, checked)
+    harness.write_run(config.output_dir, bundles)
     print(f"wrote {len(bundles)} run(s) to {config.output_dir}")
     return 0
 
 
 def _cmd_augment(args) -> int:
+    from . import harness
+
     config = _load_config(args)
     if args.generator not in AUGMENTER_IDS or args.generator == "none":
         raise ConfigError("--generator must be one of gmm, vae, gan")
@@ -86,13 +88,13 @@ def _cmd_augment(args) -> int:
     data = prepare(config)
     outdir = Path(config.output_dir)
     made = _make_output_dir(outdir)
-    sets = build_augmented_sets(config, data.X_train, data.y_train, cfgs)
+    sets = harness.build_augmented_sets(config, data.X_train, data.y_train, cfgs)
     built = sets[args.generator]
     if isinstance(built, GeneratorError):
         if made is not None:  # a failed augment writes nothing
             shutil.rmtree(made)
         raise built
-    path = write_synthetic_csv(outdir, built, data.plan)
+    path = harness.write_synthetic_csv(outdir, built, data.plan)
     print(f"wrote {built[2].n_synthetic} synthetic rows to {path}")
     return 0
 

@@ -1,10 +1,18 @@
 """Experiment config: the JSON file's schema and every check on its values.
 
+Every section of `hyperparams` is a dataclass here, `GmmConfig` through
+`DenseNetConfig`, with its fields, defaults (the default grids included)
+and bounds; each generator and classifier module imports its own. So
+checking a config loads no learner: this module imports numpy, `rng`
+and, for `checked_prepare`, `dataio`.
+
 `ExperimentConfig` checks each field against its annotation and bounds,
 `module_configs` builds each generator's and classifier's config from
 its `hyperparams` section the same way, and `check_data_bounds` checks
-the hyperparameters that depend on the training rows. Every failed check
-raises one ConfigError with a one-line message naming the field.
+the hyperparameters that depend on the training rows. `checked_prepare`
+runs all three with `dataio.prepare`: what `augbench validate` checks and
+`augbench run` checks before it trains. Every failed check raises one
+ConfigError with a one-line message naming the field.
 """
 
 from __future__ import annotations
@@ -23,19 +31,106 @@ from typing import Literal
 
 import numpy as np
 
-from . import classifiers as clf
-from .gan import GanConfig
-from .gmm import GmmConfig
+from .dataio import PreparedData, prepare
 from .rng import SEED_MAX
-from .vae import VaeConfig
 
 AUGMENTER_IDS = ("none", "gmm", "vae", "gan")
 CLASSIFIER_IDS = ("tree", "knn", "logistic", "svm_rbf", "svm_linear", "dense")
 
+DEFAULT_DEPTH_GRID: tuple = (2, 3, 4, 5, 6, 8, None)
+DEFAULT_K_GRID = (1, 3, 5, 7, 9, 11)
+LOGISTIC_LAMBDA_GRID = (1.0, 0.1, 0.01, 0.0)
+SVM_LAMBDA_GRID = (1.0, 0.1, 0.01, 0.001)
+DEFAULT_C_GRID = (0.1, 1.0, 10.0)
+
+
+@dataclass
+class GmmConfig:
+    n_components: int = field(default=3, metadata={"ge": 1})
+    tol: float = field(default=1e-6, metadata={"ge": 0})  # relative log-likelihood change
+    max_iter: int = field(default=200, metadata={"ge": 1})
+    cov_floor: float = field(default=1e-6, metadata={"gt": 0})
+    select_k_bic: bool = False  # pick K in 1..bic_k_max by BIC; n_components unused
+    bic_k_max: int = field(default=5, metadata={"ge": 1})
+
+
+@dataclass
+class VaeConfig:
+    hidden_size: int = field(default=16, metadata={"ge": 1})
+    latent_dim: int = field(default=4, metadata={"ge": 1})
+    epochs: int = field(default=500, metadata={"ge": 0})
+    learning_rate: float = field(default=1e-3, metadata={"gt": 0})
+    beta: float = field(default=1.0, metadata={"ge": 0})
+
+
+@dataclass
+class GanConfig:
+    pretrain_epochs: int = field(default=500, metadata={"ge": 0})
+    epochs: int = field(default=4000, metadata={"ge": 0})
+    learning_rate: float = field(default=3e-4, metadata={"gt": 0})  # generator step size
+    # None = same as generator
+    disc_learning_rate: float | None = field(default=1e-3, metadata={"gt": 0})
+    disc_hidden: tuple[int, int] = field(default=(32, 16), metadata={"ge": 1})
+    vae: VaeConfig = field(default_factory=VaeConfig)
+
+
+@dataclass
+class TreeConfig:
+    # "auto" = pick from depth_grid by CV; None = no limit
+    max_depth: int | None | Literal["auto"] = field(default="auto", metadata={"ge": 0})
+    depth_grid: tuple[int | None, ...] = field(default=DEFAULT_DEPTH_GRID, metadata={"ge": 0})
+    min_samples_split: int = field(default=2, metadata={"ge": 2})
+    cv_folds: int = field(default=5, metadata={"ge": 2})
+
+
+@dataclass
+class KnnConfig:
+    # "auto" = pick from k_grid by CV
+    k: int | Literal["auto"] = field(default="auto", metadata={"ge": 1})
+    k_grid: tuple[int, ...] = field(default=DEFAULT_K_GRID, metadata={"ge": 1})
+    weighting: Literal["uniform", "inverse"] = "inverse"
+    cv_folds: int = field(default=5, metadata={"ge": 2})
+
+
+@dataclass
+class LogisticConfig:
+    reg_lambda: float | Literal["auto"] = field(default="auto", metadata={"ge": 0})
+    lambda_grid: tuple[float, ...] = field(default=LOGISTIC_LAMBDA_GRID, metadata={"ge": 0})
+    epochs: int = field(default=1000, metadata={"ge": 0})
+    learning_rate: float = field(default=0.05, metadata={"gt": 0})
+    cv_folds: int = field(default=5, metadata={"ge": 2})
+
+
+@dataclass
+class LinearSvmConfig:
+    # Pegasos steps by 1/(lambda t), so lambda must be positive.
+    reg_lambda: float | Literal["auto"] = field(default="auto", metadata={"gt": 0})
+    lambda_grid: tuple[float, ...] = field(default=SVM_LAMBDA_GRID, metadata={"gt": 0})
+    epochs: int = field(default=2000, metadata={"ge": 0})
+    cv_folds: int = field(default=5, metadata={"ge": 2})
+
+
+@dataclass
+class RbfSvmConfig:
+    C: float | Literal["auto"] = field(default="auto", metadata={"gt": 0})
+    c_grid: tuple[float, ...] = field(default=DEFAULT_C_GRID, metadata={"gt": 0})
+    gamma: float | None = field(default=None, metadata={"gt": 0})  # None = 1/d
+    kkt_tol: float = field(default=1e-3, metadata={"gt": 0})  # on the gap m - M
+    max_iter: int = field(default=20000, metadata={"ge": 1})
+    cv_folds: int = field(default=5, metadata={"ge": 2})
+
+
+@dataclass
+class DenseNetConfig:
+    hidden: tuple[int, int] = field(default=(16, 8), metadata={"ge": 1})
+    epochs: int = field(default=500, metadata={"ge": 0})
+    learning_rate: float = field(default=1e-3, metadata={"gt": 0})
+
+
 _SECTIONS = {
-    "gmm": GmmConfig, "vae": VaeConfig, "gan": GanConfig, "tree": clf.TreeConfig,
-    "knn": clf.KnnConfig, "logistic": clf.LogisticConfig, "svm_linear": clf.LinearSvmConfig,
-    "svm_rbf": clf.RbfSvmConfig, "dense": clf.DenseNetConfig,
+    "gmm": GmmConfig, "vae": VaeConfig, "gan": GanConfig, "tree": TreeConfig,
+    "knn": KnnConfig, "logistic": LogisticConfig, "svm_linear": LinearSvmConfig,
+    "svm_rbf": RbfSvmConfig, "dense": DenseNetConfig,
 }
 # The values each scalar annotation accepts, and how an error names them. A
 # bool is neither an integer nor a number here, although Python counts it as
@@ -241,3 +336,12 @@ def check_data_bounds(config: ExperimentConfig, cfgs: dict, y_train: np.ndarray)
                     f"{section}.k_grid must hold an entry <= {fold_rows} (training rows "
                     f"less one CV fold), got {list(cfg.k_grid)}"
                 )
+
+
+def checked_prepare(config: ExperimentConfig) -> tuple[dict, PreparedData]:
+    """`(module_configs(config), prepare(config))`, after `check_data_bounds`:
+    what `augbench validate` checks, and `augbench run` before it trains."""
+    cfgs = module_configs(config)
+    data = prepare(config)
+    check_data_bounds(config, cfgs, data.y_train)
+    return cfgs, data

@@ -4,7 +4,8 @@ The pipeline is: `load_table` (parse + clean into a column-oriented
 `Table`), `stratified_split` on `Table.labels` (per-class proportional
 train/test cut), `fit_preprocess` on `Table.take(train_indices)`
 (z-score statistics, category maps), and `apply_preprocess` on the whole
-table (design matrix + labels).
+table (design matrix + labels). `prepare` runs it for one config's seed
+and returns the `PreparedData` that `run`, `augment` and `validate` use.
 
 Cleaning policy: rows with the wrong cell count, unparsable or
 non-finite numeric cells, or label values outside {0, 1} are dropped and
@@ -19,10 +20,14 @@ import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .rng import RngStream
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +97,7 @@ def load_table(path: str | Path, schema: dict[str, str]) -> Table:
         raise DataError(f"schema must declare exactly one label column, got {label_cols}")
 
     try:
-        fh = path.open(newline="", encoding="utf-8")
+        fh = path.open(newline="", encoding="utf-8-sig")
     except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e.strerror}") from None
     with fh:
@@ -217,3 +222,33 @@ def stratified_split(
     train = np.sort(np.concatenate(train_parts))
     test = np.sort(np.concatenate(test_parts))
     return SplitPair(train_indices=train, test_indices=test)
+
+
+@dataclass
+class PreparedData:
+    """One seed's stratified split, preprocessed with statistics fitted on
+    its training rows only."""
+
+    plan: PreprocessPlan
+    train_indices: np.ndarray
+    test_indices: np.ndarray
+    X_train: np.ndarray
+    y_train: np.ndarray
+    X_test: np.ndarray
+    y_test: np.ndarray
+    dropped_row_count: int
+
+
+def prepare(config: ExperimentConfig) -> PreparedData:
+    """Load the dataset, split it by `config.seed` and preprocess it."""
+    table = load_table(config.dataset, config.schema)
+    split = stratified_split(
+        table.labels, config.test_fraction, RngStream(config.seed).derive("split")
+    )
+    # Preprocessing statistics come from the training rows only.
+    plan = fit_preprocess(table.take(split.train_indices))
+    X_all, y_all = apply_preprocess(table, plan)
+    tr, te = split.train_indices, split.test_indices
+    return PreparedData(
+        plan, tr, te, X_all[tr], y_all[tr], X_all[te], y_all[te], table.dropped_row_count
+    )

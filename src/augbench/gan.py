@@ -16,30 +16,20 @@ into its own rows. Every class's model has the bits of a GAN trained alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .augment import SyntheticBatch, augment_per_class
+from .config import GanConfig
 from .nncore import (
     AdamState, GradBuffer, MlpParams, MlpStack, adam_step, block_means, init_mlp,
     mlp_backward, mlp_forward, mlp_input_grad, row_blocks,
 )
 from .rng import RngStream
-from .vae import VaeConfig, VaeModel, sample_vae, train_vae
+from .vae import VaeModel, sample_vae, train_vae
 
 PROB_CLAMP = 1e-7
-
-
-@dataclass
-class GanConfig:
-    pretrain_epochs: int = field(default=500, metadata={"ge": 0})
-    epochs: int = field(default=4000, metadata={"ge": 0})
-    learning_rate: float = field(default=3e-4, metadata={"gt": 0})  # generator step size
-    # None = same as generator
-    disc_learning_rate: float | None = field(default=1e-3, metadata={"gt": 0})
-    disc_hidden: tuple[int, int] = field(default=(32, 16), metadata={"ge": 1})
-    vae: VaeConfig = field(default_factory=VaeConfig)
 
 
 @dataclass

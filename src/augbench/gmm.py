@@ -10,24 +10,15 @@ is monotone non-decreasing, which the tests assert.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .augment import SyntheticBatch, augment_per_class
+from .config import GmmConfig
 from .rng import RngStream
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class GmmConfig:
-    n_components: int = field(default=3, metadata={"ge": 1})
-    tol: float = field(default=1e-6, metadata={"ge": 0})  # relative log-likelihood change
-    max_iter: int = field(default=200, metadata={"ge": 1})
-    cov_floor: float = field(default=1e-6, metadata={"gt": 0})
-    select_k_bic: bool = False  # pick K in 1..bic_k_max by BIC; n_components unused
-    bic_k_max: int = field(default=5, metadata={"ge": 1})
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Experiment pipeline: the augmenter x classifier grid and its files.
 
-Per seed: one dataset load, one stratified split, one augmented training
-set per augmenter (the test set is never augmented). Then every classifier
-is trained on every training set of every seed, classifier by classifier:
-`_fit_cells` passes all of a classifier's (seed, augmenter) cells to its
+Per seed: one `dataio.prepare` (one dataset load, one stratified split),
+then one augmented training set per augmenter (the test set is never
+augmented); a generator that raises gets an `augment.GeneratorError` in
+place of its set. Then every classifier is trained on every training set
+of every seed, classifier by classifier: `_fit_cells` passes all of a classifier's (seed, augmenter) cells to its
 set trainer through one `classifiers.base.fit_jointly` call, which bounds
 the rows of each trainer call and fits each set of a failing call alone,
 so a failing cell fails alone. The logistic, linear-SVM and dense-net
@@ -32,22 +33,16 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import classifiers as clf
-from .augment import SyntheticBatch
+from .augment import GeneratorError, SyntheticBatch
 from .classifiers.base import fit_jointly
-from .config import ExperimentConfig, check_data_bounds, module_configs
-from .dataio import (
-    PreprocessPlan,
-    apply_preprocess,
-    fit_preprocess,
-    load_table,
-    stratified_split,
-)
+from .config import ExperimentConfig, module_configs
+from .dataio import PreparedData, PreprocessPlan, prepare
 from .gan import augment_with_gan
 from .gmm import augment_with_gmm
 from .metrics import accuracy, f1, roc_auc, roc_to_csv
@@ -63,10 +58,6 @@ from .rng import RngStream
 from .vae import augment_with_vae
 
 
-class GeneratorError(Exception):
-    """A generator raised; the message is "{type}: {message}" of its error."""
-
-
 # Each classifier's set trainer: one model per `(X, y, rng)` set; it
 # raises if any set fails.
 _FIT_SETS = {
@@ -77,45 +68,6 @@ _FIT_SETS = {
     "svm_linear": clf.fit_linear_svm_sets,
     "dense": clf.fit_dense_net_sets,
 }
-
-
-@dataclass
-class PreparedData:
-    """One seed's stratified split, preprocessed with statistics fitted on
-    its training rows only."""
-
-    plan: PreprocessPlan
-    train_indices: np.ndarray
-    test_indices: np.ndarray
-    X_train: np.ndarray
-    y_train: np.ndarray
-    X_test: np.ndarray
-    y_test: np.ndarray
-    dropped_row_count: int
-
-
-def prepare(config: ExperimentConfig) -> PreparedData:
-    """Load the dataset, split it by `config.seed` and preprocess it."""
-    table = load_table(config.dataset, config.schema)
-    split = stratified_split(
-        table.labels, config.test_fraction, RngStream(config.seed).derive("split")
-    )
-    # Preprocessing statistics come from the training rows only.
-    plan = fit_preprocess(table.take(split.train_indices))
-    X_all, y_all = apply_preprocess(table, plan)
-    tr, te = split.train_indices, split.test_indices
-    return PreparedData(
-        plan, tr, te, X_all[tr], y_all[tr], X_all[te], y_all[te], table.dropped_row_count
-    )
-
-
-def checked_prepare(config: ExperimentConfig) -> tuple[dict, PreparedData]:
-    """`(module_configs(config), prepare(config))`, after `check_data_bounds`:
-    what `augbench validate` checks, and `augbench run` before it trains."""
-    cfgs = module_configs(config)
-    data = prepare(config)
-    check_data_bounds(config, cfgs, data.y_train)
-    return cfgs, data
 
 
 def build_augmented_sets(
@@ -191,9 +143,9 @@ def run_experiment(
     """Execute the full augmenter x classifier grid for the `n_seeds`
     seeds from `config.seed` up, one ReportBundle per seed.
 
-    `checked`, when given, is what `checked_prepare(config)` returned:
-    its module configs are used and its data is the first seed's, which
-    is not prepared again.
+    `checked`, when given, is what `checked_prepare(config)` (in
+    `augbench.config`) returned: its module configs are used and its data
+    is the first seed's, which is not prepared again.
 
     Every seed is prepared and augmented first. Then each classifier
     trains all of its (seed, augmenter) cells, so the logistic,

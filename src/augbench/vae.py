@@ -18,11 +18,12 @@ its own rows. Every class's model has the bits of a VAE trained alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .augment import SyntheticBatch, augment_per_class
+from .config import VaeConfig
 from .nncore import (
     AdamState, GradBuffer, MlpParams, MlpStack, adam_step, block_means, init_mlp,
     mlp_backward, mlp_forward, row_blocks,
@@ -30,15 +31,6 @@ from .nncore import (
 from .rng import RngStream
 
 LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
-
-
-@dataclass
-class VaeConfig:
-    hidden_size: int = field(default=16, metadata={"ge": 1})
-    latent_dim: int = field(default=4, metadata={"ge": 1})
-    epochs: int = field(default=500, metadata={"ge": 0})
-    learning_rate: float = field(default=1e-3, metadata={"gt": 0})
-    beta: float = field(default=1.0, metadata={"ge": 0})
 
 
 @dataclass

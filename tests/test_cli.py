@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from augbench import cli, harness
+from augbench import dataio, harness
 from augbench.cli import main
 from augbench.config import _SECTIONS, AUGMENTER_IDS, CLASSIFIER_IDS, ExperimentConfig
 from augbench.report import export_synthetic_csv
@@ -95,7 +95,7 @@ def test_run_exports_the_synthetic_rows_the_grid_trained_on(tmp_path, monkeypatc
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(FAST, export_synthetic=True)))
     bundles, aug_sets = [], []
-    real_run, real_build = cli.run_experiment, harness.build_augmented_sets
+    real_run, real_build = harness.run_experiment, harness.build_augmented_sets
 
     def run_spy(*args):
         bundles.extend(real_run(*args))
@@ -105,7 +105,7 @@ def test_run_exports_the_synthetic_rows_the_grid_trained_on(tmp_path, monkeypatc
         aug_sets.append(real_build(*args, **kwargs))
         return aug_sets[-1]
 
-    monkeypatch.setattr(cli, "run_experiment", run_spy)
+    monkeypatch.setattr(harness, "run_experiment", run_spy)
     monkeypatch.setattr(harness, "build_augmented_sets", build_spy)
     out = tmp_path / "out"
     assert main(["run", "--config", str(p), "--out", str(out)]) == 0
@@ -552,6 +552,18 @@ def test_validate_fixture_ok_line(capsys):
     )
 
 
+def test_validate_accepts_a_byte_order_mark(tmp_path, capsys):
+    # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark.
+    csv_path = tmp_path / "bom.csv"
+    csv_path.write_bytes(b"\xef\xbb\xbf" + FIXTURE_CSV.read_bytes())
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, dataset=str(csv_path))))
+    assert main(["validate", "--config", str(p)]) == 0
+    assert capsys.readouterr().out == (
+        "ok: 400 rows (0 dropped), 4 features, class counts {0: 256, 1: 144}\n"
+    )
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
     lambda inner: st.lists(inner, max_size=3)
@@ -682,13 +694,13 @@ def test_run_of_a_validated_config_exits_0_or_1(augmenters, classifiers, n_synth
 def test_run_loads_the_table_once_per_seed(tmp_path, monkeypatch, seeds):
     # The first seed's checked data is the data its cells train on.
     loads = []
-    real = harness.load_table
+    real = dataio.load_table
 
     def spy(*args):
         loads.append(args)
         return real(*args)
 
-    monkeypatch.setattr(harness, "load_table", spy)
+    monkeypatch.setattr(dataio, "load_table", spy)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(FAST, augmenters=["none"], classifiers=["tree"])))
     argv = ["run", "--config", str(p), "--out", str(tmp_path / "out"), "--seeds", str(seeds)]
@@ -705,8 +717,8 @@ def _no_work(*args, **kwargs):
 def test_unusable_out_is_a_one_line_error_before_any_work(
         config_path, tmp_path, capsys, monkeypatch, command, target):
     (tmp_path / "file").write_text("kept\n")
-    monkeypatch.setattr(cli, "run_experiment", _no_work)
-    monkeypatch.setattr(cli, "build_augmented_sets", _no_work)
+    monkeypatch.setattr(harness, "run_experiment", _no_work)
+    monkeypatch.setattr(harness, "build_augmented_sets", _no_work)
     out = tmp_path / target
     argv = [command, "--config", str(config_path), "--out", str(out)]
     assert main(argv + (["--generator", "gmm"] if command == "augment" else [])) == 1
@@ -721,7 +733,7 @@ def test_unusable_seed_directory_fails_before_the_first_seed(
     out = tmp_path / "out"
     out.mkdir()
     (out / "seed_1").write_text("kept\n")
-    monkeypatch.setattr(cli, "run_experiment", _no_work)
+    monkeypatch.setattr(harness, "run_experiment", _no_work)
     argv = ["run", "--config", str(config_path), "--out", str(out), "--seeds", "2"]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -792,7 +804,7 @@ def test_largest_seed_validates_but_not_past_it_with_seeds(config_path, tmp_path
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_bound_the_training_rows_cannot_meet_fails_before_training(
         tmp_path, capsys, monkeypatch, command, overrides, message):
-    monkeypatch.setattr(cli, "run_experiment", _no_work)
+    monkeypatch.setattr(harness, "run_experiment", _no_work)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(FAST, **overrides)))
     out = tmp_path / "out"
@@ -852,23 +864,42 @@ TINY_FULL_GRID = dict(
 )
 
 
-@pytest.mark.parametrize("command", [["run"], ["augment", "--generator", "gan"], ["validate"]])
-def test_no_command_imports_numpy_ma(tmp_path, command):
+# The augbench modules only training needs (`classifiers` with each of its
+# modules): `validate` checks a config and its table without any of them.
+LEARNER_MODULES = {"harness", "report", "metrics", "nncore", "gmm", "vae", "gan", "classifiers"}
+
+
+@pytest.mark.parametrize("command, hyperparams, exit_code", [
+    pytest.param(["run"], {}, 0, id="run"),
+    pytest.param(["augment", "--generator", "gan"], {}, 0, id="augment"),
+    pytest.param(["validate"], {}, 0, id="validate"),
+    # Fails in check_data_bounds, after the table is loaded and split.
+    pytest.param(["validate"], {"knn": {"k": 500}}, 1, id="validate-error"),
+])
+def test_no_command_imports_numpy_ma(tmp_path, command, hyperparams, exit_code):
     # numpy 2.4's np.unique without return_counts imports numpy.ma, about
     # 1.3 MiB of resident memory that no result needs.
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(TINY_FULL_GRID))
+    p.write_text(json.dumps(dict(
+        TINY_FULL_GRID, hyperparams={**TINY_FULL_GRID["hyperparams"], **hyperparams},
+    )))
     argv = [*command, "--config", str(p)]
     if command[0] != "validate":
         argv += ["--out", str(tmp_path / "out")]
     code = ("import sys, numpy; eager = 'numpy.ma' in sys.modules; "
             "from augbench.cli import main; "
-            f"assert main({argv!r}) == 0; print(eager, 'numpy.ma' in sys.modules)")
+            f"assert main({argv!r}) == {exit_code}; "
+            "print(*sorted(sys.modules)); print(eager, 'numpy.ma' in sys.modules)")
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    eager, imported = proc.stdout.splitlines()[-1].split()
+    assert exit_code == 0 or _one_line_error(proc.stderr)
+    modules, flags = proc.stdout.splitlines()[-2:]
+    if command[0] == "validate":
+        loaded = {m.split(".")[1] for m in modules.split() if m.startswith("augbench.")}
+        assert not loaded & LEARNER_MODULES
+    eager, imported = flags.split()
     if eager == "True":
         pytest.skip("this numpy imports numpy.ma with numpy itself (numpy 1.x)")
     assert imported == "False"

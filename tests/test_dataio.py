@@ -120,6 +120,19 @@ def test_fixture_loads_cleanly(fixture_csv, schema):
     assert np.sum(t.labels == 1) == 144 and np.sum(t.labels == 0) == 256
 
 
+def test_byte_order_mark_loads_as_the_fixture(fixture_csv, schema, tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with a UTF-8 byte-order mark,
+    # which is not part of the first column's name.
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + fixture_csv.read_bytes())
+    t, expected = load_table(bom, schema), load_table(fixture_csv, schema)
+    assert list(t.columns) == list(expected.columns)
+    for name, col in expected.columns.items():
+        np.testing.assert_array_equal(t.columns[name], col)
+    np.testing.assert_array_equal(t.labels, expected.labels)
+    assert t.dropped_row_count == expected.dropped_row_count
+
+
 ID, LABEL = "row_id", "target"
 CATEGORIES = ("a", "b", "c", "Male", "x y")
 BAD_NUMBERS = ("abc", "nan", "inf", "-inf", "")

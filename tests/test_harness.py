@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from augbench.classifiers import base, dense, fit_decision_tree, linear, predict_labels
-from augbench.dataio import apply_preprocess, fit_preprocess, load_table, stratified_split
+from augbench.dataio import (
+    PreparedData, apply_preprocess, fit_preprocess, load_table, stratified_split,
+)
 from augbench import config, harness
 from augbench.config import (
     AUGMENTER_IDS,
@@ -181,7 +183,7 @@ def test_bundle_flags_a_row_in_train_and_test(test_indices, shared):
     # A hand-built split, unsorted like a real one, with or without a row
     # in both halves.
     X, y = np.zeros((4, 2)), np.array([0, 1, 0, 1])
-    data = harness.PreparedData(
+    data = PreparedData(
         None, np.array([2, 0, 3, 1]), np.array(test_indices), X, y, X[:3], y[:3], 0
     )
     config = fast_config(augmenters=("none",), classifiers=("tree",))

@@ -22,7 +22,7 @@ from augbench.classifiers.linear import (
     logistic_loss_grad,
 )
 from augbench.config import ExperimentConfig
-from augbench.harness import prepare
+from augbench.dataio import prepare
 from augbench.nncore import AdamState, adam_step
 from augbench.rng import RngStream
 from conftest import (

@@ -29,7 +29,7 @@ from augbench.classifiers.linear import (
 from augbench.classifiers.svm_rbf import RbfSvmConfig, fit_rbf_svm
 from augbench.classifiers.tree import TreeConfig, fit_decision_tree
 from augbench.config import CLASSIFIER_IDS, ExperimentConfig
-from augbench.harness import prepare
+from augbench.dataio import prepare
 from augbench.rng import RngStream
 from conftest import REPO, flat_jobs, ref_fit_linear_svm_many, ref_fit_logistic_many
 

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from augbench.classifiers import predict_labels
 from augbench.classifiers.tree import (
-    DEFAULT_DEPTH_GRID,
     TreeConfig,
     _fit_tree_many,
     fit_decision_tree,
     fit_tree_fixed_depth,
     gini,
 )
+from augbench.config import DEFAULT_DEPTH_GRID
 from augbench.rng import RngStream
 from conftest import flat_jobs
 
