@@ -17,7 +17,10 @@ Every classifier has one set trainer, `fit_<x>_sets(sets, config)`: it
 takes `(X, y, rng)` training sets, returns one model per set and raises
 if any set fails. `fit_jointly` is the one place where a failing set's
 exception stands in for its model: it bounds the rows of each set
-trainer call and, when a call raises, fits each of its sets alone.
+trainer call and, when a call raises, fits each of its sets alone. The
+lockstep trainers (logistic, linear SVM, dense net) run one epoch loop
+per training-set shape: `by_group` hands each loop the sets of one shape,
+wherever they sit in the call, and puts the models back in order.
 """
 
 from __future__ import annotations
@@ -54,9 +57,10 @@ def check_two_classes(y: np.ndarray) -> None:
 
 
 # The most training rows one set trainer call takes. The lockstep
-# trainers' buffers hold each of their sets' rows x 20 CV columns at once
-# (about 33 bytes per row and column for the logistic trainer), so sets
-# with more rows than this train in several calls, each of about 7 MB.
+# trainers' arrays hold the rows x 20 CV columns of each of a call's sets
+# of one shape at once (about 33 bytes per row and column for the logistic
+# trainer), so sets with more rows than this train in several calls, each
+# of at most about 7 MB.
 JOINT_ROWS = 10_000
 
 
@@ -79,4 +83,18 @@ def fit_jointly(fit_sets, sets: list) -> list:
             results += fit_sets(run)
         except Exception as e:
             results += [e] if len(run) == 1 else [fit_jointly(fit_sets, [s])[0] for s in run]
+    return results
+
+
+def by_group(sets: list, key, train) -> list:
+    """`train` on each group of the sets of `sets` with an equal `key(set)`,
+    in the order the groups first appear; one result per set, in the
+    order of `sets`."""
+    groups = {}
+    for k, s in enumerate(sets):
+        groups.setdefault(key(s), []).append(k)
+    results = [None] * len(sets)
+    for ks in groups.values():
+        for k, result in zip(ks, train([sets[k] for k in ks])):
+            results[k] = result
     return results

@@ -1,10 +1,11 @@
 """Dense ReLU network classifier trained with Adam on cross-entropy.
 
 `fit_dense_net_sets` trains the networks of many training sets in
-lockstep, as `gan.train_gan` trains its classes: the networks of one
-input width are an `nncore.MlpStack` over the sets' stacked rows, so
-every product, bias sum and loss reduction runs on one set's own rows
-and weights, and every elementwise step and Adam update runs once. Each
+lockstep, as `gan.train_gan` trains its classes, one loop per input
+width (`base.by_group` gathers the sets of each width): the networks of
+one width are an `nncore.MlpStack` over the sets' stacked rows, so every
+product, bias sum and loss reduction runs on one set's own rows and
+weights, and every elementwise step and Adam update runs once. Each
 network has the bits of one trained alone. It raises if any set fails
 its checks or its fit; `fit_dense_net` is its one-set call.
 """
@@ -22,7 +23,7 @@ from ..nncore import (
     mlp_backward, mlp_forward, row_blocks,
 )
 from ..rng import RngStream
-from .base import check_two_classes
+from .base import by_group, check_two_classes
 
 PROB_CLAMP = 1e-12
 
@@ -85,13 +86,10 @@ def fit_dense_net_sets(sets: list, config: DenseNetConfig) -> list[DenseNetModel
     """`fit_dense_net` on every `(X, y, rng)` of `sets`: the sets of each
     input width train in one loop. Raises if any set fails its checks or
     its fit."""
-    checked = [_checked_set(*s) for s in sets]
-    models = [None] * len(sets)
-    for width in sorted({X.shape[1] for X, _, _ in checked}):
-        ks = [k for k, (X, _, _) in enumerate(checked) if X.shape[1] == width]
-        for k, model in zip(ks, _train_stack([checked[k] for k in ks], config)):
-            models[k] = model
-    return models
+    return by_group(
+        [_checked_set(*s) for s in sets], lambda s: s[0].shape[1],
+        lambda group: _train_stack(group, config),
+    )
 
 
 def fit_dense_net(

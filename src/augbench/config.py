@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import numbers
 import operator
 import types
@@ -134,7 +135,8 @@ _SECTIONS = {
 }
 # The values each scalar annotation accepts, and how an error names them. A
 # bool is neither an integer nor a number here, although Python counts it as
-# both. An error never suggests null.
+# both. A number must be finite: JSON's Infinity passes every bound. An
+# error never suggests null.
 _SCALARS = {
     type(None): (type(None), ""), bool: (bool, "true or false"),
     int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
@@ -179,6 +181,8 @@ def _check(where: str, value, hint):
         else:
             kind, name = _SCALARS[m]
             if isinstance(value, kind) and (m is bool or not isinstance(value, bool)):
+                if m is float and not math.isfinite(value):
+                    raise ConfigError(f"{where} must be a finite number, got {value!r}")
                 return value
             expected.append(name)
     *rest, last = filter(None, expected)

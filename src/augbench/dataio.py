@@ -80,11 +80,25 @@ def _parse_float(cell: str) -> float | None:
     return v if np.isfinite(v) else None
 
 
+def _decoded(fh, path: Path):
+    """The lines of the text file `fh`, opened from `path`; a byte that is
+    not UTF-8 raises one DataError naming the file (a decoding error's
+    position counts from the start of a read chunk, so it is left out)."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as e:
+        raise DataError(
+            f"dataset {path} is not UTF-8 text: byte 0x{e.object[e.start]:02x} ({e.reason})"
+        ) from None
+
+
 def load_table(path: str | Path, schema: dict[str, str]) -> Table:
     """Read a CSV whose header matches `schema` (name -> column kind).
 
-    Rows with the wrong cell count, unparsable numeric cells or labels
-    outside {0, 1} are dropped and counted in `dropped_row_count`.
+    Blank lines are skipped. Rows with the wrong cell count, unparsable
+    numeric cells or labels outside {0, 1} are dropped and counted in
+    `dropped_row_count`. A file that is not UTF-8 raises one DataError
+    naming it.
     """
     path = Path(path)
     if not os.path.isfile(path):
@@ -101,7 +115,7 @@ def load_table(path: str | Path, schema: dict[str, str]) -> Table:
     except OSError as e:
         raise DataError(f"cannot read dataset {path}: {e.strerror}") from None
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_decoded(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -116,6 +130,8 @@ def load_table(path: str | Path, schema: dict[str, str]) -> Table:
 
         records, labels, dropped = [], [], 0
         for raw in reader:
+            if not raw:
+                continue
             cells = [c.strip() for c in raw]
             if len(cells) == len(header) and cells[label_idx] in ("0", "1"):
                 values = [_parse_float(cells[i]) if i in numeric else cells[i] for i in kept]

@@ -8,8 +8,8 @@ of every seed, classifier by classifier: `_fit_cells` passes all of a classifier
 set trainer through one `classifiers.base.fit_jointly` call, which bounds
 the rows of each trainer call and fits each set of a failing call alone,
 so a failing cell fails alone. The logistic, linear-SVM and dense-net
-set trainers train their sets in lockstep; the tree, KNN and RBF SVM fit
-them one after another. Each grid cell draws from an RngStream keyed by
+set trainers train their sets in lockstep, one loop per training-set
+shape; the tree, KNN and RBF SVM fit them one after another. Each grid cell draws from an RngStream keyed by
 (seed, augmenter, classifier), so execution order cannot change results,
 and each cell's model has the bits of a fit on its set alone.
 

@@ -201,6 +201,30 @@ def test_list_or_object_for_numeric_hyperparameter_fails_before_training(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("svm_rbf", "gamma", float("inf"), "RbfSvmConfig.gamma must be a finite number, got inf"),
+    ("svm_rbf", "kkt_tol", float("inf"),
+     "RbfSvmConfig.kkt_tol must be a finite number, got inf"),
+    ("svm_rbf", "c_grid", [1.0, float("inf")],
+     "RbfSvmConfig.c_grid[1] must be a finite number, got inf"),
+    ("logistic", "reg_lambda", float("inf"),
+     "LogisticConfig.reg_lambda must be a finite number, got inf"),
+])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_infinity_for_a_number_fails_before_training(
+        tmp_path, capsys, command, section, key, value, message):
+    # Python's json reads and writes Infinity, and inf passes every > and
+    # >= bound.
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, hyperparams={section: {key: value}})))
+    assert "Infinity" in p.read_text()
+    out = tmp_path / "out"
+    argv = [command, "--config", str(p)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("schema", dict(SCHEMA, age=1), "schema.age must be a string, got 1"),
     ("augmenters", ["none", 1],

@@ -133,6 +133,30 @@ def test_byte_order_mark_loads_as_the_fixture(fixture_csv, schema, tmp_path):
     assert t.dropped_row_count == expected.dropped_row_count
 
 
+def test_blank_lines_are_skipped_not_dropped(fixture_csv, schema, tmp_path):
+    # A blank line is no record: it neither counts as dropped nor moves a row.
+    lines = fixture_csv.read_text().splitlines(keepends=True)
+    blank = tmp_path / "blank.csv"
+    blank.write_text("".join(lines[:200]) + "\n" + "".join(lines[200:]) + "\n\n")
+    t, expected = load_table(blank, schema), load_table(fixture_csv, schema)
+    assert t.dropped_row_count == 0
+    assert list(t.columns) == list(expected.columns)
+    for name, col in expected.columns.items():
+        np.testing.assert_array_equal(t.columns[name], col)
+    np.testing.assert_array_equal(t.labels, expected.labels)
+
+
+def test_a_file_that_is_not_utf8_names_its_path(fixture_csv, schema, tmp_path):
+    # The fixture's first "Male", written as Latin-1 "M\xe4le".
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(fixture_csv.read_bytes().replace(b"Male", b"M\xe4le", 1))
+    with pytest.raises(DataError) as error:
+        load_table(latin1, schema)
+    assert str(error.value) == (
+        f"dataset {latin1} is not UTF-8 text: byte 0xe4 (invalid continuation byte)"
+    )
+
+
 ID, LABEL = "row_id", "target"
 CATEGORIES = ("a", "b", "c", "Male", "x y")
 BAD_NUMBERS = ("abc", "nan", "inf", "-inf", "")

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from augbench import harness
-from augbench.classifiers import base
+from augbench.classifiers import base, linear
 from augbench.classifiers.cv import CvError, stratified_kfold
 from augbench.classifiers.dense import DenseNetConfig, fit_dense_net, fit_dense_net_sets
 from augbench.classifiers.knn import KnnConfig, fit_knn
 from augbench.classifiers.linear import (
     LinearModel,
     LinearSvmConfig,
-    _SetStack,
     LogisticConfig,
     _fit_linear_svm_stack,
     _fit_logistic_stack,
@@ -28,7 +27,7 @@ from augbench.classifiers.linear import (
 )
 from augbench.classifiers.svm_rbf import RbfSvmConfig, fit_rbf_svm
 from augbench.classifiers.tree import TreeConfig, fit_decision_tree
-from augbench.config import CLASSIFIER_IDS, ExperimentConfig
+from augbench.config import CLASSIFIER_IDS, ExperimentConfig, module_configs
 from augbench.dataio import prepare
 from augbench.rng import RngStream
 from conftest import REPO, flat_jobs, ref_fit_linear_svm_many, ref_fit_logistic_many
@@ -124,10 +123,23 @@ def test_stacked_trainers_equal_one_set_runs_and_the_reference(learner, data, la
                 _assert_same_linear(model, r)
 
 
+def _record_stacks(monkeypatch) -> list[tuple[int, int, int]]:
+    """The (B, n, J) of every `_SetStack` the linear trainers build from now on."""
+    built = []
+
+    class Recorded(linear._SetStack):
+        def __init__(self, sets):
+            super().__init__(sets)
+            built.append(self.mask.shape)
+
+    monkeypatch.setattr(linear, "_SetStack", Recorded)
+    return built
+
+
 @pytest.mark.parametrize("learner", sorted(LINEAR))
-def test_the_fixture_seeds_train_as_one_batch(learner):
-    # The four seeds' CV stacks share one shape, so they form one batch;
-    # each set's models are still its reference's.
+def test_the_fixture_seeds_train_as_one_batch(learner, monkeypatch):
+    # The four seeds' CV stacks share one shape, so they train as one
+    # (4, 300, 20) stack; each set's models are still its reference's.
     _, _, config_cls, stack, ref = LINEAR[learner]
     config = config_cls(epochs=25)
     base = ExperimentConfig.from_json(REPO / "configs" / "fixture.json")
@@ -137,10 +149,40 @@ def test_the_fixture_seeds_train_as_one_batch(learner):
         folds = stratified_kfold(data.y_train, 5, RngStream(seed, ("folds",)))
         stacked.append((data.X_train, data.y_train,
                         [(tr, list(config.lambda_grid)) for tr, _ in folds]))
-    assert [batch[:4] for batch in _SetStack(stacked).batches] == [[300, 4, 20, 4]]
-    for models, (X, y, groups) in zip(stack(stacked, config), stacked):
+    built = _record_stacks(monkeypatch)
+    fitted = stack(stacked, config)
+    assert built == [(4, 300, 20)]
+    for models, (X, y, groups) in zip(fitted, stacked):
         for model, r in zip(models, ref(X, y, flat_jobs(groups), config)):
             _assert_same_linear(model, r)
+
+
+@pytest.mark.parametrize("learner", sorted(LINEAR))
+def test_seed_major_sets_of_alternating_shapes_train_one_stack_per_shape(learner, monkeypatch):
+    # A two-seed grid with augmenters none and gmm orders its cells seed by
+    # seed: 300, 500, 300 and 500 rows. Each shape's sets train as one
+    # stack, for CV (20 columns) and for the refit (1), and every model is
+    # its one-set fit's.
+    fit_sets, fit_one, config_cls, _, _ = LINEAR[learner]
+    config = config_cls(epochs=25)
+    base = replace(ExperimentConfig.from_json(REPO / "configs" / "fixture.json"),
+                   augmenters=["none", "gmm"])
+    sets = []
+    for seed in range(2):
+        seed_config = replace(base, seed=seed)
+        data = prepare(seed_config)
+        augmented = harness.build_augmented_sets(
+            seed_config, data.X_train, data.y_train, module_configs(seed_config))
+        sets += [(*augmented[aug][:2], RngStream(seed, ("cell", aug, learner)))
+                 for aug in base.augmenters]
+    assert [len(y) for _, y, _ in sets] == [300, 500, 300, 500]
+    built = _record_stacks(monkeypatch)
+    models = fit_sets(sets, config)
+    assert built == [(2, 300, 20), (2, 500, 20), (2, 300, 1), (2, 500, 1)]
+    for model, (X, y, rng) in zip(models, sets):
+        alone = fit_one(X, y, config, rng)
+        _assert_same_linear(model, alone)
+        assert model.cv_result == alone.cv_result
 
 
 @pytest.mark.parametrize("learner", sorted(LINEAR))
