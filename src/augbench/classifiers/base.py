@@ -1,4 +1,4 @@
-"""Shared prediction interface, pairwise distances and joint fits.
+"""Shared prediction interface, pairwise distances and lockstep grouping.
 
 Every fitted model exposes `decision_scores(X)` (higher = more
 positive-class) and a fixed `threshold`; the predicted label is 1 iff
@@ -15,12 +15,10 @@ would move every KNN ranking and SVM kernel built on it.
 
 Every classifier has one set trainer, `fit_<x>_sets(sets, config)`: it
 takes `(X, y, rng)` training sets, returns one model per set and raises
-if any set fails. `fit_jointly` is the one place where a failing set's
-exception stands in for its model: it bounds the rows of each set
-trainer call and, when a call raises, fits each of its sets alone. The
-lockstep trainers (logistic, linear SVM, dense net) run one epoch loop
-per training-set shape: `by_group` hands each loop the sets of one shape,
-wherever they sit in the call, and puts the models back in order.
+if any set fails. The lockstep trainers (logistic, linear SVM, dense net)
+run one epoch loop per training-set shape and run of at most JOINT_ROWS
+rows: `by_group` hands each loop its sets, wherever they sit in the
+call, and puts the models back in order.
 """
 
 from __future__ import annotations
@@ -56,45 +54,29 @@ def check_two_classes(y: np.ndarray) -> None:
         raise ValueError("both classes must be present")
 
 
-# The most training rows one set trainer call takes. The lockstep
-# trainers' arrays hold the rows x 20 CV columns of each of a call's sets
-# of one shape at once (about 33 bytes per row and column for the logistic
-# trainer), so sets with more rows than this train in several calls, each
+# The most training rows one epoch loop takes. The lockstep trainers'
+# arrays hold the rows x 20 CV columns of each of a loop's sets at once
+# (about 33 bytes per row and column for the logistic trainer), so the
+# sets of one shape with more rows than this train in several loops, each
 # of at most about 7 MB.
 JOINT_ROWS = 10_000
 
 
-def fit_jointly(fit_sets, sets: list) -> list:
-    """`fit_sets` on every set of `sets`, one entry per set: one call per
-    consecutive run of at most JOINT_ROWS rows (a set's second field is
-    its labels; a larger set runs alone). If a run's call raises, each
-    of its sets is fit alone by the same `fit_sets`, so only a faulty
-    set's entry is its error (an exception in place of its result)."""
-    runs, rows = [], np.inf  # rows of the last run; the first set opens one
-    for s in sets:
-        if rows + len(s[1]) > JOINT_ROWS:
-            runs.append([])
-            rows = 0
-        runs[-1].append(s)
-        rows += len(s[1])
-    results = []
-    for run in runs:
-        try:
-            results += fit_sets(run)
-        except Exception as e:
-            results += [e] if len(run) == 1 else [fit_jointly(fit_sets, [s])[0] for s in run]
-    return results
-
-
 def by_group(sets: list, key, train) -> list:
-    """`train` on each group of the sets of `sets` with an equal `key(set)`,
-    in the order the groups first appear; one result per set, in the
-    order of `sets`."""
-    groups = {}
+    """`train` on the sets of `sets` with an equal `key(set)`, group by
+    group in the order the groups first appear, each group in consecutive
+    runs of at most JOINT_ROWS rows (a set's second field is its labels;
+    a larger set runs alone); one result per set, in the order of `sets`."""
+    runs, rows = {}, {}  # per key: its runs of set indices, and its last run's rows
     for k, s in enumerate(sets):
-        groups.setdefault(key(s), []).append(k)
+        g = key(s)
+        if rows.get(g, np.inf) + len(s[1]) > JOINT_ROWS:  # a group's first set opens a run
+            runs.setdefault(g, []).append([])
+            rows[g] = 0
+        runs[g][-1].append(k)
+        rows[g] += len(s[1])
     results = [None] * len(sets)
-    for ks in groups.values():
-        for k, result in zip(ks, train([sets[k] for k in ks])):
+    for run in (run for group in runs.values() for run in group):
+        for k, result in zip(run, train([sets[k] for k in run])):
             results[k] = result
     return results

@@ -1,10 +1,11 @@
 """Stratified k-fold cross-validation for hyperparameter grids.
 
-Every tuned learner has one trainer, `fit_many(X, y, groups)`: each group
-is `(train_rows, [param, ...])` and it returns one model per (group,
-param), group by group, in order. `cross_validate` passes one group per
-fold, each holding the whole grid; the refit on all rows and a pinned
-hyperparameter pass the one group `(all_rows, [param])`. The tree grows
+The tree, KNN and RBF SVM each have one trainer, `fit_many(X, y, groups)`:
+each group is `(train_rows, [param, ...])` and it returns one model per
+(group, param), group by group, in order. `cross_validate` passes one
+group per fold, each holding the whole grid; `fit_with_cv` calls it (by
+its module name, once per set) and then refits on all rows at the chosen
+or pinned param, the one group `(all_rows, [param])`. The tree grows
 one tree per group and reads it at each depth; KNN gives each group one
 neighbour memo, so a fold's validation rows are ranked once for every k;
 the RBF SVM computes one kernel per group and solves every C on it.
@@ -17,10 +18,7 @@ each set's `fit_many` models. `fit_sets_with_cv` takes `(X, y, rng)`
 sets, builds each set's folds from its stream, trains every set's CV
 models in one `cross_validate_sets` call and every set's refit or pinned
 model in one more `fit_sets` call. It raises if any set's folds or fit
-fail: isolating a failing set is `base.fit_jointly`'s job.
-`cross_validate` and `fit_with_cv` are `cross_validate_sets` and
-`fit_sets_with_cv` on one set, the tree's, KNN's or RBF SVM's
-`fit_many`.
+fail. `cross_validate` is `cross_validate_sets` on one set.
 
 The grid is evaluated in order and ties in mean validation accuracy go
 to the earliest entry, so callers list grids simplest-setting-first
@@ -151,11 +149,11 @@ def fit_with_cv(
     rng: RngStream,
 ):
     """The model `fit_many` trains on all rows at `param`, or with
-    `param == "auto"` at the `grid` entry stratified CV picks, with
-    `cv_result` attached: `fit_sets_with_cv` on one set."""
-    [model] = fit_sets_with_cv(
-        lambda sets: [fit_many(*s) for s in sets], [(X, y, rng)], param, grid, folds
-    )
+    `param == "auto"` at the `grid` entry `cross_validate` picks, with
+    that `cv_result` attached."""
+    cv = cross_validate(fit_many, X, y, folds, list(grid), rng) if param == "auto" else None
+    [model] = fit_many(X, y, [(np.arange(len(y)), [cv.best_param if cv else param])])
+    model.cv_result = cv
     return model
 
 

@@ -2,12 +2,13 @@
 
 `fit_dense_net_sets` trains the networks of many training sets in
 lockstep, as `gan.train_gan` trains its classes, one loop per input
-width (`base.by_group` gathers the sets of each width): the networks of
-one width are an `nncore.MlpStack` over the sets' stacked rows, so every
-product, bias sum and loss reduction runs on one set's own rows and
-weights, and every elementwise step and Adam update runs once. Each
-network has the bits of one trained alone. It raises if any set fails
-its checks or its fit; `fit_dense_net` is its one-set call.
+width (`base.by_group` gathers the sets of each width and bounds each
+loop's rows): the networks of a loop are an `nncore.MlpStack` over the
+sets' stacked rows, so every product, bias sum and loss reduction runs
+on one set's own rows and weights, and every elementwise step and Adam
+update runs once. Each network has the bits of one trained alone. It
+raises if any set fails its checks or its fit; `fit_dense_net` is its
+one-set call.
 """
 
 from __future__ import annotations

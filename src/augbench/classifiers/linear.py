@@ -14,7 +14,7 @@ every `(X, y, groups)` of `sets`, it trains every lambda of the set's
 the set's d x J weight matrix is its j-th model, group by group, and a
 0/1 row mask keeps each column to its group's training rows. The sets of
 one shape (n, d, J) run in one epoch loop (`base.by_group` gathers them,
-wherever they sit in the call; `base.fit_jointly` bounds a call's rows).
+wherever they sit in the call, and bounds each loop's rows).
 The trainer fits the J = 20 fold x lambda models of every set's CV, and
 then, in a second call, each set's refit or pinned lambda as a J = 1
 problem on all its rows (see `cv.fit_sets_with_cv`). `fit_*_sets` checks

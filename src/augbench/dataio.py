@@ -16,7 +16,6 @@ counted, never imputed. Standard deviations use the population
 from __future__ import annotations
 
 import csv
-import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +28,13 @@ from .rng import RngStream
 if TYPE_CHECKING:
     from .config import ExperimentConfig
 
-log = logging.getLogger(__name__)
+
+def _warn(message: str, *args) -> None:
+    """Log a warning on this module's logger."""
+    import logging  # here, not at import: `validate` should not load logging
+
+    logging.getLogger(__name__).warning(message, *args)
+
 
 COLUMN_KINDS = ("numeric", "categorical", "identifier", "label")
 
@@ -95,10 +100,10 @@ def _decoded(fh, path: Path):
 def load_table(path: str | Path, schema: dict[str, str]) -> Table:
     """Read a CSV whose header matches `schema` (name -> column kind).
 
-    Blank lines are skipped. Rows with the wrong cell count, unparsable
-    numeric cells or labels outside {0, 1} are dropped and counted in
-    `dropped_row_count`. A file that is not UTF-8 raises one DataError
-    naming it.
+    Blank and whitespace-only lines are skipped; a line with a separator
+    is a row. Rows with the wrong cell count, unparsable numeric cells or
+    labels outside {0, 1} are dropped and counted in `dropped_row_count`.
+    A file that is not UTF-8 raises one DataError naming it.
     """
     path = Path(path)
     if not os.path.isfile(path):
@@ -130,9 +135,9 @@ def load_table(path: str | Path, schema: dict[str, str]) -> Table:
 
         records, labels, dropped = [], [], 0
         for raw in reader:
-            if not raw:
-                continue
             cells = [c.strip() for c in raw]
+            if cells in ([], [""]):  # a blank or whitespace-only line
+                continue
             if len(cells) == len(header) and cells[label_idx] in ("0", "1"):
                 values = [_parse_float(cells[i]) if i in numeric else cells[i] for i in kept]
                 if None not in values:
@@ -168,7 +173,7 @@ def fit_preprocess(table: Table) -> PreprocessPlan:
             std = float(col.std())  # population convention
             if std == 0.0:
                 excluded.append(name)
-                log.warning("excluding zero-variance numeric column %r", name)
+                _warn("excluding zero-variance numeric column %r", name)
                 continue
             numeric_stats[name] = (mean, std)
             feature_order.append(name)
@@ -207,7 +212,7 @@ def apply_preprocess(
             X[:, col_of[f"{name}={cat}"]] = col == cat
         for cat in dict.fromkeys(col.tolist()):
             if cat not in cmap:
-                log.warning("unseen category %r in column %r -> zero block", cat, name)
+                _warn("unseen category %r in column %r -> zero block", cat, name)
 
     return X, table.labels
 

@@ -4,14 +4,16 @@ Per seed: one `dataio.prepare` (one dataset load, one stratified split),
 then one augmented training set per augmenter (the test set is never
 augmented); a generator that raises gets an `augment.GeneratorError` in
 place of its set. Then every classifier is trained on every training set
-of every seed, classifier by classifier: `_fit_cells` passes all of a classifier's (seed, augmenter) cells to its
-set trainer through one `classifiers.base.fit_jointly` call, which bounds
-the rows of each trainer call and fits each set of a failing call alone,
-so a failing cell fails alone. The logistic, linear-SVM and dense-net
-set trainers train their sets in lockstep, one loop per training-set
-shape; the tree, KNN and RBF SVM fit them one after another. Each grid cell draws from an RngStream keyed by
-(seed, augmenter, classifier), so execution order cannot change results,
-and each cell's model has the bits of a fit on its set alone.
+of every seed, classifier by classifier: `_fit_cells` passes all of a
+classifier's (seed, augmenter) cells to its set trainer in one call. The
+logistic, linear-SVM and dense-net set trainers train their sets in
+lockstep (`classifiers.base.by_group` bounds each loop's rows); the tree,
+KNN and RBF SVM fit them one after another. The harness alone isolates
+failures, so a failing cell fails alone: a generator's, a fit's (when
+the one call raises, each cell is fit by itself) and a scoring's. Each
+grid cell draws from an RngStream keyed by (seed, augmenter, classifier),
+so execution order cannot change results, and each cell's model has the
+bits of a fit on its set alone.
 
 `harness` alone owns a run's output tree. `seed_dirs` lays it out: the
 output root for one seed, root/seed_<s> for several. `write_run` writes
@@ -40,7 +42,6 @@ import numpy as np
 
 from . import classifiers as clf
 from .augment import GeneratorError, SyntheticBatch
-from .classifiers.base import fit_jointly
 from .config import ExperimentConfig, module_configs
 from .dataio import PreparedData, PreprocessPlan, prepare
 from .gan import augment_with_gan
@@ -98,8 +99,14 @@ def build_augmented_sets(
 
 def _fit_cells(classifier: str, sets: list, clf_config) -> list:
     """The model of each `(X, y, rng)` of `sets`, or the error its fit
-    raised: one `fit_jointly` call of the classifier's set trainer."""
-    return fit_jointly(lambda run: _FIT_SETS[classifier](run, clf_config), sets)
+    raised: one call of the classifier's set trainer, and if that raises,
+    one call per set."""
+    try:
+        return _FIT_SETS[classifier](sets, clf_config)
+    except Exception as e:  # a failing cell fails alone, not its classifier's cells
+        if len(sets) == 1:
+            return [e]
+        return [model for s in sets for model in _fit_cells(classifier, [s], clf_config)]
 
 
 def _score_cell(

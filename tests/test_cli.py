@@ -588,6 +588,17 @@ def test_validate_accepts_a_byte_order_mark(tmp_path, capsys):
     )
 
 
+def test_validate_skips_whitespace_only_lines(tmp_path, capsys):
+    csv_path = tmp_path / "padded.csv"
+    csv_path.write_bytes(FIXTURE_CSV.read_bytes() + b"   \n\t\n")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, dataset=str(csv_path))))
+    assert main(["validate", "--config", str(p)]) == 0
+    assert capsys.readouterr().out == (
+        "ok: 400 rows (0 dropped), 4 features, class counts {0: 256, 1: 144}\n"
+    )
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
     lambda inner: st.lists(inner, max_size=3)
@@ -923,6 +934,8 @@ def test_no_command_imports_numpy_ma(tmp_path, command, hyperparams, exit_code):
     if command[0] == "validate":
         loaded = {m.split(".")[1] for m in modules.split() if m.startswith("augbench.")}
         assert not loaded & LEARNER_MODULES
+        # dataio imports logging only to warn, which the fixture never makes it do.
+        assert "logging" not in modules.split()
     eager, imported = flags.split()
     if eager == "True":
         pytest.skip("this numpy imports numpy.ma with numpy itself (numpy 1.x)")

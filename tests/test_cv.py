@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from augbench import harness
 from augbench.classifiers import (
     KnnConfig,
     KnnModel,
@@ -177,6 +178,30 @@ def test_auto_with_one_entry_grid_matches_pinned_fit(name, monkeypatch):
     assert auto.cv_result.best_index == 0
     assert pinned.cv_result is None
     np.testing.assert_array_equal(auto.decision_scores(X), pinned.decision_scores(X))
+
+
+@pytest.mark.parametrize("auto", [True, False], ids=["auto", "pinned"])
+@pytest.mark.parametrize("name", ["knn", "svm_rbf", "tree"])
+def test_each_set_cross_validates_through_cross_validate(name, auto, monkeypatch):
+    # A traced run times CV at `cv.cross_validate`, so every set the tree,
+    # KNN or RBF SVM tunes goes through it once, and its model keeps the
+    # result it returned.
+    _, config_cls, extra, field, _, value = TUNED[name]
+    returned = []
+    real = cv_module.cross_validate
+
+    def spy(*args):
+        returned.append(real(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(cv_module, "cross_validate", spy)
+    X, y = _two_blobs()
+    sets = [(X, y, RngStream(k, (name,))) for k in range(3)]
+    config = config_cls(**extra, **{field: "auto" if auto else value})
+    models = harness._fit_cells(name, sets, config)
+    assert len(returned) == (3 if auto else 0)
+    assert [m.cv_result for m in models] == (returned if auto else [None] * 3)
+    assert all(m.cv_result is r for m, r in zip(models, returned))
 
 
 # name -> per-model fitter `(X, y, param, config) -> model`; for the linear

@@ -146,6 +146,17 @@ def test_blank_lines_are_skipped_not_dropped(fixture_csv, schema, tmp_path):
     np.testing.assert_array_equal(t.labels, expected.labels)
 
 
+def test_whitespace_only_lines_are_skipped_a_line_with_a_separator_is_not(
+        fixture_csv, schema, tmp_path):
+    padded = tmp_path / "padded.csv"
+    padded.write_text(fixture_csv.read_text() + "   \n\t\n")
+    t = load_table(padded, schema)
+    assert (len(t.labels), t.dropped_row_count) == (400, 0)
+    padded.write_text(fixture_csv.read_text() + " , \n")
+    t = load_table(padded, schema)
+    assert (len(t.labels), t.dropped_row_count) == (400, 1)
+
+
 def test_a_file_that_is_not_utf8_names_its_path(fixture_csv, schema, tmp_path):
     # The fixture's first "Male", written as Latin-1 "M\xe4le".
     latin1 = tmp_path / "latin1.csv"

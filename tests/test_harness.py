@@ -9,7 +9,7 @@ import typing
 import numpy as np
 import pytest
 
-from augbench.classifiers import base, dense, fit_decision_tree, linear, predict_labels
+from augbench.classifiers import base, fit_decision_tree, predict_labels
 from augbench.dataio import (
     PreparedData, apply_preprocess, fit_preprocess, load_table, stratified_split,
 )
@@ -29,6 +29,7 @@ from augbench.report import (
 from augbench.metrics import accuracy, f1, roc_auc
 from augbench.rng import RngStream
 from conftest import FIXTURE_CSV, SCHEMA
+from test_set_trainers import _record_loops
 
 FAST_GMM = {"gmm": {"n_components": 2}}
 
@@ -284,25 +285,34 @@ def test_seeds_of_different_widths_train_together_as_alone(tmp_path):
         assert [r.roc for r in bundle.results] == [r.roc for r in alone.results]
 
 
-@pytest.mark.parametrize("joint_rows, calls", [(700, [2, 2, 2]), (320, [1] * 6)])
-def test_a_grid_over_joint_rows_trains_in_several_calls_as_in_one(monkeypatch, joint_rows, calls):
+# (JOINT_ROWS, the sets of each linear loop as (count, rows), of each dense loop as rows)
+OVER_JOINT_ROWS = [
+    (700, [(2, 300), (1, 300), (2, 340), (1, 340)], [[300, 340]] * 3),
+    (320, [(1, 300)] * 3 + [(1, 340)] * 3, [[300], [340]] * 3),
+]
+
+
+@pytest.mark.parametrize("joint_rows, linear_runs, dense_runs", OVER_JOINT_ROWS)
+def test_a_grid_over_joint_rows_trains_in_several_calls_as_in_one(
+        monkeypatch, joint_rows, linear_runs, dense_runs):
     # Each seed has a 300-row "none" set and a 340-row "gmm" set. Each
-    # linear trainer trains its CV models and then its refits; the dense
-    # trainer has one fit.
+    # linear trainer trains its CV models (20 columns) and then its refits
+    # (1), one loop per shape and run; the dense net has one fit.
     cfg = fast_config(classifiers=("logistic", "svm_linear", "dense"),
                       hyperparams={**FAST_GMM, "logistic": {"epochs": 20},
                                    "svm_linear": {"epochs": 20}, "dense": {"epochs": 10}})
-    sizes = []
-    for module, name in [(linear, "_fit_logistic_stack"), (linear, "_fit_linear_svm_stack"),
-                         (dense, "_train_stack")]:
-        monkeypatch.setattr(module, name, lambda sets, *a, train=getattr(module, name): (
-            sizes.append(len(sets)) or train(sets, *a)))
+    loops = _record_loops(monkeypatch)
+
+    def expected(runs, dense_loops):
+        linear_loops = [(B, n, J) for J in (20, 1) for B, n in runs]
+        return linear_loops * 2 + dense_loops
+
     one_call = run_experiment(cfg, 3)
-    assert sizes == [6] * 5
-    sizes.clear()
+    assert loops == expected([(3, 300), (3, 340)], [[300, 340] * 3])
+    loops.clear()
     monkeypatch.setattr(base, "JOINT_ROWS", joint_rows)
     several = run_experiment(cfg, 3)
-    assert sizes == calls * 5
+    assert loops == expected(linear_runs, dense_runs)
     for a, b in zip(one_call, several):
         assert render_results_csv(a) == render_results_csv(b)
         assert [r.roc for r in a.results] == [r.roc for r in b.results]

@@ -1,7 +1,8 @@
 """The set trainers of the logistic, linear-SVM and dense-net classifiers:
 every set's model equals its one-set fit bit for bit, whatever the other
-sets hold. Through the harness's one `fit_jointly` call, a set that fails
-its checks or its fit fails alone, for every classifier."""
+sets hold, and each epoch loop takes at most `base.JOINT_ROWS` rows.
+Through the harness's `_fit_cells`, a set that fails its checks or its fit
+fails alone, for every classifier."""
 
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from augbench import harness
-from augbench.classifiers import base, linear
+from augbench.classifiers import base, dense, linear
 from augbench.classifiers.cv import CvError, stratified_kfold
 from augbench.classifiers.dense import DenseNetConfig, fit_dense_net, fit_dense_net_sets
 from augbench.classifiers.knn import KnnConfig, fit_knn
@@ -123,17 +124,21 @@ def test_stacked_trainers_equal_one_set_runs_and_the_reference(learner, data, la
                 _assert_same_linear(model, r)
 
 
-def _record_stacks(monkeypatch) -> list[tuple[int, int, int]]:
-    """The (B, n, J) of every `_SetStack` the linear trainers build from now on."""
-    built = []
+def _record_loops(monkeypatch) -> list:
+    """Every epoch loop the lockstep trainers run from now on: the (B, n, J)
+    of each `_SetStack` the linear trainers build, and the list of its
+    sets' rows for each dense-net loop."""
+    loops = []
 
     class Recorded(linear._SetStack):
         def __init__(self, sets):
             super().__init__(sets)
-            built.append(self.mask.shape)
+            loops.append(self.mask.shape)
 
     monkeypatch.setattr(linear, "_SetStack", Recorded)
-    return built
+    monkeypatch.setattr(dense, "_train_stack", lambda sets, config, train=dense._train_stack: (
+        loops.append([len(y) for _, y, _ in sets]) or train(sets, config)))
+    return loops
 
 
 @pytest.mark.parametrize("learner", sorted(LINEAR))
@@ -149,7 +154,7 @@ def test_the_fixture_seeds_train_as_one_batch(learner, monkeypatch):
         folds = stratified_kfold(data.y_train, 5, RngStream(seed, ("folds",)))
         stacked.append((data.X_train, data.y_train,
                         [(tr, list(config.lambda_grid)) for tr, _ in folds]))
-    built = _record_stacks(monkeypatch)
+    built = _record_loops(monkeypatch)
     fitted = stack(stacked, config)
     assert built == [(4, 300, 20)]
     for models, (X, y, groups) in zip(fitted, stacked):
@@ -176,7 +181,7 @@ def test_seed_major_sets_of_alternating_shapes_train_one_stack_per_shape(learner
         sets += [(*augmented[aug][:2], RngStream(seed, ("cell", aug, learner)))
                  for aug in base.augmenters]
     assert [len(y) for _, y, _ in sets] == [300, 500, 300, 500]
-    built = _record_stacks(monkeypatch)
+    built = _record_loops(monkeypatch)
     models = fit_sets(sets, config)
     assert built == [(2, 300, 20), (2, 500, 20), (2, 300, 1), (2, 500, 1)]
     for model, (X, y, rng) in zip(models, sets):
@@ -322,19 +327,44 @@ def test_a_set_that_fails_its_checks_fails_alone(learner):
         _assert_same_model(models[k], fit_one(*sets[k], config, _fit_stream(k)), sets[k][0])
 
 
-def test_joint_calls_are_bounded_and_only_a_failing_run_is_retried(monkeypatch):
-    monkeypatch.setattr(base, "JOINT_ROWS", 10)
-    # (name, labels): 4 + 5 rows fit one call, 12 rows run alone.
+def test_a_failing_call_is_retried_cell_by_cell(monkeypatch):
+    # (name, labels); the harness makes one call, and after a failing one,
+    # one call per cell.
     sets = [("a", [0] * 4), ("b", [0] * 5), ("c", [0] * 12), ("bad", [0] * 3), ("d", [0] * 3)]
     calls = []
 
-    def fit_sets(run):
+    def fit_sets(run, config):
         calls.append([name for name, _ in run])
         if any(name == "bad" for name, _ in run):
             raise ValueError("bad set")
         return [name.upper() for name, _ in run]
 
-    results = base.fit_jointly(fit_sets, sets)
-    assert calls == [["a", "b"], ["c"], ["bad", "d"], ["bad"], ["d"]]
+    monkeypatch.setitem(harness._FIT_SETS, "fake", fit_sets)
+    assert harness._fit_cells("fake", sets[:3], None) == ["A", "B", "C"]
+    assert calls == [["a", "b", "c"]]
+    calls.clear()
+    results = harness._fit_cells("fake", sets, None)
+    assert calls == [["a", "b", "c", "bad", "d"], ["a"], ["b"], ["c"], ["bad"], ["d"]]
     assert results[:3] == ["A", "B", "C"] and results[4] == "D"
     assert isinstance(results[3], ValueError) and str(results[3]) == "bad set"
+
+
+def test_a_direct_call_trains_each_shape_in_runs_within_the_bound(monkeypatch):
+    # Three 300-row and three 340-row sets, alternating, under a 700-row
+    # bound: each shape trains in a run of two sets and a run of one, and
+    # the dense net's one width in three runs of a 300- and a 340-row set.
+    monkeypatch.setattr(base, "JOINT_ROWS", 700)
+    sets = [(*_healthy(k, n, 3), _fit_stream(k)) for k, n in enumerate([300, 340] * 3)]
+    loops = _record_loops(monkeypatch)
+    runs = [(2, 300), (1, 300), (2, 340), (1, 340)]
+    for learner in ("logistic", "svm_linear", "dense"):
+        fit_one, config = ONE_SET[learner]
+        loops.clear()
+        models = harness._FIT_SETS[learner](sets, config)
+        if learner == "dense":
+            assert loops == [[300, 340]] * 3
+        else:
+            J = FOLDS * len(config.lambda_grid)
+            assert loops == [(B, n, J) for B, n in runs] + [(B, n, 1) for B, n in runs]
+        for model, (X, y, rng) in zip(models, sets):
+            _assert_same_model(model, fit_one(X, y, config, rng), X)
