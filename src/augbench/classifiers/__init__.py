@@ -13,7 +13,7 @@ from .linear import (
 )
 from .svm_rbf import RbfSvmConfig, RbfSvmModel, fit_rbf_svm, fit_rbf_svm_sets
 from .tree import (
-    DecisionTreeModel, TreeConfig, TreeNode, fit_decision_tree, fit_decision_tree_sets, gini,
+    DecisionTreeModel, Tree, TreeConfig, fit_decision_tree, fit_decision_tree_sets, gini,
 )
 
 __all__ = [
@@ -24,6 +24,6 @@ __all__ = [
     "LinearModel", "LinearSvmConfig", "LogisticConfig",
     "fit_linear_svm", "fit_linear_svm_sets", "fit_logistic", "fit_logistic_sets",
     "RbfSvmConfig", "RbfSvmModel", "fit_rbf_svm", "fit_rbf_svm_sets",
-    "DecisionTreeModel", "TreeConfig", "TreeNode", "fit_decision_tree", "fit_decision_tree_sets",
+    "DecisionTreeModel", "Tree", "TreeConfig", "fit_decision_tree", "fit_decision_tree_sets",
     "gini",
 ]

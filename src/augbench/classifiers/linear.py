@@ -31,7 +31,10 @@ margins are the one product `[X | 1] @ [W; B]`, and its gradient
 counts and regularized by `[lambda; 0]`. The epoch computes in arrays
 allocated before the loop, one (B, ...) array per quantity over the B
 sets of one shape (`_SetStack`), so each product is one batched
-`np.matmul`, every set on its own block. The sigmoid, masks, scaling,
+`np.matmul`, every set on its own block, and each bias gradient one
+`nncore.column_sums`: einsum's one pass over the rows, or, for a J = 1
+refit's contiguous column, which numpy sums pairwise, `np.add.reduce`;
+either way the bits of `np.add.reduce`. The sigmoid, masks, scaling,
 regularization, Pegasos and Adam steps run once over those arrays,
 elementwise, so each set's models have the bits of its one-set fit. y is
 broadcast to (n, J) once; the linear SVM multiplies y into the rows of
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import LinearSvmConfig, LogisticConfig
-from ..nncore import AdamState, adam_step, sigmoid
+from ..nncore import AdamState, adam_step, column_sums, sigmoid
 from ..rng import RngStream
 from .base import by_group, check_two_classes
 from .cv import CvResult, fit_sets_with_cv
@@ -100,8 +103,8 @@ class _SetStack:
     set's block contiguous as in its one-set fit. So each product is one
     `np.matmul` over the B sets, which runs numpy's per-matrix routine on
     each set's own block and gives each set its own bits; a column sum is
-    one `np.add.reduce(axis=1)`, and elementwise steps run once over every
-    set. `X` and `y` are the stacked rows and labels, `Xt` the stacked
+    one `column_sums` over the stack, and elementwise steps run once over
+    every set. `X` and `y` are the stacked rows and labels, `Xt` the stacked
     `X.T`, `mask` each column's 0/1 training rows; `count`, `lam` and `reg`
     are parameter arrays, each entry's column row count, lambda and
     `[lam; 0]` (the bias is not regularized).
@@ -176,7 +179,7 @@ def _train_logistic(stack: _SetStack, config: LogisticConfig) -> list[list[Linea
         np.subtract(E, Y, out=E)
         np.multiply(E, stack.mask, out=E)
         np.matmul(stack.Xt, E, out=dW)
-        np.add.reduce(E, axis=1, out=dB)
+        column_sums(E, out=dB)
         grad /= stack.count
         grad += np.multiply(stack.reg, params, out=R)  # lam * W; the bias row adds 0
         adam_step(params, grad, state)
@@ -244,7 +247,7 @@ def _train_linear_svm(stack: _SetStack, config: LinearSvmConfig) -> list[list[Li
         np.multiply(y_train, np.less(M, 1.0, out=violates), out=M)
         # [W; B] -= eta * ([lam W; 0] - [X.T @ yv; sum(yv)] / count)
         np.matmul(stack.Xt, M, out=dW)
-        np.add.reduce(M, axis=1, out=dB)
+        column_sums(M, out=dB)
         grad /= stack.count
         np.subtract(np.multiply(stack.reg, WB, out=R), grad, out=grad)
         grad *= eta

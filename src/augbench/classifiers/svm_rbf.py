@@ -30,17 +30,15 @@ order.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import warn
 from ..config import RbfSvmConfig
 from ..rng import RngStream
 from .base import check_two_classes, sq_distances
 from .cv import CvResult, fit_with_cv
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -158,9 +156,9 @@ def _fit_on_kernel(
     for C in Cs:
         alpha, b, converged, iterations, gap = _smo(K, y, C, config.kkt_tol, config.max_iter)
         if not converged:
-            log.warning("SMO did not reach tolerance %g at C=%g, n=%d: gap %.3g after %d "
-                        "iterations; returning the last iterate",
-                        config.kkt_tol, C, len(y), gap, iterations)
+            warn(__name__, "SMO did not reach tolerance %g at C=%g, n=%d: gap %.3g after %d "
+                 "iterations; returning the last iterate",
+                 config.kkt_tol, C, len(y), gap, iterations)
         sv = alpha > 1e-12
         models.append(RbfSvmModel(
             support_vectors=X[sv].copy(),

@@ -23,17 +23,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import warn
 from .rng import RngStream
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
-
-
-def _warn(message: str, *args) -> None:
-    """Log a warning on this module's logger."""
-    import logging  # here, not at import: `validate` should not load logging
-
-    logging.getLogger(__name__).warning(message, *args)
 
 
 COLUMN_KINDS = ("numeric", "categorical", "identifier", "label")
@@ -173,7 +167,7 @@ def fit_preprocess(table: Table) -> PreprocessPlan:
             std = float(col.std())  # population convention
             if std == 0.0:
                 excluded.append(name)
-                _warn("excluding zero-variance numeric column %r", name)
+                warn(__name__, "excluding zero-variance numeric column %r", name)
                 continue
             numeric_stats[name] = (mean, std)
             feature_order.append(name)
@@ -212,7 +206,7 @@ def apply_preprocess(
             X[:, col_of[f"{name}={cat}"]] = col == cat
         for cat in dict.fromkeys(col.tolist()):
             if cat not in cmap:
-                _warn("unseen category %r in column %r -> zero block", cat, name)
+                warn(__name__, "unseen category %r in column %r -> zero block", cat, name)
 
     return X, table.labels
 

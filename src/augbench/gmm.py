@@ -9,16 +9,14 @@ is monotone non-decreasing, which the tests assert.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import warn
 from .augment import SyntheticBatch, augment_per_class
 from .config import GmmConfig
 from .rng import RngStream
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -94,8 +92,8 @@ def fit_gmm(
     n_distinct = len(np.unique(data, axis=0, return_counts=True)[0])
     k = min(n_components, n, n_distinct)
     if k < n_components:
-        log.warning(
-            "reducing components from %d to %d (%d rows, %d distinct)",
+        warn(
+            __name__, "reducing components from %d to %d (%d rows, %d distinct)",
             n_components, k, n, n_distinct,
         )
 

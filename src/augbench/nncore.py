@@ -28,7 +28,12 @@ loop builds its stack once and trains `stack.nets`.
 
 Every step does only the work its caller reads, with the arithmetic of
 the plain formulas: activations and ReLU masks are applied in place on
-the step's own temporaries.
+the step's own temporaries. A bias gradient is a `column_sums` of the
+layer's delta: numpy reduces an outer axis one row at a time, and
+einsum adds the same rows in the same order in one pass, so the bits are
+those of `np.add.reduce` at about a third of its cost. A one-wide delta
+(a 1-unit output layer) is one contiguous column, which numpy sums
+pairwise, so it stays with `np.add.reduce`.
 
 Conventions fixed for test exactness:
 * ReLU derivative at exactly 0 is 0.
@@ -55,6 +60,16 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.exp(e, out=e)
     d = e + 1.0
     return np.divide(np.where(x >= 0, 1.0, e), d, out=out)
+
+
+def column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`np.add.reduce(a, axis=-2, out=out)` with its bits: each column's sum
+    over the rows of a C-ordered (n, m) array, or of each block of a
+    (B, n, m) stack. einsum does it in one pass, except for one column,
+    which numpy sums pairwise."""
+    if a.shape[-1] == 1:
+        return np.add.reduce(a, axis=-2, out=out)
+    return np.einsum("ij->j" if a.ndim == 2 else "bnj->bj", a, out=out)
 
 
 def _activate(x: np.ndarray, kind: str) -> np.ndarray:
@@ -293,7 +308,7 @@ def _backward(
             d = delta[rows]
             if grads is not None:
                 np.dot(a[rows].T, d, grads[k][2 * i])
-                np.add.reduce(d, axis=0, out=grads[k][2 * i + 1])
+                column_sums(d, out=grads[k][2 * i + 1])
             if through:
                 np.dot(d, weights_t, target)
         if not through:

@@ -1,7 +1,7 @@
 """Shared fixtures and numeric-oracle helpers for the test suite."""
 
 import os
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -384,3 +384,84 @@ def ref_neighbours(train_features, k_max, X):
     d2 = ref_sq_distances(X, train_features)
     nearest = np.argsort(d2, axis=1, kind="stable")[:, :k_max]
     return nearest, np.take_along_axis(d2, nearest, axis=1)
+
+
+# The recursive CART grower, one node at a time: a split search of about 30
+# numpy calls per feature at every node, and a Python walk per scored row.
+# The level-by-level grower must give the same trees, so these are oracles
+# for `np.array_equal` on scores.
+
+
+@dataclass
+class RefNode:
+    counts: tuple[int, int]  # (negatives, positives) among the rows reaching the node
+    # Internal node: feature/threshold/left/right set; all None at a leaf.
+    feature: int | None = None
+    threshold: float | None = None
+    left: "RefNode | None" = None
+    right: "RefNode | None" = None
+
+
+def ref_best_split(X, y):
+    """(feature, threshold, weighted child Gini) or None if nothing splits."""
+    n = len(y)
+    n1_total = int(y.sum())
+    n0_total = n - n1_total
+    best = None
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ys = y[order]
+        distinct = np.flatnonzero(np.diff(xs) > 0)  # split after position i
+        if len(distinct) == 0:
+            continue
+        cum1 = np.cumsum(ys)
+        left_n = distinct + 1
+        left1 = cum1[distinct]
+        left0 = left_n - left1
+        right_n = n - left_n
+        right1 = n1_total - left1
+        right0 = n0_total - left0
+        g_left = 1.0 - (left0 / left_n) ** 2 - (left1 / left_n) ** 2
+        g_right = 1.0 - (right0 / right_n) ** 2 - (right1 / right_n) ** 2
+        weighted = (left_n * g_left + right_n * g_right) / n
+        k = int(np.argmin(weighted))
+        if best is None or weighted[k] < best[2] - 1e-15:
+            thr = (xs[distinct[k]] + xs[distinct[k] + 1]) / 2.0
+            best = (f, float(thr), float(weighted[k]))
+    return best
+
+
+def ref_grow(X, y, min_samples_split, max_depth, depth=0):
+    """The tree grown on the rows of `X` to `max_depth` (None: no limit)."""
+    n1 = int(y.sum())
+    n0 = len(y) - n1
+    if (
+        n0 == 0
+        or n1 == 0
+        or len(y) < min_samples_split
+        or (max_depth is not None and depth >= max_depth)
+    ):
+        return RefNode((n0, n1))
+    split = ref_best_split(X, y)
+    if split is None:
+        return RefNode((n0, n1))
+    f, thr, _ = split
+    mask = X[:, f] <= thr
+    return RefNode(
+        (n0, n1), feature=f, threshold=thr,
+        left=ref_grow(X[mask], y[mask], min_samples_split, max_depth, depth + 1),
+        right=ref_grow(X[~mask], y[~mask], min_samples_split, max_depth, depth + 1),
+    )
+
+
+def ref_tree_scores(root, X):
+    """The positive fraction of the leaf each row of `X` reaches."""
+    out = np.empty(len(X))
+    for i, row in enumerate(X):
+        node = root
+        while node.left is not None:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        n0, n1 = node.counts
+        out[i] = n1 / (n0 + n1)
+    return out

@@ -58,10 +58,13 @@ def test_recovers_separated_means():
     np.testing.assert_allclose(model.weights.sum(), 1.0, atol=1e-9)
 
 
-def test_component_count_reduced_on_degenerate_data():
+def test_component_count_reduced_on_degenerate_data(caplog):
     data = np.tile([[1.0, 2.0], [3.0, 4.0]], (10, 1))  # 2 distinct rows
     model = fit_gmm(data, 5, rng=RngStream(0))
     assert model.n_components <= 2
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("augbench.gmm", "WARNING", "reducing components from 5 to 2 (20 rows, 2 distinct)")
+    ]
 
 
 def test_single_component_matches_sample_moments():

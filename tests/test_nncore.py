@@ -14,6 +14,7 @@ from augbench.nncore import (
     MlpParams,
     MlpStack,
     adam_step,
+    column_sums,
     init_mlp,
     mlp_backward,
     mlp_forward,
@@ -478,3 +479,25 @@ def test_stack_rejects_mixed_topologies_and_wrong_row_counts():
     stack = MlpStack([a, a], [2, 3])
     with pytest.raises(ValueError, match="5"):
         mlp_forward(stack, np.zeros((4, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(1, 400), st.integers(1, 40)),
+        st.tuples(st.integers(1, 5), st.integers(1, 400), st.integers(1, 24)),
+    ),
+    offset=st.integers(0, 3),
+    scale=st.sampled_from([1e-3, 1.0, 1e6]),
+    seed=st.integers(0, 2**32),
+)
+def test_column_sums_equal_add_reduce_bit_for_bit(shape, offset, scale, seed):
+    # A row slice of a larger array, as a backward pass sums a network's
+    # block of a stacked delta; one-column shapes included.
+    *outer, n, m = shape
+    base = RngStream(seed, ("column-sums",)).normal(size=(*outer, n + offset, m)) * scale
+    a = base[..., offset:, :]
+    out = np.empty((*outer, m))
+    assert column_sums(a, out=out) is out
+    assert np.array_equal(out, np.add.reduce(a, axis=-2))
+    assert np.array_equal(column_sums(a), np.add.reduce(a, axis=-2))

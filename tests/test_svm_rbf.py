@@ -50,6 +50,15 @@ def test_xor_is_solved_with_dual_feasibility():
     assert abs(np.sum(model.alphas * model.train_labels_pm)) < 1e-6
 
 
+def test_unconverged_smo_warns_and_returns_its_last_iterate(caplog):
+    model = fit_rbf_svm(XOR_X, XOR_Y, RbfSvmConfig(C=10.0, gamma=1.0, max_iter=1))
+    assert not model.converged
+    [record] = caplog.records
+    assert (record.name, record.levelname) == ("augbench.classifiers.svm_rbf", "WARNING")
+    assert record.getMessage().startswith("SMO did not reach tolerance 0.001 at C=10, n=4: gap ")
+    assert record.getMessage().endswith(" after 1 iterations; returning the last iterate")
+
+
 def test_kkt_conditions_on_separable_data():
     rng = RngStream(0, ("sep",))
     X = np.vstack([rng.derive("a").normal(size=(25, 2)),
