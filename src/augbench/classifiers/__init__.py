@@ -12,9 +12,7 @@ from .linear import (
     fit_logistic_sets,
 )
 from .svm_rbf import RbfSvmConfig, RbfSvmModel, fit_rbf_svm, fit_rbf_svm_sets
-from .tree import (
-    DecisionTreeModel, Tree, TreeConfig, fit_decision_tree, fit_decision_tree_sets, gini,
-)
+from .tree import DecisionTreeModel, Tree, TreeConfig, fit_decision_tree, fit_decision_tree_sets
 
 __all__ = [
     "predict_labels",
@@ -25,5 +23,4 @@ __all__ = [
     "fit_linear_svm", "fit_linear_svm_sets", "fit_logistic", "fit_logistic_sets",
     "RbfSvmConfig", "RbfSvmModel", "fit_rbf_svm", "fit_rbf_svm_sets",
     "DecisionTreeModel", "Tree", "TreeConfig", "fit_decision_tree", "fit_decision_tree_sets",
-    "gini",
 ]

@@ -48,14 +48,6 @@ from .cv import CvResult, fit_with_cv
 _UNLIMITED = np.iinfo(np.intp).max
 
 
-def gini(n0: int, n1: int) -> float:
-    n = n0 + n1
-    if n == 0:
-        return 0.0
-    p0, p1 = n0 / n, n1 / n
-    return 1.0 - p0 * p0 - p1 * p1
-
-
 @dataclass
 class Tree:
     """A grown tree as arrays over its nodes, root first, level by level."""
@@ -88,20 +80,20 @@ class DecisionTreeModel:
         return {"max_depth": self.max_depth}
 
 
-def _gini(count, positives):
+def _gini_impurity(count, positives):
     """The Gini impurity of `count` rows of which `positives` are positive."""
     return 1.0 - ((count - positives) / count) ** 2 - (positives / count) ** 2
 
 
-def _weighted_gini(n, n1, seg, left_n, left1):
-    """`(left_n * gini(left) + right_n * gini(right)) / n` of each split of
-    a segment `seg` of `n[seg]` rows, `n1[seg]` of them positive, with
-    `left_n` rows on the left, `left1` of them positive, and the rest on
-    the right. The products and the sum are taken in place."""
-    weighted = _gini(left_n, left1)
+def _weighted_impurity(n, n1, seg, left_n, left1):
+    """`(left_n * impurity(left) + right_n * impurity(right)) / n` of each
+    split of a segment `seg` of `n[seg]` rows, `n1[seg]` of them positive,
+    with `left_n` rows on the left, `left1` of them positive, and the rest
+    on the right. The products and the sum are taken in place."""
+    weighted = _gini_impurity(left_n, left1)
     weighted *= left_n
     right_n = n[seg] - left_n
-    right = _gini(right_n, n1[seg] - left1)
+    right = _gini_impurity(right_n, n1[seg] - left1)
     right *= right_n
     weighted += right
     weighted /= n[seg]
@@ -132,7 +124,7 @@ def _block_splits(X, y, order, features, n, n1):
     # count ahead of its segment.
     left1 = cum1[pos] - (cum1[starts] - ys[starts])[seg]
     del ys, cum1  # a block's temporaries are freed as soon as they are read
-    weighted = _weighted_gini(n, n1, seg, pos - starts[seg] + 1, left1)
+    weighted = _weighted_impurity(n, n1, seg, pos - starts[seg] + 1, left1)
     del left1
     # Each segment's minimum and the first position attaining it.
     new = np.empty(len(pos), dtype=bool)
@@ -275,6 +267,9 @@ def fit_tree_fixed_depth(
     X: np.ndarray, y: np.ndarray, max_depth: int | None,
     config: TreeConfig | None = None,
 ) -> DecisionTreeModel:
+    """One tree grown on all of `X` to `max_depth`. No run calls it: it
+    stays as the one-model-per-job tree reference that `test_cv` compares
+    the batched CV against."""
     y = np.asarray(y, dtype=int)
     [model] = _fit_tree_many(np.asarray(X, dtype=float), y, [(np.arange(len(y)), [max_depth])],
                              config or TreeConfig())

@@ -30,10 +30,6 @@ class GmmModel:
     def n_components(self) -> int:
         return len(self.weights)
 
-    @property
-    def final_log_likelihood(self) -> float:
-        return self.log_likelihood_history[-1]
-
 
 def _log_gaussian(data: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Log density of N(mean, cov) at each row of `data`."""
@@ -135,7 +131,7 @@ def fit_gmm_bic(
         model = fit_gmm(data, k, config, rng.derive(f"k{k}"))
         kk = model.n_components
         n_params = (kk - 1) + kk * d + kk * d * (d + 1) // 2
-        bic = -2.0 * model.final_log_likelihood + n_params * np.log(n)
+        bic = -2.0 * model.log_likelihood_history[-1] + n_params * np.log(n)
         if bic < best_bic:
             best, best_bic = model, bic
     return best

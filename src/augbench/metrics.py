@@ -20,18 +20,6 @@ class MetricError(Exception):
 
 
 @dataclass
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass
 class RocCurve:
     points: list[tuple[float, float]]  # (fpr, tpr) from (0,0) to (1,1)
     auc: float
@@ -47,27 +35,20 @@ def _as_arrays(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     return t, p
 
 
-def confusion(y_true, y_pred) -> ConfusionCounts:
-    t, p = _as_arrays(y_true, y_pred)
-    return ConfusionCounts(
-        tp=int(np.sum((t == 1) & (p == 1))),
-        fp=int(np.sum((t == 0) & (p == 1))),
-        tn=int(np.sum((t == 0) & (p == 0))),
-        fn=int(np.sum((t == 1) & (p == 0))),
-    )
-
-
 def accuracy(y_true, y_pred) -> float:
     t, p = _as_arrays(y_true, y_pred)
     return float(np.mean(t == p))
 
 
 def f1(y_true, y_pred) -> float:
-    c = confusion(y_true, y_pred)
-    denom = 2 * c.tp + c.fp + c.fn
+    t, p = _as_arrays(y_true, y_pred)
+    tp = int(np.sum((t == 1) & (p == 1)))
+    fp = int(np.sum((t == 0) & (p == 1)))
+    fn = int(np.sum((t == 1) & (p == 0)))
+    denom = 2 * tp + fp + fn
     if denom == 0:
         return 0.0
-    return 2 * c.tp / denom
+    return 2 * tp / denom
 
 
 def roc_auc(y_true, scores) -> RocCurve:

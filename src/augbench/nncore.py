@@ -241,13 +241,12 @@ def block_means(values: np.ndarray, blocks: list[tuple[slice, int]]) -> list[flo
 
 def row_blocks(
     params: MlpParams | MlpStack, x: np.ndarray
-) -> tuple[list[tuple[slice, int]], np.ndarray | int]:
+) -> tuple[list[tuple[slice, int]], np.ndarray]:
     """The (rows, row count) of each block of the batch `x` for `params`,
-    and each row's block size: a stack's blocks and per-row column, or all
-    of `x` as one block and its length."""
-    if isinstance(params, MlpStack):
-        return [(rows, rows.stop - rows.start) for rows in params.blocks], params.counts
-    return [(slice(None), len(x))], len(x)
+    and each row's block size as a float column; a lone network's batch
+    is one block."""
+    stack = _as_stack(params, len(x))
+    return [(rows, rows.stop - rows.start) for rows in stack.blocks], stack.counts
 
 
 class GradBuffer:

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from augbench.gan import GanConfig, augment_with_gan, discriminator_loss, sample_gan, train_gan
-from augbench.nncore import Layer, MlpParams, init_mlp, mlp_forward
+from augbench.gan import (
+    GanConfig, _discriminator_losses, augment_with_gan, discriminator_loss, sample_gan, train_gan,
+)
+from augbench.nncore import Layer, MlpParams, MlpStack, init_mlp, mlp_forward
 from augbench.rng import RngStream
 from augbench.vae import VaeConfig, train_vae
 from conftest import (
@@ -65,6 +67,22 @@ def test_discriminator_gradients_match_finite_differences():
     _, analytic = discriminator_loss(disc, real, fake)
     numeric = central_difference(loss_fn, disc.arrays())
     assert max_relative_error(analytic, numeric) < 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32))
+def test_discriminator_loss_equals_it_through_a_one_network_stack(n, seed):
+    """A lone discriminator's loss and gradients are those of it stacked
+    alone, as `train_gan` trains it (real and fake batches of one size)."""
+    disc = fresh_disc(seed % 1000)
+    rng = RngStream(seed, ("disc-stack",))
+    real = rng.derive("r").normal(size=(n, 3))
+    fake = rng.derive("f").normal(size=(n, 3)) + 0.5
+    loss, grads = discriminator_loss(disc, real, fake)
+    [stack_loss], [stack_grads] = _discriminator_losses(MlpStack([disc], [n]), real, fake)
+    assert loss == stack_loss
+    for a, b in zip(grads, stack_grads, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_discriminator_loss_rejects_empty_batches():

@@ -8,7 +8,6 @@ from augbench.metrics import (
     MetricError,
     RocCurve,
     accuracy,
-    confusion,
     f1,
     roc_auc,
     roc_to_csv,
@@ -58,17 +57,23 @@ def tie_group_loop_roc(y_true, scores) -> RocCurve:
     return RocCurve(points=points, auc=float(auc))
 
 
-def test_confusion_hand_values():
-    c = confusion([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
-    assert (c.tp, c.fn, c.tn, c.fp) == (2, 1, 1, 1)
-    assert c.total == 5
-
-
 def test_accuracy_and_f1_hand_values():
     y = [1, 1, 0, 0, 1]
     p = [1, 0, 0, 1, 1]
     assert accuracy(y, p) == pytest.approx(3 / 5)
     assert f1(y, p) == pytest.approx(2 * 2 / (2 * 2 + 1 + 1))
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=60))
+def test_f1_equals_the_hand_counted_formula(pairs):
+    """`2tp / (2tp + fp + fn)` from counts taken one pair at a time, and
+    0.0 when nothing is positive in either labels or predictions."""
+    y, p = (list(column) for column in zip(*pairs))
+    tp = sum(1 for t, q in pairs if t == 1 and q == 1)
+    fp = sum(1 for t, q in pairs if t == 0 and q == 1)
+    fn = sum(1 for t, q in pairs if t == 1 and q == 0)
+    denom = 2 * tp + fp + fn
+    assert f1(y, p) == (0.0 if denom == 0 else 2 * tp / denom)
 
 
 def test_f1_zero_convention_all_negative_predictor():

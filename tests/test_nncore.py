@@ -19,6 +19,7 @@ from augbench.nncore import (
     mlp_backward,
     mlp_forward,
     mlp_input_grad,
+    row_blocks,
     sigmoid,
 )
 from augbench.rng import RngStream
@@ -446,6 +447,18 @@ def test_single_network_passes_equal_the_plain_formulas_at_any_row_count(n, m, n
     model = fit_dense_net(rng.derive("train").normal(size=(m + 1, 2)), np.append(y, 1),
                           DenseNetConfig(hidden=(4, 3), epochs=3), rng.derive("dense"))
     assert np.array_equal(model.decision_scores(real), ref_forward(model.params, real)[-1][:, 0])
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_row_blocks_of_a_lone_network_equal_a_one_network_stacks(n):
+    net = init_mlp([2, 3, 1], ["relu", "sigmoid"], RngStream(35, ("row-blocks",)))
+    x = np.zeros((n, 2))
+    blocks, counts = row_blocks(net, x)
+    stack_blocks, stack_counts = row_blocks(MlpStack([net], [n]), x)
+    assert blocks == stack_blocks == [(slice(0, n), n)]
+    assert counts.dtype == stack_counts.dtype == float
+    assert counts.shape == stack_counts.shape == (n, 1)
+    assert np.array_equal(counts, stack_counts)
 
 
 def test_stack_gradient_buffer_and_adam_step_cover_every_network():

@@ -1,4 +1,4 @@
-"""CART: Gini values, split selection, XOR shattering, depth control."""
+"""CART: split selection, XOR shattering, depth control."""
 
 import tracemalloc
 from unittest import mock
@@ -14,7 +14,6 @@ from augbench.classifiers.tree import (
     fit_decision_tree,
     fit_decision_tree_sets,
     fit_tree_fixed_depth,
-    gini,
 )
 from augbench.config import ExperimentConfig
 from augbench.dataio import prepare
@@ -23,13 +22,6 @@ from conftest import FIXTURE_CSV, SCHEMA, flat_jobs, ref_grow, ref_tree_scores
 
 XOR_X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 XOR_Y = np.array([0, 1, 1, 0])
-
-
-def test_gini_hand_values():
-    assert gini(10, 0) == 0.0
-    assert gini(0, 0) == 0.0
-    assert gini(5, 5) == pytest.approx(0.5)
-    assert gini(3, 1) == pytest.approx(1.0 - 0.75**2 - 0.25**2)
 
 
 def test_pure_data_gives_single_leaf():

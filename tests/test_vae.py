@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from augbench.nncore import MlpStack
 from augbench.rng import RngStream
 from augbench.vae import (
     VaeConfig,
+    VaeModel,
+    _vae_losses,
     augment_with_vae,
     init_vae,
     kl_divergence,
@@ -73,6 +76,24 @@ def test_vae_loss_includes_weighted_kl():
     l2 = vae_loss(model, batch, eps=eps, beta=2.0)[0]
     assert l1 >= l0  # KL is nonnegative
     assert l2 - l1 == pytest.approx(l1 - l0)  # linear in beta
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 2**32), beta=st.sampled_from([0.0, 0.7, 1.0]))
+def test_vae_loss_equals_it_through_one_network_stacks(n, seed, beta):
+    """A lone model's loss and gradients are those of its networks
+    stacked one apiece, as `train_vae` trains them."""
+    model = small_model(seed % 1000)
+    rng = RngStream(seed, ("vae-stack",))
+    batch = rng.derive("x").normal(size=(n, 3))
+    eps = rng.derive("eps").normal(size=(n, 2))
+    loss, (enc_g, dec_g) = vae_loss(model, batch, eps=eps, beta=beta)
+    stacked = VaeModel(MlpStack([model.encoder], [n]), MlpStack([model.decoder], [n]),
+                       model.latent_dim, np.empty(0))
+    [stack_loss], ([stack_enc_g], [stack_dec_g]) = _vae_losses(stacked, batch, eps, beta, None)
+    assert loss == stack_loss
+    for a, b in zip(enc_g + dec_g, stack_enc_g + stack_dec_g, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_vae_loss_rejects_wrong_width():
