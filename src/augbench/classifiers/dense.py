@@ -20,7 +20,7 @@ import numpy as np
 
 from ..config import DenseNetConfig
 from ..nncore import (
-    AdamState, GradBuffer, MlpParams, MlpStack, adam_step, block_means, init_mlp,
+    AdamState, GradBuffer, MlpParams, MlpStack, adam_step, block_means, clip, init_mlp,
     mlp_backward, mlp_forward, row_blocks,
 )
 from ..rng import RngStream
@@ -69,7 +69,7 @@ def _train_stack(sets, config: DenseNetConfig) -> list[DenseNetModel]:
 
     for epoch in range(config.epochs):
         acts = mlp_forward(stack, X)
-        p = np.minimum(np.maximum(acts[-1], PROB_CLAMP), 1.0 - PROB_CLAMP)  # np.clip
+        p = clip(acts[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
         not_p = 1.0 - p
         log_lik = y * np.log(p) + not_y * np.log(not_p)
         for model, mean in zip(models, block_means(log_lik, blocks)):

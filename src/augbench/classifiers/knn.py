@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import KnnConfig
+from ..config import KnnConfig, fold_train_rows
 from ..rng import RngStream
 from .base import ROW_BLOCK, sq_distances
 from .cv import CvResult, fit_with_cv
@@ -124,7 +124,7 @@ def fit_knn(
 
     grid = config.k_grid
     if config.k == "auto":
-        grid = [k for k in grid if k <= len(y) - len(y) // config.cv_folds]
+        grid = [k for k in grid if k <= fold_train_rows(len(y), config.cv_folds)]
     elif not 1 <= config.k <= len(y):
         raise ValueError(f"k={config.k} outside [1, {len(y)}]")
     return fit_with_cv(

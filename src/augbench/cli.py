@@ -144,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (ConfigError, DataError, GeneratorError, ValueError) as e:
+    except (ConfigError, DataError, GeneratorError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -312,13 +312,18 @@ def module_configs(config: ExperimentConfig) -> dict:
     return cfgs
 
 
+def fold_train_rows(n: int, folds: int) -> int:
+    """The rows of a CV training fold, as the KNN grid filters count them."""
+    return n - n // folds
+
+
 def check_data_bounds(config: ExperimentConfig, cfgs: dict, y_train: np.ndarray) -> None:
     """Raise one ConfigError for a hyperparameter that the real training
     rows, which every augmented training set contains, cannot meet: a
     tuned classifier's `cv_folds` above the smaller class's row count
     (a fold would miss that class), a pinned `knn.k` above the row
     count, or a tuned `knn.k_grid` with no entry that a CV training fold
-    can hold (`fit_knn` keeps k <= n - n // cv_folds). A classifier is
+    can hold (`fit_knn` keeps k <= `fold_train_rows`). A classifier is
     tuned when a field is "auto" (picked by CV)."""
     smaller = int(np.bincount(y_train, minlength=2).min())
     for c in config.classifiers:
@@ -334,7 +339,7 @@ def check_data_bounds(config: ExperimentConfig, cfgs: dict, y_train: np.ndarray)
                 f"{section}.k must be <= {len(y_train)} (training rows), got {cfg.k}"
             )
         if c == "knn" and cfg.k == "auto":
-            fold_rows = len(y_train) - len(y_train) // cfg.cv_folds
+            fold_rows = fold_train_rows(len(y_train), cfg.cv_folds)
             if min(cfg.k_grid) > fold_rows:
                 raise ConfigError(
                     f"{section}.k_grid must hold an entry <= {fold_rows} (training rows "

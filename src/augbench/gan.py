@@ -10,7 +10,9 @@ loss (cross-entropy of fakes against target 1). Updates alternate 1:1.
 `train_gan` trains one GAN per class in lockstep, pretraining included:
 the classes' decoders and discriminators are `nncore.MlpStack`s over the
 stacked real rows, and each class draws its latents from its own stream
-into its own rows. Every class's model has the bits of a GAN trained alone.
+into its own rows; each epoch's `_discriminator_losses` writes into the
+loop's own `GradBuffer`s. Every class's model has the bits of a GAN
+trained alone.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .augment import SyntheticBatch, augment_per_class
 from .config import GanConfig
 from .nncore import (
-    AdamState, GradBuffer, MlpParams, MlpStack, adam_step, block_means, init_mlp,
+    AdamState, GradBuffer, MlpParams, MlpStack, adam_step, block_means, clip, init_mlp,
     mlp_backward, mlp_forward, mlp_input_grad, row_blocks,
 )
 from .rng import RngStream
@@ -41,32 +43,22 @@ class GanModel:
     loss_history: np.ndarray
 
 
-def _clamp(p: np.ndarray) -> np.ndarray:
-    """`np.clip(p, PROB_CLAMP, 1 - PROB_CLAMP)` without its Python wrapper."""
-    return np.minimum(np.maximum(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
-
-
 def _discriminator_losses(
-    disc: MlpParams | MlpStack,
-    real: np.ndarray,
-    fake: np.ndarray,
-    out: GradBuffer | None = None,
-    fake_out: GradBuffer | None = None,
+    disc: MlpParams | MlpStack, real: np.ndarray, fake: np.ndarray,
+    out: GradBuffer, fake_out: GradBuffer,
 ) -> tuple[list[float], list]:
-    """`discriminator_loss` per row block: a single net's batches are one
-    block each, and a stack's are stacked like its blocks."""
+    """`discriminator_loss` per row block (a single net's batches are one
+    block each), its gradient summed into `out` through `fake_out`."""
     if len(real) == 0 or len(fake) == 0:
         raise ValueError("real and fake batches must be nonempty")
-    out = out or GradBuffer(disc)
-    fake_out = fake_out or GradBuffer(disc)
     blocks_r, n_r = row_blocks(disc, real)
     blocks_f, n_f = row_blocks(disc, fake)
     # Each pass is taken back before the next, so a stack's buffers serve both.
     acts = mlp_forward(disc, real)
-    p_r = _clamp(acts[-1])
+    p_r = clip(acts[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
     mlp_backward(disc, acts, -0.5 / (p_r * n_r), out, input_grad=False)
     acts = mlp_forward(disc, fake)
-    q_f = 1.0 - _clamp(acts[-1])
+    q_f = 1.0 - clip(acts[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
     mlp_backward(disc, acts, 0.5 / (q_f * n_f), fake_out, input_grad=False)
     out.flat += fake_out.flat
     # Negating a mean is exact: these are the bits of the mean of -log p.
@@ -79,7 +71,7 @@ def discriminator_loss(
     disc: MlpParams, real: np.ndarray, fake: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
     """BCE with real->1, fake->0; returns (loss, gradients w.r.t. disc params)."""
-    losses, grads = _discriminator_losses(disc, real, fake)
+    losses, grads = _discriminator_losses(disc, real, fake, GradBuffer(disc), GradBuffer(disc))
     return losses[0], grads
 
 
@@ -90,7 +82,7 @@ def _generator_loss(
     gradient w.r.t. fake rows)."""
     blocks, n = row_blocks(disc, fake)
     acts = mlp_forward(disc, fake)
-    p = _clamp(acts[-1])
+    p = clip(acts[-1], PROB_CLAMP, 1.0 - PROB_CLAMP)
     d_fake = mlp_input_grad(disc, acts, -1.0 / (p * n))
     return [-mean for mean in block_means(np.log(p), blocks)], d_fake
 

@@ -14,7 +14,8 @@ computes the gradient w.r.t. the input batch only when asked
 (`mlp_input_grad` gives only that, for a network held fixed). `adam_step`
 updates the parameter vector and its moment vectors in place, through
 scratch vectors kept in its state, so a training step is a handful of
-whole-vector operations and never rebuilds a network or allocates.
+whole-vector operations and never rebuilds a network or allocates; its
+β1, β2 and ε are the constants `ADAM_BETA1`, `ADAM_BETA2` and `ADAM_EPS`.
 
 Every pass runs over an `MlpStack`: networks of one topology (one per
 class of a generator) whose parameters are consecutive blocks of one
@@ -49,6 +50,13 @@ import numpy as np
 from .rng import RngStream
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh", "identity")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """`np.clip(x, lo, hi)` without its Python wrapper: the one clamp of the
+    VAE's log-variances and the GAN's and dense net's probabilities."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -356,9 +364,6 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     # Two vectors shaped like `m` that `adam_step` computes in.
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
@@ -366,8 +371,8 @@ class AdamState:
         self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
-    def for_params(cls, params: np.ndarray, alpha: float = 1e-3, **kw) -> "AdamState":
-        return cls(m=np.zeros_like(params), v=np.zeros_like(params), alpha=alpha, **kw)
+    def for_params(cls, params: np.ndarray, alpha: float = 1e-3) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), alpha=alpha)
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
@@ -376,7 +381,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite gradient passed to adam_step")
     state.t += 1
-    t, b1, b2 = state.t, state.beta1, state.beta2
+    t, b1, b2 = state.t, ADAM_BETA1, ADAM_BETA2
     m, v = state.m, state.v
     s, u = state.scratch
     # m = b1*m + (1 - b1)*grad and v = b2*v + (1 - b2)*grad*grad.
@@ -388,7 +393,7 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     # params -= alpha * m_hat / (sqrt(v_hat) + eps), factor by factor.
     np.divide(v, 1.0 - b2**t, out=s)
     np.sqrt(s, out=s)
-    s += state.eps
+    s += ADAM_EPS
     np.divide(m, 1.0 - b1**t, out=u)
     u *= state.alpha
     u /= s

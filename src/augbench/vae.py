@@ -13,7 +13,8 @@ finite; gradients do not flow through a saturated clamp.
 `train_vae` trains one VAE per class in lockstep: the classes' rows are
 stacked, their encoders and decoders are `nncore.MlpStack`s over one
 parameter vector, and each class draws its noise from its own stream into
-its own rows. Every class's model has the bits of a VAE trained alone.
+its own rows; each epoch's `_vae_losses` writes into the loop's own
+`GradBuffer`s. Every class's model has the bits of a VAE trained alone.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .augment import SyntheticBatch, augment_per_class
 from .config import VaeConfig
 from .nncore import (
-    AdamState, GradBuffer, MlpParams, MlpStack, adam_step, block_means, init_mlp,
+    AdamState, GradBuffer, MlpParams, MlpStack, adam_step, block_means, clip, init_mlp,
     mlp_backward, mlp_forward, row_blocks,
 )
 from .rng import RngStream
@@ -35,17 +36,13 @@ LOGVAR_MIN, LOGVAR_MAX = -10.0, 10.0
 
 @dataclass
 class VaeModel:
-    # One class's networks, or (inside `train_vae`) every class's, as stacks.
-    encoder: MlpParams | MlpStack  # output width 2*latent_dim: [mu | logvar]
-    decoder: MlpParams | MlpStack
+    # One class's networks; training makes them views of its trainer's vector.
+    encoder: MlpParams  # output width 2*latent_dim: [mu | logvar]
+    decoder: MlpParams
     latent_dim: int
     # Row e is epoch e's loss: a (max(epochs, 1),) float64 array after
     # `train_vae` (epoch 0 alone at zero epochs), empty before.
     loss_history: np.ndarray
-
-    @property
-    def n_features(self) -> int:
-        return self.encoder.input_size
 
 
 def kl_divergence(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
@@ -78,36 +75,34 @@ def vae_loss(
 
     `eps` is the reparameterization noise, one latent row per batch row.
     """
-    batch = np.asarray(batch, dtype=float)
-    losses, grads = _vae_losses(model, batch, eps, beta, None)
+    losses, grads = _vae_losses(
+        model.encoder, model.decoder, model.latent_dim, np.asarray(batch, dtype=float), eps,
+        beta, (GradBuffer(model.encoder), GradBuffer(model.decoder)),
+    )
     return losses[0], grads
 
 
 def _vae_losses(
-    model: VaeModel,
-    batch: np.ndarray,
-    eps: np.ndarray,
-    beta: float,
-    out: tuple[GradBuffer, GradBuffer] | None,
+    encoder: MlpParams | MlpStack, decoder: MlpParams | MlpStack, latent_dim: int,
+    batch: np.ndarray, eps: np.ndarray, beta: float, out: tuple[GradBuffer, GradBuffer],
 ) -> tuple[list[float], tuple[list, list]]:
-    """`vae_loss` per row block, for a model of single networks (one block)
-    or of stacks (one block per class), with the noise `eps` given."""
+    """`vae_loss` per row block, for single networks (one block) or stacks
+    (one block per class), with the noise `eps` given; the gradients go
+    into `out`, the encoder's and decoder's `GradBuffer`s."""
     d = batch.shape[1]
-    if d != model.n_features:
-        raise ValueError(f"batch has {d} columns, model expects {model.n_features}")
-    L = model.latent_dim
-    enc_out, dec_out = out or (GradBuffer(model.encoder), GradBuffer(model.decoder))
-    blocks, n = row_blocks(model.encoder, batch)
+    if d != encoder.input_size:
+        raise ValueError(f"batch has {d} columns, model expects {encoder.input_size}")
+    blocks, n = row_blocks(encoder, batch)
 
-    enc_acts = mlp_forward(model.encoder, batch)
+    enc_acts = mlp_forward(encoder, batch)
     heads = enc_acts[-1]
-    mu, logvar_raw = heads[:, :L], heads[:, L:]
+    mu, logvar_raw = heads[:, :latent_dim], heads[:, latent_dim:]
     clamp_ok = (logvar_raw > LOGVAR_MIN) & (logvar_raw < LOGVAR_MAX)
-    logvar = np.minimum(np.maximum(logvar_raw, LOGVAR_MIN), LOGVAR_MAX)  # np.clip
+    logvar = clip(logvar_raw, LOGVAR_MIN, LOGVAR_MAX)
     sigma = np.exp(0.5 * logvar)
     z = mu + sigma * eps
 
-    dec_acts = mlp_forward(model.decoder, z)
+    dec_acts = mlp_forward(decoder, z)
     recon = dec_acts[-1]
     # Squared error summed over features (unit-variance Gaussian decoder
     # up to constants), averaged over the block; KL averaged over the block.
@@ -118,12 +113,12 @@ def _vae_losses(
 
     # Backward: reconstruction path through the decoder into z.
     d_recon = 2.0 * residual / n
-    dec_grads, dz = mlp_backward(model.decoder, dec_acts, d_recon, dec_out)
+    dec_grads, dz = mlp_backward(decoder, dec_acts, d_recon, out[1])
 
     d_mu = dz + beta * mu / n
     d_logvar = dz * eps * 0.5 * sigma + beta * 0.5 * (np.exp(logvar) - 1.0) / n
     d_heads = np.concatenate([d_mu, d_logvar * clamp_ok], axis=1)
-    enc_grads, _ = mlp_backward(model.encoder, enc_acts, d_heads, enc_out, input_grad=False)
+    enc_grads, _ = mlp_backward(encoder, enc_acts, d_heads, out[0], input_grad=False)
     return losses, (enc_grads, dec_grads)
 
 
@@ -161,7 +156,6 @@ def train_vae(
         models[c].loss_history = np.empty(max(config.epochs, 1))
     grads = (GradBuffer(enc, grad[:n_enc]), GradBuffer(dec, grad[n_enc:]))
     state = AdamState.for_params(params, alpha=config.learning_rate)
-    stacked = VaeModel(enc, dec, config.latent_dim, np.empty(0))
     histories = [models[c].loss_history for c in classes]
     batch = np.concatenate([data[c] for c in classes])
     eps = np.empty((len(batch), config.latent_dim))
@@ -172,7 +166,7 @@ def train_vae(
         for epoch in range(max(config.epochs, 1)):
             for stream, block in zip(noise, eps_blocks):
                 stream.normal(out=block)
-            losses, _ = _vae_losses(stacked, batch, eps, config.beta, grads)
+            losses, _ = _vae_losses(enc, dec, config.latent_dim, batch, eps, config.beta, grads)
             for history, loss in zip(histories, losses):
                 history[epoch] = loss
             if config.epochs:
@@ -187,7 +181,7 @@ def sample_vae(model: VaeModel, n: int, rng: RngStream) -> np.ndarray:
     if n < 0:
         raise ValueError("sample count must be nonnegative")
     if n == 0:
-        return np.empty((0, model.n_features))
+        return np.empty((0, model.encoder.input_size))
     z = rng.normal(size=(n, model.latent_dim))
     return mlp_forward(model.decoder, z)[-1]
 

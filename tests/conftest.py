@@ -10,7 +10,7 @@ from hypothesis import settings, strategies as st
 
 from augbench.classifiers.linear import LinearModel, _check_svm_lambda
 from augbench.gan import PROB_CLAMP
-from augbench.nncore import AdamState, Layer, MlpParams, init_mlp
+from augbench.nncore import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, Layer, MlpParams, init_mlp
 from augbench.rng import RngStream
 from augbench.vae import LOGVAR_MAX, LOGVAR_MIN, VaeModel, init_vae
 
@@ -141,7 +141,7 @@ def ref_adam_step(params, grad, state):
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite gradient passed to adam_step")
     state.t += 1
-    t, b1, b2 = state.t, state.beta1, state.beta2
+    t, b1, b2 = state.t, ADAM_BETA1, ADAM_BETA2
     m, v = state.m, state.v
     m *= b1
     m += (1.0 - b1) * grad
@@ -149,7 +149,7 @@ def ref_adam_step(params, grad, state):
     v += (1.0 - b2) * grad * grad
     m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
-    params -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
+    params -= state.alpha * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def flat(arrays):

@@ -775,6 +775,22 @@ def test_unusable_seed_directory_fails_before_the_first_seed(
     assert _one_line_error(err) and f"{out / 'seed_1'}: " in err
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("run", "report.md"),
+    ("run --seeds 2", "seed_1/results.csv"),
+    ("augment --generator gmm", "synthetic_gmm.csv"),
+])
+def test_output_file_that_cannot_be_written_is_a_one_line_error(
+        config_path, tmp_path, capsys, command, blocked):
+    # A directory where an output file goes: writing it raises IsADirectoryError.
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    argv = command.split() + ["--config", str(config_path), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert _one_line_error(err) and str(out / blocked) in err
+
+
 @pytest.mark.parametrize("seed, message", [
     (-1, "seed must be >= 0, got -1"),
     (2**64, f"seed must be <= {2**64 - 1}, got {2**64}"),

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from augbench.gan import (
     GanConfig, _discriminator_losses, augment_with_gan, discriminator_loss, sample_gan, train_gan,
 )
-from augbench.nncore import Layer, MlpParams, MlpStack, init_mlp, mlp_forward
+from augbench.nncore import GradBuffer, Layer, MlpParams, MlpStack, init_mlp, mlp_forward
 from augbench.rng import RngStream
 from augbench.vae import VaeConfig, train_vae
 from conftest import (
@@ -79,7 +79,10 @@ def test_discriminator_loss_equals_it_through_a_one_network_stack(n, seed):
     real = rng.derive("r").normal(size=(n, 3))
     fake = rng.derive("f").normal(size=(n, 3)) + 0.5
     loss, grads = discriminator_loss(disc, real, fake)
-    [stack_loss], [stack_grads] = _discriminator_losses(MlpStack([disc], [n]), real, fake)
+    stack = MlpStack([disc], [n])
+    [stack_loss], [stack_grads] = _discriminator_losses(
+        stack, real, fake, GradBuffer(stack), GradBuffer(stack)
+    )
     assert loss == stack_loss
     for a, b in zip(grads, stack_grads, strict=True):
         assert np.array_equal(a, b)

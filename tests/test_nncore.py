@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 from augbench.classifiers.dense import DenseNetConfig, fit_dense_net
 from augbench.gan import PROB_CLAMP as GAN_PROB_CLAMP, discriminator_loss
 from augbench.nncore import (
+    ADAM_EPS,
     AdamState,
     GradBuffer,
     Layer,
     MlpParams,
     MlpStack,
     adam_step,
+    clip,
     column_sums,
     init_mlp,
     mlp_backward,
@@ -55,6 +57,17 @@ def test_sigmoid_equals_the_sign_split_form_bit_for_bit():
     ex = np.exp(x[~pos])
     ref[~pos] = ex / (1.0 + ex)
     np.testing.assert_array_equal(sigmoid(x), ref)
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-7, 1.0 - 1e-7), (1e-12, 1.0 - 1e-12), (-10.0, 10.0)])
+def test_clip_equals_np_clip_bit_for_bit(lo, hi):
+    x = np.concatenate([
+        RngStream(4, ("clip",)).normal(size=200) * 20.0,
+        [lo, hi, np.nextafter(lo, -1.0), np.nextafter(hi, 2.0), 0.0, -0.0, 1e308, -1e308],
+    ])
+    before = x.copy()
+    assert np.array_equal(clip(x, lo, hi), np.clip(x, lo, hi))
+    assert np.array_equal(x, before)
 
 
 def test_init_mlp_is_glorot_bounded_and_deterministic():
@@ -161,7 +174,7 @@ def test_adam_first_step_oracle():
     a = np.array([1.0, -2.0])
     g = np.array([0.5, -3.0])
     state = AdamState.for_params(a, alpha=0.1)
-    expected = a - 0.1 * g / (np.abs(g) + state.eps)
+    expected = a - 0.1 * g / (np.abs(g) + ADAM_EPS)
     adam_step(a, g, state)
     np.testing.assert_allclose(a, expected, rtol=1e-10)
     assert state.t == 1

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from augbench.nncore import MlpStack
+from augbench.nncore import GradBuffer, MlpStack
 from augbench.rng import RngStream
 from augbench.vae import (
     VaeConfig,
-    VaeModel,
     _vae_losses,
     augment_with_vae,
     init_vae,
@@ -88,9 +87,10 @@ def test_vae_loss_equals_it_through_one_network_stacks(n, seed, beta):
     batch = rng.derive("x").normal(size=(n, 3))
     eps = rng.derive("eps").normal(size=(n, 2))
     loss, (enc_g, dec_g) = vae_loss(model, batch, eps=eps, beta=beta)
-    stacked = VaeModel(MlpStack([model.encoder], [n]), MlpStack([model.decoder], [n]),
-                       model.latent_dim, np.empty(0))
-    [stack_loss], ([stack_enc_g], [stack_dec_g]) = _vae_losses(stacked, batch, eps, beta, None)
+    enc, dec = MlpStack([model.encoder], [n]), MlpStack([model.decoder], [n])
+    [stack_loss], ([stack_enc_g], [stack_dec_g]) = _vae_losses(
+        enc, dec, model.latent_dim, batch, eps, beta, (GradBuffer(enc), GradBuffer(dec))
+    )
     assert loss == stack_loss
     for a, b in zip(enc_g + dec_g, stack_enc_g + stack_dec_g, strict=True):
         assert np.array_equal(a, b)
