@@ -15,10 +15,12 @@ would move every KNN ranking and SVM kernel built on it.
 
 Every classifier has one set trainer, `fit_<x>_sets(sets, config)`: it
 takes `(X, y, rng)` training sets, returns one model per set and raises
-if any set fails. The lockstep trainers (logistic, linear SVM, dense net)
-run one epoch loop per training-set shape and run of at most JOINT_ROWS
-rows: `by_group` hands each loop its sets, wherever they sit in the
-call, and puts the models back in order.
+if any set fails. The logistic and both SVM trainers check each set with
+`checked_set`; the dense net has its own check, as its labels stay floats.
+The lockstep trainers (logistic, linear SVM, dense net) run one epoch
+loop per training-set shape and run of at most JOINT_ROWS rows:
+`by_group` hands each loop its sets, wherever they sit in the call, and
+puts the models back in order.
 """
 
 from __future__ import annotations
@@ -52,6 +54,14 @@ def check_two_classes(y: np.ndarray) -> None:
     # imports numpy.ma: about 1.3 MiB and 15 ms of every fresh process.
     if len(np.unique(y, return_counts=True)[0]) < 2:
         raise ValueError("both classes must be present")
+
+
+def checked_set(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """`(X, y)` as float rows and int labels; raises unless y has two classes."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    check_two_classes(y)
+    return X, y
 
 
 # The most training rows one epoch loop takes. The lockstep trainers'

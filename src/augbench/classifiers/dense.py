@@ -45,7 +45,9 @@ class DenseNetModel:
         return {"architecture": "->".join(map(str, sizes))}
 
 
-def _checked_set(X, y, rng) -> tuple[np.ndarray, np.ndarray, RngStream]:
+def _checked_float_set(X, y, rng) -> tuple[np.ndarray, np.ndarray, RngStream]:
+    """`base.checked_set`, but with the labels as a float column, the
+    network's target; an int cast would truncate a non-integer label."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1, 1)
     check_two_classes(y)
@@ -88,7 +90,7 @@ def fit_dense_net_sets(sets: list, config: DenseNetConfig) -> list[DenseNetModel
     input width train in one loop. Raises if any set fails its checks or
     its fit."""
     return by_group(
-        [_checked_set(*s) for s in sets], lambda s: s[0].shape[1],
+        [_checked_float_set(*s) for s in sets], lambda s: s[0].shape[1],
         lambda group: _train_stack(group, config),
     )
 

@@ -8,18 +8,20 @@ lambda*||w||^2/2 plus mean hinge loss by subgradient descent with the
 at 0. Regularization strength is chosen by stratified CV with ties to
 the stronger regularizer (grids are listed largest-lambda first).
 
-Each learner has one stacked trainer, `_fit_*_stack(sets, config)`. For
-every `(X, y, groups)` of `sets`, it trains every lambda of the set's
-`(train_rows, [lambda, ...])` groups as one stacked problem: column j of
-the set's d x J weight matrix is its j-th model, group by group, and a
-0/1 row mask keeps each column to its group's training rows. The sets of
-one shape (n, d, J) run in one epoch loop (`base.by_group` gathers them,
-wherever they sit in the call, and bounds each loop's rows).
-The trainer fits the J = 20 fold x lambda models of every set's CV, and
-then, in a second call, each set's refit or pinned lambda as a J = 1
-problem on all its rows (see `cv.fit_sets_with_cv`). `fit_*_sets` checks
-every `(X, y, rng)` set's input and wraps it; it raises if any set
-fails. `fit_logistic` and `fit_linear_svm` are its one-set calls.
+One stacked trainer, `_fit_stack(train, sets, config)`, serves both
+learners, which differ only in its epoch rule `train` (`_train_logistic`,
+`_train_linear_svm`). For every `(X, y, groups)` of `sets`, it trains
+every lambda of the set's `(train_rows, [lambda, ...])` groups as one
+stacked problem: column j of the set's d x J weight matrix is its j-th
+model, group by group, and a 0/1 row mask keeps each column to its
+group's training rows. The sets of one shape (n, d, J) run in one epoch
+loop (`base.by_group` gathers them, wherever they sit in the call, and
+bounds each loop's rows). The trainer fits the J = 20 fold x lambda
+models of every set's CV, and then, in a second call, each set's refit or
+pinned lambda as a J = 1 problem on all its rows (see
+`cv.fit_sets_with_cv`). `fit_*_sets` checks every `(X, y, rng)` set with
+`base.checked_set` and raises if any set fails; `fit_logistic` and
+`fit_linear_svm` are its one-set calls.
 `logistic_loss_grad` is the per-model loss and gradient that the tests
 check by finite differences; the trainers do not call it, so no loss is
 computed on the training path.
@@ -54,7 +56,7 @@ import numpy as np
 from ..config import LinearSvmConfig, LogisticConfig
 from ..nncore import AdamState, adam_step, column_sums, sigmoid
 from ..rng import RngStream
-from .base import by_group, check_two_classes
+from .base import by_group, checked_set
 from .cv import CvResult, fit_sets_with_cv
 
 
@@ -151,14 +153,25 @@ def _shape(s) -> tuple[int, int, int]:
     return (*X.shape, sum(len(lams) for _, lams in groups))
 
 
-def _fit_logistic_stack(sets, config: LogisticConfig) -> list[list[LinearModel]]:
-    """For each `(X, y, groups)` of `sets`, one logistic model per (rows,
-    lam) of each group, fit on `X[rows]` with full-batch Adam; the models
-    of every set of one shape are trained in one loop."""
-    return by_group(sets, _shape, lambda group: _train_logistic(_SetStack(group), config))
+def _fit_stack(train, sets, config) -> list[list[LinearModel]]:
+    """For each `(X, y, groups)` of `sets`, one model per (rows, lam) of
+    each group, fit on `X[rows]` by the epoch rule `train`; the models of
+    every set of one shape are trained in one loop."""
+    return by_group(sets, _shape, lambda group: train(_SetStack(group), config))
+
+
+def _fit_sets(train, sets: list, config) -> list[LinearModel]:
+    """One model per `(X, y, rng)` of `sets`, CV'd and refit by the epoch
+    rule `train`; raises if any set fails its checks, its folds or its fit."""
+    return fit_sets_with_cv(
+        lambda stacked: _fit_stack(train, stacked, config),
+        [(*checked_set(X, y), rng) for X, y, rng in sets],
+        config.reg_lambda, config.lambda_grid, config.cv_folds,
+    )
 
 
 def _train_logistic(stack: _SetStack, config: LogisticConfig) -> list[list[LinearModel]]:
+    """Logistic regression's epoch rule: full-batch Adam on every model of `stack`."""
     Y, Z, E = (np.empty_like(stack.mask) for _ in range(3))
     Y[...] = stack.y[:, :, None]
     params = np.zeros_like(stack.count)
@@ -186,23 +199,9 @@ def _train_logistic(stack: _SetStack, config: LogisticConfig) -> list[list[Linea
     return stack.models(params, "logistic", 0.5)
 
 
-def _checked_set(X, y, rng) -> tuple[np.ndarray, np.ndarray, RngStream]:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    check_two_classes(y)
-    return X, y, rng
-
-
 def fit_logistic_sets(sets: list, config: LogisticConfig) -> list[LinearModel]:
-    """`fit_logistic` on every `(X, y, rng)` of `sets`: the CV models of
-    every set of one shape are trained in one loop, and then the refit or
-    pinned models in another. Raises if any set fails its checks, its
-    folds or its fit."""
-    return fit_sets_with_cv(
-        lambda stacked: _fit_logistic_stack(stacked, config),
-        [_checked_set(*s) for s in sets],
-        config.reg_lambda, config.lambda_grid, config.cv_folds,
-    )
+    """`fit_logistic` on every `(X, y, rng)` of `sets` (see `_fit_sets`)."""
+    return _fit_sets(_train_logistic, sets, config)
 
 
 def fit_logistic(
@@ -220,14 +219,8 @@ def _check_svm_lambda(reg_lambda):
         raise ValueError("linear SVM requires reg_lambda > 0 (step schedule 1/(lambda*t))")
 
 
-def _fit_linear_svm_stack(sets, config: LinearSvmConfig) -> list[list[LinearModel]]:
-    """For each `(X, y01, groups)` of `sets`, one linear SVM per (rows,
-    lam) of each group, fit on `X[rows]` by Pegasos subgradient steps; the
-    models of every set of one shape are trained in one loop."""
-    return by_group(sets, _shape, lambda group: _train_linear_svm(_SetStack(group), config))
-
-
 def _train_linear_svm(stack: _SetStack, config: LinearSvmConfig) -> list[list[LinearModel]]:
+    """The linear SVM's epoch rule: Pegasos subgradient steps on every model of `stack`."""
     _check_svm_lambda(stack.lam)
     # y * ([X | 1] @ [W; B]) in one product: y is +-1, so the sign moves
     # into the rows exactly.
@@ -256,13 +249,8 @@ def _train_linear_svm(stack: _SetStack, config: LinearSvmConfig) -> list[list[Li
 
 
 def fit_linear_svm_sets(sets: list, config: LinearSvmConfig) -> list[LinearModel]:
-    """`fit_linear_svm` on every `(X, y, rng)` of `sets`, as
-    `fit_logistic_sets` trains logistic models."""
-    return fit_sets_with_cv(
-        lambda stacked: _fit_linear_svm_stack(stacked, config),
-        [_checked_set(*s) for s in sets],
-        config.reg_lambda, config.lambda_grid, config.cv_folds,
-    )
+    """`fit_linear_svm` on every `(X, y, rng)` of `sets` (see `_fit_sets`)."""
+    return _fit_sets(_train_linear_svm, sets, config)
 
 
 def fit_linear_svm(

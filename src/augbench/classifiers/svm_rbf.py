@@ -37,7 +37,7 @@ import numpy as np
 from .. import warn
 from ..config import RbfSvmConfig
 from ..rng import RngStream
-from .base import check_two_classes, sq_distances
+from .base import checked_set, sq_distances
 from .cv import CvResult, fit_with_cv
 
 
@@ -181,9 +181,7 @@ def fit_rbf_svm(
 ) -> RbfSvmModel:
     config = config or RbfSvmConfig()
     rng = rng or RngStream(0, ("rbf-svm",))
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    check_two_classes(y)
+    X, y = checked_set(X, y)
     return fit_with_cv(
         lambda Xt, yt, groups: _fit_rbf_svm_many(Xt, yt, groups, config),
         X, y, config.C, config.c_grid, config.cv_folds, rng,

@@ -57,6 +57,13 @@ def _make_output_dir(path: Path) -> Path | None:
     return missing[-1] if missing else None
 
 
+def _check_writable(paths: list[Path]) -> None:
+    """Raise ConfigError naming the first of `paths` that is a directory."""
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+
+
 def _cmd_run(args) -> int:
     from . import harness
 
@@ -69,6 +76,7 @@ def _cmd_run(args) -> int:
     # Every check, and the output directories, before the first cell trains.
     checked = checked_prepare(config)
     seeds = [config.seed + i for i in range(args.seeds)]
+    _check_writable(harness.run_paths(config, seeds))
     for outdir in harness.seed_dirs(config.output_dir, seeds):
         _make_output_dir(outdir)
     bundles = harness.run_experiment(config, args.seeds, checked)
@@ -87,6 +95,7 @@ def _cmd_augment(args) -> int:
     cfgs = module_configs(config)
     data = prepare(config)
     outdir = Path(config.output_dir)
+    _check_writable([outdir / harness.synthetic_name(args.generator)])
     made = _make_output_dir(outdir)
     sets = harness.build_augmented_sets(config, data.X_train, data.y_train, cfgs)
     built = sets[args.generator]

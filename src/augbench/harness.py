@@ -16,13 +16,15 @@ so execution order cannot change results, and each cell's model has the
 bits of a fit on its set alone.
 
 `harness` alone owns a run's output tree. `seed_dirs` lays it out: the
-output root for one seed, root/seed_<s> for several. `write_run` writes
-each seed's files through `emit_report` (report.md, results.csv and
+output root for one seed, root/seed_<s> for several; `run_paths` lists
+every file a run may write there, so the command line can check them
+before the first cell trains. `write_run` writes each seed's files
+through `emit_report` (report.md, results.csv and
 roc_<augmenter>_<classifier>.csv as `report` renders them,
-synthetic_<generator>.csv on request, and run_meta.json), and aggregate.csv
-at the root for several seeds. Then one removal pass, over the root, the
-seed directories it wrote and every other real (not symlinked) seed_<n>/
-there, deletes each file with a run-artifact name (`RUN_FILES`, and
+synthetic_<generator>.csv on request, and run_meta.json), and
+aggregate.csv at the root for several seeds. Then one removal pass, over
+the root, the seed directories it wrote and every other real (not
+symlinked) seed_<n>/ there, deletes each file with a run-artifact name (`RUN_FILES`, and
 aggregate.csv at the root) that this run did not write, and each seed_<n>/
 it did not write once that is empty; so a user's files, and the seed
 directories that hold them, stay. Wall-clock durations live only in
@@ -227,7 +229,7 @@ def write_synthetic_csv(
     """Write the synthetic rows of the augmented set `(X, y, batch)`, those
     its batch marks, to `outdir`/synthetic_<generator>.csv; return the path."""
     X, y, batch = augmented
-    path = Path(outdir) / f"synthetic_{batch.generator}.csv"
+    path = Path(outdir) / synthetic_name(batch.generator)
     path.write_text(export_synthetic_csv(X[batch.synthetic_mask], y[batch.synthetic_mask], plan))
     return path
 
@@ -239,6 +241,20 @@ RUN_FILES = ("report.md", "results.csv", "run_meta.json", "roc_*.csv", "syntheti
 def seed_dirs(root: str | Path, seeds: list[int]) -> list[Path]:
     """Each seed's output directory: `root` for one seed, `root`/seed_<s> for several."""
     return [Path(root) / f"seed_{s}" for s in seeds] if len(seeds) > 1 else [Path(root)]
+
+
+def synthetic_name(generator: str) -> str:
+    return f"synthetic_{generator}.csv"
+
+
+def run_paths(config: ExperimentConfig, seeds: list[int]) -> list[Path]:
+    """Every file `write_run` may write for a run of `config` over `seeds`."""
+    root, names = Path(config.output_dir), ["report.md", "results.csv", "run_meta.json"]
+    names += [f"roc_{a}_{c}.csv" for a in config.augmenters for c in config.classifiers]
+    if config.export_synthetic:
+        names += [synthetic_name(a) for a in config.augmenters if a != "none"]
+    paths = [outdir / name for outdir in seed_dirs(root, seeds) for name in names]
+    return paths + [root / "aggregate.csv"] if len(seeds) > 1 else paths
 
 
 def write_run(root: str | Path, bundles: list[ReportBundle]) -> None:

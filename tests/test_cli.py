@@ -31,6 +31,11 @@ FAST = {
 }
 
 
+def _csv_rows(path: Path) -> list[dict]:
+    with path.open(newline="") as f:
+        return list(csv.DictReader(f))
+
+
 @pytest.fixture
 def config_path(tmp_path):
     p = tmp_path / "cfg.json"
@@ -66,7 +71,7 @@ def test_run_writes_report_files(config_path, tmp_path):
     assert (out / "report.md").exists()
     assert (out / "results.csv").exists()
     assert (out / "run_meta.json").exists()
-    rows = list(csv.DictReader((out / "results.csv").open()))
+    rows = _csv_rows(out / "results.csv")
     assert len(rows) == 4
 
 
@@ -77,7 +82,7 @@ def test_run_multi_seed_aggregates(config_path, tmp_path):
     assert code == 0
     assert (out / "seed_0" / "results.csv").exists()
     assert (out / "seed_1" / "results.csv").exists()
-    agg = list(csv.DictReader((out / "aggregate.csv").open()))
+    agg = _csv_rows(out / "aggregate.csv")
     assert len(agg) == 4
     assert {"mean_test_acc", "mean_test_f1", "mean_test_auc"} <= set(agg[0])
 
@@ -87,7 +92,7 @@ def test_augment_writes_requested_count(config_path, tmp_path):
     code = main(["augment", "--config", str(config_path),
                  "--generator", "gmm", "--out", str(out)])
     assert code == 0
-    rows = list(csv.DictReader((out / "synthetic_gmm.csv").open()))
+    rows = _csv_rows(out / "synthetic_gmm.csv")
     assert len(rows) == 40
 
 
@@ -332,7 +337,7 @@ def test_failing_generator_fails_only_its_row(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(p), "--out", str(out)]) == 0
     rows = {(r["augmenter"], r["classifier"]): r
-            for r in csv.DictReader((out / "results.csv").open())}
+            for r in _csv_rows(out / "results.csv")}
     assert rows["vae", "tree"]["error"].startswith("FloatingPointError: ")
     assert rows["vae", "tree"]["error"].endswith(" (VAE step, epoch 1)")
     assert "## Failed cells" in (out / "report.md").read_text()
@@ -341,7 +346,7 @@ def test_failing_generator_fails_only_its_row(tmp_path, capsys):
     p.write_text(json.dumps(dict(DIVERGING_VAE, augmenters=["none"])))
     alone = tmp_path / "alone"
     assert main(["run", "--config", str(p), "--out", str(alone)]) == 0
-    alone_rows = list(csv.DictReader((alone / "results.csv").open()))
+    alone_rows = _csv_rows(alone / "results.csv")
     assert alone_rows == [rows["none", "tree"]]
 
 
@@ -357,7 +362,7 @@ def test_failing_gan_fails_only_its_row(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(p), "--out", str(out)]) == 0
     rows = {(r["augmenter"], r["classifier"]): r
-            for r in csv.DictReader((out / "results.csv").open())}
+            for r in _csv_rows(out / "results.csv")}
     error = rows["gan", "tree"]["error"]
     # The learning rate of 1e300 overflows on the first pass after Adam's first step.
     assert error.startswith("FloatingPointError: ")
@@ -377,7 +382,7 @@ def test_rerun_removes_the_files_of_a_cell_that_now_fails(tmp_path):
     assert (out / "roc_gan_tree.csv").exists() and (out / "synthetic_gan.csv").exists()
     p.write_text(json.dumps(dict(DIVERGING_GAN, export_synthetic=True)))
     assert main(["run", "--config", str(p), "--out", str(out)]) == 0
-    rows = {r["augmenter"]: r for r in csv.DictReader((out / "results.csv").open())}
+    rows = {r["augmenter"]: r for r in _csv_rows(out / "results.csv")}
     assert rows["gan"]["error"].startswith("FloatingPointError: ")
     assert not (out / "roc_gan_tree.csv").exists()
     assert not (out / "synthetic_gan.csv").exists()
@@ -447,7 +452,7 @@ def test_aggregate_keeps_a_cell_that_failed_in_every_seed(tmp_path):
     p.write_text(json.dumps(DIVERGING_VAE))
     out = tmp_path / "out"
     assert main(["run", "--config", str(p), "--out", str(out), "--seeds", "2"]) == 0
-    agg = list(csv.DictReader((out / "aggregate.csv").open()))
+    agg = _csv_rows(out / "aggregate.csv")
     assert [(r["augmenter"], r["classifier"], r["n_seeds"]) for r in agg] == [
         ("none", "tree", "2"), ("vae", "tree", "0"),
     ]
@@ -775,20 +780,45 @@ def test_unusable_seed_directory_fails_before_the_first_seed(
     assert _one_line_error(err) and f"{out / 'seed_1'}: " in err
 
 
-@pytest.mark.parametrize("command, blocked", [
-    ("run", "report.md"),
-    ("run --seeds 2", "seed_1/results.csv"),
-    ("augment --generator gmm", "synthetic_gmm.csv"),
+def _listing(root: Path) -> list:
+    return sorted((str(p.relative_to(root)), p.is_dir()) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("command, export_synthetic, blocked", [
+    ("run", False, "report.md"),
+    ("run --seeds 2", False, "seed_1/results.csv"),
+    ("run", False, "roc_gmm_knn.csv"),
+    ("run --seeds 2", False, "aggregate.csv"),
+    ("run", True, "synthetic_gmm.csv"),
+    ("augment --generator gmm", False, "synthetic_gmm.csv"),
 ])
-def test_output_file_that_cannot_be_written_is_a_one_line_error(
-        config_path, tmp_path, capsys, command, blocked):
-    # A directory where an output file goes: writing it raises IsADirectoryError.
+def test_output_file_that_cannot_be_written_fails_before_any_work(
+        tmp_path, capsys, monkeypatch, command, export_synthetic, blocked):
+    # A directory where an output file goes fails the run before a seed
+    # directory is made or a generator or classifier is fit.
+    monkeypatch.setattr(harness, "run_experiment", _no_work)
+    monkeypatch.setattr(harness, "build_augmented_sets", _no_work)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, export_synthetic=export_synthetic)))
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
-    argv = command.split() + ["--config", str(config_path), "--out", str(out)]
+    before = _listing(tmp_path)
+    argv = command.split() + ["--config", str(p), "--out", str(out)]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert _one_line_error(err) and str(out / blocked) in err
+    assert err == f"error: cannot write {out / blocked}: it is a directory\n"
+    assert _listing(tmp_path) == before
+
+
+def test_run_paths_name_every_file_a_run_writes(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(FAST, export_synthetic=True, output_dir=str(tmp_path / "out"))))
+    assert main(["run", "--config", str(p), "--seeds", "2"]) == 0
+    written = {f for f in (tmp_path / "out").rglob("*") if f.is_file()}
+    paths = harness.run_paths(ExperimentConfig.from_json(p), [0, 1])
+    assert len(paths) == len(set(paths))
+    assert written <= set(paths)
+    assert {f.name for f in written} >= {"aggregate.csv", "synthetic_gmm.csv", "roc_gmm_knn.csv"}
 
 
 @pytest.mark.parametrize("seed, message", [

@@ -15,8 +15,9 @@ from augbench.classifiers.linear import (
     LinearSvmConfig,
     LogisticConfig,
     _check_svm_lambda,
-    _fit_linear_svm_stack,
-    _fit_logistic_stack,
+    _fit_stack,
+    _train_linear_svm,
+    _train_logistic,
     fit_linear_svm,
     fit_logistic,
     logistic_loss_grad,
@@ -72,11 +73,11 @@ def _fit_linear_svm_fixed(
 
 # The stacked trainers on one set: its models, group by group.
 def _fit_logistic_many(X, y, groups, config):
-    return _fit_logistic_stack([(X, y, groups)], config)[0]
+    return _fit_stack(_train_logistic, [(X, y, groups)], config)[0]
 
 
 def _fit_linear_svm_many(X, y, groups, config):
-    return _fit_linear_svm_stack([(X, y, groups)], config)[0]
+    return _fit_stack(_train_linear_svm, [(X, y, groups)], config)[0]
 
 
 def _assert_matches_oracle(model, ref):

@@ -19,8 +19,9 @@ from augbench.classifiers.linear import (
     LinearModel,
     LinearSvmConfig,
     LogisticConfig,
-    _fit_linear_svm_stack,
-    _fit_logistic_stack,
+    _fit_stack,
+    _train_linear_svm,
+    _train_logistic,
     fit_linear_svm,
     fit_linear_svm_sets,
     fit_logistic,
@@ -35,11 +36,11 @@ from conftest import REPO, flat_jobs, ref_fit_linear_svm_many, ref_fit_logistic_
 
 FOLDS = 3
 
-# learner -> (set trainer, one-set fit, config class, stacked trainer, reference epoch)
+# learner -> (set trainer, one-set fit, config class, epoch rule, reference epoch)
 LINEAR = {
-    "logistic": (fit_logistic_sets, fit_logistic, LogisticConfig, _fit_logistic_stack,
+    "logistic": (fit_logistic_sets, fit_logistic, LogisticConfig, _train_logistic,
                  ref_fit_logistic_many),
-    "svm_linear": (fit_linear_svm_sets, fit_linear_svm, LinearSvmConfig, _fit_linear_svm_stack,
+    "svm_linear": (fit_linear_svm_sets, fit_linear_svm, LinearSvmConfig, _train_linear_svm,
                    ref_fit_linear_svm_many),
 }
 
@@ -103,7 +104,7 @@ def test_stacked_trainers_equal_one_set_runs_and_the_reference(learner, data, la
     # or more (a matrix product), those of the reference epoch. numpy sends
     # a one-column product to gemv, whose `[X | 1] @ [w; b]` can differ from
     # the reference's `X @ w + b` in the last bit.
-    _, _, config_cls, stack, ref = LINEAR[learner]
+    _, _, config_cls, train, ref = LINEAR[learner]
     config = config_cls(epochs=epochs)
     stacked = []
     for (X, y, rng), (folds, n_lams) in zip(data, layouts):
@@ -113,8 +114,8 @@ def test_stacked_trainers_equal_one_set_runs_and_the_reference(learner, data, la
         else:
             groups = [(np.flatnonzero(rng.uniform(0.0, 1.0, size=len(y)) < 0.7), lams)]
         stacked.append((X, y, groups))
-    for models, one_set in zip(stack(stacked, config), stacked):
-        alone = stack([one_set], config)[0]
+    for models, one_set in zip(_fit_stack(train, stacked, config), stacked):
+        alone = _fit_stack(train, [one_set], config)[0]
         assert len(models) == len(alone)
         for model, a in zip(models, alone):
             _assert_same_linear(model, a)
@@ -145,7 +146,7 @@ def _record_loops(monkeypatch) -> list:
 def test_the_fixture_seeds_train_as_one_batch(learner, monkeypatch):
     # The four seeds' CV stacks share one shape, so they train as one
     # (4, 300, 20) stack; each set's models are still its reference's.
-    _, _, config_cls, stack, ref = LINEAR[learner]
+    _, _, config_cls, train, ref = LINEAR[learner]
     config = config_cls(epochs=25)
     base = ExperimentConfig.from_json(REPO / "configs" / "fixture.json")
     stacked = []
@@ -155,7 +156,7 @@ def test_the_fixture_seeds_train_as_one_batch(learner, monkeypatch):
         stacked.append((data.X_train, data.y_train,
                         [(tr, list(config.lambda_grid)) for tr, _ in folds]))
     built = _record_loops(monkeypatch)
-    fitted = stack(stacked, config)
+    fitted = _fit_stack(train, stacked, config)
     assert built == [(4, 300, 20)]
     for models, (X, y, groups) in zip(fitted, stacked):
         for model, r in zip(models, ref(X, y, flat_jobs(groups), config)):
@@ -198,7 +199,7 @@ def test_sets_of_one_shape_with_few_columns_train_as_alone(learner, width, n_lam
     # product for two or three columns changes its bits with the stride of
     # its operands: a batch must hand each set its arrays contiguous, as
     # its one-set fit has them.
-    _, _, config_cls, stack, _ = LINEAR[learner]
+    _, _, config_cls, train, _ = LINEAR[learner]
     config = config_cls(epochs=6)
     stacked = []
     for i in range(3):
@@ -207,8 +208,8 @@ def test_sets_of_one_shape_with_few_columns_train_as_alone(learner, width, n_lam
         X = rng.derive("x").normal(size=(24, width)) + y[:, None]
         rows = np.flatnonzero(rng.derive("rows").uniform(0.0, 1.0, size=24) < 0.7)
         stacked.append((X, y, [(rows, list(config.lambda_grid[:n_lams]))]))
-    for models, one_set in zip(stack(stacked, config), stacked):
-        for model, alone in zip(models, stack([one_set], config)[0]):
+    for models, one_set in zip(_fit_stack(train, stacked, config), stacked):
+        for model, alone in zip(models, _fit_stack(train, [one_set], config)[0]):
             _assert_same_linear(model, alone)
 
 
